@@ -35,7 +35,7 @@ from fedfall.errors import (
     MissingSensorError,
     ShapeMismatchError,
 )
-from fedfall.metrics import MetricsReport, compute_metrics, counts_from_predictions, per_client_recall
+from fedfall.metrics import MetricsReport, report_from_probabilities
 from fedfall.nn import gradient_check, init_params
 from fedfall.secure_transport import FixedPointCodec, keygen, secure_mean_demo
 from fedfall.simulate import SCENARIOS, SimulationResult, simulate_full
@@ -107,11 +107,11 @@ def _write_run_outputs(
         "feedback_events": len(result.feedback_events),
     }
     (out_dir / "metrics.json").write_text(
-        json.dumps(report, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(report, indent=1, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8"
     )
     with open(out_dir / "round_log.jsonl", "w", encoding="utf-8") as fh:
         for entry in result.round_log:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+            fh.write(json.dumps(entry, sort_keys=True, allow_nan=False) + "\n")
     with open(out_dir / "loss_curve.csv", "w", encoding="utf-8") as fh:
         fh.write("round,train_loss,val_recall,val_f1\n")
         for row in result.loss_curve:
@@ -132,7 +132,7 @@ def _write_run_outputs(
         },
     }
     (out_dir / "predictions.json").write_text(
-        json.dumps(predictions, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(predictions, indent=1, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8"
     )
     (out_dir / "config.cfg").write_text(config_to_text(config), encoding="utf-8")
 
@@ -191,30 +191,14 @@ def cmd_evaluate(args) -> int:
     with open(args.predictions, "r", encoding="utf-8") as fh:
         saved = json.load(fh)
     threshold = args.threshold if args.threshold is not None else saved["threshold"]
-    if not 0.0 < threshold < 1.0:
-        raise ConfigError(f"threshold must be in (0,1), got {threshold}")
-    partition = {}
-    all_preds, all_labels = [], []
-    for cid in sorted(saved["clients"]):
-        entry = saved["clients"][cid]
-        probs = np.asarray(entry["probabilities"], dtype=np.float64)
-        labels = np.asarray(entry["labels"], dtype=int)
-        preds = (probs > threshold).astype(int)
-        partition[cid] = (preds, labels)
-        all_preds.append(preds)
-        all_labels.append(labels)
-    counts = counts_from_predictions(np.concatenate(all_preds), np.concatenate(all_labels))
-    core = compute_metrics(counts)
-    metrics = MetricsReport(
-        accuracy=core.accuracy,
-        precision=core.precision,
-        recall=core.recall,
-        f1=core.f1,
-        degenerate=core.degenerate,
-        per_client=per_client_recall(partition),
-        scenario=saved.get("scenario", ""),
-        config_fingerprint=saved.get("config_fingerprint", ""),
-        seed=saved.get("seed", 0),
+    clients = saved["clients"]
+    metrics = report_from_probabilities(
+        {cid: entry["probabilities"] for cid, entry in clients.items()},
+        {cid: entry["labels"] for cid, entry in clients.items()},
+        threshold,
+        saved.get("scenario", ""),
+        saved.get("config_fingerprint", ""),
+        saved.get("seed", 0),
     )
     payload = json.dumps(metrics.to_dict(), indent=1, sort_keys=True)
     if args.out:

@@ -76,20 +76,9 @@ class ExperimentConfig:
         need(0.0 <= self.smote_target < 1.0, f"smote_target must be in [0,1), got {self.smote_target}")
         need(self.smote_k >= 1, f"smote_k must be >= 1, got {self.smote_k}")
         need(self.hidden_size >= 1, f"hidden_size must be >= 1, got {self.hidden_size}")
-        need(self.lr > 0.0, f"lr must be positive, got {self.lr}")
-        need(self.batch_size >= 1, f"batch_size must be >= 1, got {self.batch_size}")
-        need(self.global_epochs >= 1, f"global_epochs must be >= 1, got {self.global_epochs}")
-        need(self.client_epochs >= 1, f"client_epochs must be >= 1, got {self.client_epochs}")
-        need(self.mu >= 0.0, f"mu must be >= 0, got {self.mu}")
         need(0.0 <= self.beta < 0.5, f"beta must be in [0, 0.5), got {self.beta}")
         need(0.0 < self.alpha <= 1.0, f"alpha must be in (0, 1], got {self.alpha}")
         need(self.swa_mode in ("delta", "literal"), f"swa_mode must be delta|literal, got {self.swa_mode!r}")
-        need(0.0 < self.classification_threshold < 1.0,
-             f"classification_threshold must be in (0,1), got {self.classification_threshold}")
-        need(0.0 < self.alert_threshold < 1.0,
-             f"alert_threshold must be in (0,1), got {self.alert_threshold}")
-        need(self.early_stop_patience >= 1,
-             f"early_stop_patience must be >= 1, got {self.early_stop_patience}")
         need(0.0 <= self.feedback_noise_p <= 1.0,
              f"feedback_noise_p must be in [0,1], got {self.feedback_noise_p}")
         need(self.monitor_windows_per_round >= 0,
@@ -98,6 +87,10 @@ class ExperimentConfig:
         need(self.fixed_point_bits >= 1, f"fixed_point_bits must be >= 1, got {self.fixed_point_bits}")
         need(self.clip_range > 0.0, f"clip_range must be positive, got {self.clip_range}")
         need(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
+        # The training-protocol fields are checked once, by RoundConfig; the
+        # SWA fields above come first so they fail as ConfigError, not as
+        # SwaConfig's ValueError.
+        self.round_config()
 
     def swa_config(self) -> SwaConfig:
         return SwaConfig(

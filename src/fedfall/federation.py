@@ -123,16 +123,21 @@ class RoundConfig:
     early_stop_patience: int = 10
 
     def __post_init__(self):
-        for name in ("global_epochs", "client_epochs", "batch_size", "early_stop_patience"):
+        for name in ("global_epochs", "client_epochs", "early_stop_patience"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.batch_size < 2:
+            raise ConfigError(
+                f"batch_size must be >= 2 (train-mode batch statistics need at least "
+                f"2 windows), got {self.batch_size}"
+            )
         for name in ("classification_threshold", "alert_threshold"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ConfigError(f"{name} must be in (0,1), got {v}")
-        if self.lr <= 0:
+        if not self.lr > 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.mu < 0:
+        if not self.mu >= 0:
             raise ConfigError(f"mu must be >= 0, got {self.mu}")
 
 
@@ -163,10 +168,16 @@ def local_train(
 
     Minimizes BCE plus the proximal penalty (trainable coordinates only;
     batch statistics are data, not weights, and cannot be pulled toward the
-    anchor). Returns None for a client with no data, which the round skips.
+    anchor). Returns None for a client with fewer than 2 windows, which the
+    round skips: train-mode batch statistics need at least 2 windows.
     """
-    if len(client.dataset) == 0:
-        logger.warning("client %s has no training windows; skipped", client.client_id)
+    n = len(client.dataset)
+    if n < 2:
+        logger.warning(
+            "client %s has %s; skipped",
+            client.client_id,
+            "no training windows" if n == 0 else "1 training window",
+        )
         return None
     with client_scope(client.client_id):
         windows = client.dataset.windows()
@@ -187,7 +198,6 @@ def local_train(
             client.adam = AdamState(dim=manifest.dim, lr=config.lr)
         anchor = global_params[mask]
 
-        n = len(windows)
         rm_lo, rm_hi = offsets["bn_running_mean"]
         rv_lo, rv_hi = offsets["bn_running_var"]
         epoch_losses = []
@@ -210,7 +220,7 @@ def local_train(
                 vec[rm_lo:rm_hi] = cache.new_running_mean
                 vec[rv_lo:rv_hi] = cache.new_running_var
                 batch_losses.append(data_loss + penalty)
-            epoch_losses.append(float(np.mean(batch_losses)) if batch_losses else float("nan"))
+            epoch_losses.append(float(np.mean(batch_losses)))
 
         client.local_params = vector_to_params(vec, in_size, hid)
     client.last_train_log = {"loss": epoch_losses[-1], "epoch_losses": epoch_losses}
@@ -291,15 +301,6 @@ def ensemble_predict(
     pg, _ = model_forward(global_model, batch, mode="eval")
     pi, _ = model_forward(client_model, batch, mode="eval")
     return (pg + pi) / 2.0
-
-
-def classify(probability, threshold: float):
-    """1 iff probability strictly exceeds the threshold."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0,1), got {threshold}")
-    arr = np.asarray(probability)
-    out = (arr > threshold).astype(int)
-    return int(out) if out.ndim == 0 else out
 
 
 def make_label_oracle(noise_p: float, rng: np.random.Generator):

@@ -7,7 +7,7 @@ parameter sweeps keep running through useless corners of the grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -118,6 +118,15 @@ def compute_metrics(counts: ConfusionCounts) -> MetricsReport:
     )
 
 
+def classify(probability, threshold: float):
+    """1 iff probability strictly exceeds the threshold."""
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must be in (0,1), got {threshold}")
+    arr = np.asarray(probability)
+    out = (arr > threshold).astype(int)
+    return int(out) if out.ndim == 0 else out
+
+
 def per_client_recall(
     partitioned: dict[str, tuple[np.ndarray, np.ndarray]],
 ) -> dict[str, float | None]:
@@ -134,3 +143,36 @@ def per_client_recall(
         else:
             out[cid] = c.tp / (c.tp + c.fn)
     return out
+
+
+def report_from_probabilities(
+    probs_by_client: dict[str, np.ndarray],
+    labels_by_client: dict[str, np.ndarray],
+    threshold: float,
+    scenario: str = "",
+    config_fingerprint: str = "",
+    seed: int = 0,
+) -> MetricsReport:
+    """Score per-client probabilities: pooled metrics plus per-client recall.
+
+    Windows are labelled by ``classify``. Training-time validation, final
+    test scoring and the ``evaluate`` replay of saved predictions all go
+    through here.
+    """
+    partition = {
+        cid: (classify(probs_by_client[cid], threshold), np.asarray(labels_by_client[cid]))
+        for cid in sorted(probs_by_client)
+    }
+    core = compute_metrics(
+        counts_from_predictions(
+            np.concatenate([np.zeros(0, dtype=int)] + [p for p, _ in partition.values()]),
+            np.concatenate([np.zeros(0, dtype=int)] + [l for _, l in partition.values()]),
+        )
+    )
+    return replace(
+        core,
+        per_client=per_client_recall(partition),
+        scenario=scenario,
+        config_fingerprint=config_fingerprint,
+        seed=seed,
+    )

@@ -11,6 +11,15 @@ minority oversampling of the remaining train windows) and one model:
 * ``epfl_swa``  - pfl_swa plus two-model ensemble inference and the
                   optional alert-driven feedback loop.
 
+All four run through one round loop. Only the training step branches:
+``central`` is a single trainer holding every client's train windows
+(sorted by client) that takes one plain ``local_train`` epoch per round
+and adopts the result as the global model, with no aggregation and no
+transport; the federated scenarios call ``run_round``. Everything after
+the step is shared: feedback, validation, the loss curve, best-round
+tracking, early stopping and test scoring, and every report comes from
+``metrics.report_from_probabilities``.
+
 Every random choice flows from one seed through spawned generator
 streams, so a scenario rerun with the same config is bit-identical.
 """
@@ -32,9 +41,7 @@ from fedfall.federation import (
     ClientState,
     FeedbackEvent,
     PrivateDataset,
-    RoundConfig,
     alert_and_feedback,
-    classify,
     early_stop_check,
     ensemble_predict,
     local_train,
@@ -42,7 +49,7 @@ from fedfall.federation import (
     run_round,
     TransportConfig,
 )
-from fedfall.metrics import MetricsReport, compute_metrics, counts_from_predictions, per_client_recall
+from fedfall.metrics import MetricsReport, report_from_probabilities
 from fedfall.nn import ModelParams, init_params, model_forward, params_to_vector, vector_to_params
 from fedfall.secure_transport import FixedPointCodec, keygen
 
@@ -90,69 +97,29 @@ def stratified_validation_split(
     return train, val
 
 
-def _eval_probabilities(params: ModelParams, windows: list[SequenceWindow]) -> np.ndarray:
-    if not windows:
-        return np.zeros(0)
-    batch, _ = stack_windows(windows)
-    probs, _ = model_forward(params, batch, mode="eval")
-    return probs
-
-
-def _ensemble_probabilities(
-    global_model: ModelParams, client_model: ModelParams, windows: list[SequenceWindow]
-) -> np.ndarray:
-    if not windows:
-        return np.zeros(0)
-    batch, _ = stack_windows(windows)
-    return ensemble_predict(global_model, client_model, batch)
-
-
 def _labels_of(windows: list[SequenceWindow]) -> np.ndarray:
     return np.asarray([w.label for w in windows], dtype=np.float64)
 
 
-class _Evaluator:
-    """Scenario-consistent inference over a per-client window partition."""
-
-    def __init__(self, scenario: str, threshold: float):
-        self.scenario = scenario
-        self.threshold = threshold
-
-    def probabilities(
-        self,
-        windows_by_client: dict[str, list[SequenceWindow]],
-        global_model: ModelParams,
-        client_models: dict[str, ModelParams],
-    ) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for cid in sorted(windows_by_client):
-            windows = windows_by_client[cid]
-            if self.scenario == "epfl_swa":
-                out[cid] = _ensemble_probabilities(global_model, client_models[cid], windows)
-            else:
-                out[cid] = _eval_probabilities(global_model, windows)
-        return out
-
-    def predictions(
-        self,
-        windows_by_client: dict[str, list[SequenceWindow]],
-        global_model: ModelParams,
-        client_models: dict[str, ModelParams],
-    ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for cid, probs in self.probabilities(
-            windows_by_client, global_model, client_models
-        ).items():
-            windows = windows_by_client[cid]
-            preds = classify(probs, self.threshold) if len(probs) else np.zeros(0, dtype=int)
-            out[cid] = (np.asarray(preds, dtype=np.float64), _labels_of(windows))
-        return out
-
-    @staticmethod
-    def pooled_counts(per_client: dict[str, tuple[np.ndarray, np.ndarray]]):
-        preds = np.concatenate([p for p, _ in per_client.values()]) if per_client else np.zeros(0)
-        labels = np.concatenate([l for _, l in per_client.values()]) if per_client else np.zeros(0)
-        return counts_from_predictions(preds, labels)
+def _probabilities(
+    windows_by_client: dict[str, list[SequenceWindow]],
+    global_model: ModelParams,
+    client_models: dict[str, ModelParams] | None,
+) -> dict[str, np.ndarray]:
+    """Per-client fall probabilities: the two-model ensemble when client
+    models are given, the global model alone otherwise."""
+    out: dict[str, np.ndarray] = {}
+    for cid in sorted(windows_by_client):
+        windows = windows_by_client[cid]
+        if not windows:
+            out[cid] = np.zeros(0)
+            continue
+        batch, _ = stack_windows(windows)
+        if client_models is None:
+            out[cid], _ = model_forward(global_model, batch, mode="eval")
+        else:
+            out[cid] = ensemble_predict(global_model, client_models[cid], batch)
+    return out
 
 
 def _make_monitor_window(
@@ -210,42 +177,39 @@ def simulate_full(
 
     init = init_params(input_size, config.hidden_size, np.random.default_rng(ss_init))
     round_cfg = config.round_config()
-    evaluator = _Evaluator(scenario, config.classification_threshold)
-
-    if scenario == "central":
-        return _run_central(
-            dataset,
-            config,
-            round_cfg,
-            init,
-            train_by_client,
-            val_by_client,
-            np.random.default_rng(client_seeds[0]),
-        )
-
-    strategy = "fedavg" if scenario == "fl_fedavg" else "swa"
-    if scenario == "fl_fedavg":
+    threshold = config.classification_threshold
+    central = scenario == "central"
+    ensemble = scenario == "epfl_swa"
+    if scenario in ("central", "fl_fedavg"):
         round_cfg = replace(round_cfg, mu=0.0)
 
+    if central:
+        pooled = [w for cid in sorted(train_by_client) for w in train_by_client[cid]]
+        members = [("central", pooled)]
+    else:
+        members = [(cid, train_by_client[cid]) for cid in client_ids]
     clients = [
         ClientState(
             client_id=cid,
-            dataset=PrivateDataset(cid, train_by_client[cid]),
+            dataset=PrivateDataset(cid, windows),
             local_params=init.copy(),
             adam=None,
             rng=np.random.default_rng(client_seeds[i]),
-            epochs_per_round=config.client_epochs,
+            epochs_per_round=1 if central else config.client_epochs,
         )
-        for i, cid in enumerate(client_ids)
+        for i, (cid, windows) in enumerate(members)
     ]
+    # The central trainer's model is the global model, so only federated
+    # scenarios keep per-client models for inference and the result.
+    local_clients = [] if central else clients
 
     transport = None
-    if config.encrypt_transport:
+    if config.encrypt_transport and not central:
         key = keygen(config.he_key_bits, seed=config.seed)
         codec = FixedPointCodec(scale_bits=config.fixed_point_bits, clip_range=config.clip_range)
         transport = TransportConfig(key=key, codec=codec, rng=_random.Random(int(ss_transport.generate_state(1)[0])))
 
-    feedback_on = scenario == "epfl_swa" and config.feedback_enabled
+    feedback_on = ensemble and config.feedback_enabled
     oracle = None
     monitor_rngs: dict[str, np.random.Generator] = {}
     if feedback_on:
@@ -255,6 +219,7 @@ def simulate_full(
             cid: np.random.default_rng(fb_streams[i]) for i, cid in enumerate(client_ids)
         }
 
+    val_labels = {cid: _labels_of(windows) for cid, windows in val_by_client.items()}
     global_vec = params_to_vector(init)
     round_log: list = []
     loss_curve: list = []
@@ -263,23 +228,45 @@ def simulate_full(
     best_score = -np.inf
     best_round = -1
     best_global = global_vec.copy()
-    best_locals = {c.client_id: params_to_vector(c.local_params) for c in clients}
+    best_locals = {c.client_id: params_to_vector(c.local_params) for c in local_clients}
     rounds_run = 0
 
     for r in range(config.global_epochs):
-        if scenario == "fl_fedavg":
-            for c in clients:
-                c.local_params = vector_to_params(global_vec, input_size, config.hidden_size)
-                c.adam = None
-        result = run_round(
-            global_vec, clients, round_cfg, strategy=strategy, round_index=r, transport=transport
-        )
-        global_vec = result.global_params
-        round_log.extend(result.entries)
+        if central:
+            (trainer,) = clients
+            update = local_train(trainer, global_vec, round_cfg)
+            if update is None:
+                raise ConfigError("central scenario requires at least 2 pooled training windows")
+            global_vec = update.params
+            entries = [
+                {
+                    "round": r,
+                    "client": "central",
+                    "loss": trainer.last_train_log["loss"],
+                    "epochs": 1,
+                    "n_samples": update.sample_count,
+                }
+            ]
+        else:
+            if scenario == "fl_fedavg":
+                for c in clients:
+                    c.local_params = vector_to_params(global_vec, input_size, config.hidden_size)
+                    c.adam = None
+            result = run_round(
+                global_vec,
+                clients,
+                round_cfg,
+                strategy="fedavg" if scenario == "fl_fedavg" else "swa",
+                round_index=r,
+                transport=transport,
+            )
+            global_vec = result.global_params
+            entries = result.entries
+        round_log.extend(entries)
         rounds_run = r + 1
 
         global_model = vector_to_params(global_vec, input_size, config.hidden_size)
-        client_models = {c.client_id: c.local_params for c in clients}
+        client_models = {c.client_id: c.local_params for c in clients} if ensemble else None
 
         if feedback_on:
             for c in clients:
@@ -291,9 +278,8 @@ def simulate_full(
                 for _ in range(config.monitor_windows_per_round):
                     base = raw[int(rng.integers(0, len(raw)))]
                     window = _make_monitor_window(base, c.client_id, r, rng)
-                    prob = float(
-                        _ensemble_probabilities(global_model, c.local_params, [window])[0]
-                    )
+                    batch, _ = stack_windows([window])
+                    prob = float(ensemble_predict(global_model, c.local_params, batch)[0])
                     event = alert_and_feedback(c, window, prob, oracle, round_cfg, r)
                     if event is not None:
                         feedback_events.append(event)
@@ -308,19 +294,16 @@ def simulate_full(
                     }
                 )
 
-        per_client_val = evaluator.predictions(val_by_client, global_model, client_models)
-        counts = evaluator.pooled_counts(per_client_val)
-        val_metrics = compute_metrics(counts)
+        val_probs = _probabilities(val_by_client, global_model, client_models)
+        val_metrics = report_from_probabilities(val_probs, val_labels, threshold)
         score = val_metrics.recall + val_metrics.f1
         history.append(score)
-        mean_loss = float(
-            np.mean([e["loss"] for e in result.entries if "loss" in e])
-        )
+        mean_loss = float(np.mean([e["loss"] for e in entries if "loss" in e]))
         round_log.append(
             {
                 "round": r,
                 "event": "validation",
-                "inference": "ensemble" if scenario == "epfl_swa" else "global",
+                "inference": "ensemble" if ensemble else "global",
                 "val_recall": val_metrics.recall,
                 "val_f1": val_metrics.f1,
                 "score": score,
@@ -338,7 +321,7 @@ def simulate_full(
             best_score = score
             best_round = r
             best_global = global_vec.copy()
-            best_locals = {c.client_id: params_to_vector(c.local_params) for c in clients}
+            best_locals = {c.client_id: params_to_vector(c.local_params) for c in local_clients}
         if early_stop_check(history, config.early_stop_patience):
             round_log.append({"round": r, "event": "early_stop", "best_round": best_round})
             break
@@ -348,30 +331,12 @@ def simulate_full(
         cid: vector_to_params(vec, input_size, config.hidden_size)
         for cid, vec in best_locals.items()
     }
-    test_probs = evaluator.probabilities(dataset.test_by_client, global_model, client_models)
+    test_probs = _probabilities(
+        dataset.test_by_client, global_model, client_models if ensemble else None
+    )
     test_labels = {cid: _labels_of(dataset.test_by_client[cid]) for cid in test_probs}
-    per_client_test = {
-        cid: (np.asarray(classify(probs, config.classification_threshold), dtype=np.float64)
-              if len(probs) else np.zeros(0),
-              test_labels[cid])
-        for cid, probs in test_probs.items()
-    }
-    counts = evaluator.pooled_counts(per_client_test)
-    core = compute_metrics(counts)
-    partition = {
-        cid: (preds.astype(int), labels.astype(int))
-        for cid, (preds, labels) in per_client_test.items()
-    }
-    metrics = MetricsReport(
-        accuracy=core.accuracy,
-        precision=core.precision,
-        recall=core.recall,
-        f1=core.f1,
-        degenerate=core.degenerate,
-        per_client=per_client_recall(partition),
-        scenario=scenario,
-        config_fingerprint=config.fingerprint(),
-        seed=config.seed,
+    metrics = report_from_probabilities(
+        test_probs, test_labels, threshold, scenario, config.fingerprint(), config.seed
     )
     return SimulationResult(
         metrics=metrics,
@@ -382,122 +347,6 @@ def simulate_full(
         best_round=best_round,
         global_params=global_model,
         client_params=client_models,
-        test_probabilities=test_probs,
-        test_labels=test_labels,
-    )
-
-
-def _run_central(
-    dataset: DatasetSplit,
-    config: ExperimentConfig,
-    round_cfg: RoundConfig,
-    init: ModelParams,
-    train_by_client: dict,
-    val_by_client: dict,
-    rng: np.random.Generator,
-) -> SimulationResult:
-    """Pooled single-model training: the non-federated reference point."""
-    input_size = init.lstm1.wx.shape[1]
-    pooled_train = [w for cid in sorted(train_by_client) for w in train_by_client[cid]]
-    cfg = replace(round_cfg, mu=0.0)
-    trainer = ClientState(
-        client_id="central",
-        dataset=PrivateDataset("central", pooled_train),
-        local_params=init.copy(),
-        adam=None,
-        rng=rng,
-        epochs_per_round=1,
-    )
-    evaluator = _Evaluator("central", config.classification_threshold)
-    vec = params_to_vector(init)
-    round_log: list = []
-    loss_curve: list = []
-    history: list[float] = []
-    best_score = -np.inf
-    best_round = -1
-    best_vec = vec.copy()
-    rounds_run = 0
-
-    for epoch in range(config.global_epochs):
-        update = local_train(trainer, vec, cfg)
-        if update is None:
-            raise ConfigError("central scenario requires nonempty pooled training data")
-        vec = update.params
-        rounds_run = epoch + 1
-        model = vector_to_params(vec, input_size, config.hidden_size)
-        per_client_val = evaluator.predictions(val_by_client, model, {})
-        val_metrics = compute_metrics(evaluator.pooled_counts(per_client_val))
-        score = val_metrics.recall + val_metrics.f1
-        history.append(score)
-        round_log.append(
-            {
-                "round": epoch,
-                "client": "central",
-                "loss": trainer.last_train_log["loss"],
-                "epochs": 1,
-                "n_samples": update.sample_count,
-            }
-        )
-        round_log.append(
-            {
-                "round": epoch,
-                "event": "validation",
-                "inference": "global",
-                "val_recall": val_metrics.recall,
-                "val_f1": val_metrics.f1,
-                "score": score,
-            }
-        )
-        loss_curve.append(
-            {
-                "round": epoch,
-                "train_loss": trainer.last_train_log["loss"],
-                "val_recall": val_metrics.recall,
-                "val_f1": val_metrics.f1,
-            }
-        )
-        if score > best_score:
-            best_score = score
-            best_round = epoch
-            best_vec = vec.copy()
-        if early_stop_check(history, config.early_stop_patience):
-            round_log.append({"round": epoch, "event": "early_stop", "best_round": best_round})
-            break
-
-    model = vector_to_params(best_vec, input_size, config.hidden_size)
-    test_probs = evaluator.probabilities(dataset.test_by_client, model, {})
-    test_labels = {cid: _labels_of(dataset.test_by_client[cid]) for cid in test_probs}
-    per_client_test = {
-        cid: (np.asarray(classify(probs, config.classification_threshold), dtype=np.float64)
-              if len(probs) else np.zeros(0),
-              test_labels[cid])
-        for cid, probs in test_probs.items()
-    }
-    core = compute_metrics(evaluator.pooled_counts(per_client_test))
-    partition = {
-        cid: (preds.astype(int), labels.astype(int))
-        for cid, (preds, labels) in per_client_test.items()
-    }
-    metrics = MetricsReport(
-        accuracy=core.accuracy,
-        precision=core.precision,
-        recall=core.recall,
-        f1=core.f1,
-        degenerate=core.degenerate,
-        per_client=per_client_recall(partition),
-        scenario="central",
-        config_fingerprint=config.fingerprint(),
-        seed=config.seed,
-    )
-    return SimulationResult(
-        metrics=metrics,
-        round_log=round_log,
-        loss_curve=loss_curve,
-        feedback_events=[],
-        rounds_run=rounds_run,
-        best_round=best_round,
-        global_params=model,
-        client_params={},
         test_probabilities=test_probs,
         test_labels=test_labels,
     )

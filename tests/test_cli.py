@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fedfall.cli import cli_main
+from fedfall.simulate import SCENARIOS
 
 FAST = [
     "--set", "hidden_size=4",
@@ -18,10 +19,10 @@ FAST = [
 ]
 
 
-def run_train(tmp_path, extra=(), out_name="run"):
+def run_train(tmp_path, extra=(), out_name="run", scenario="fl_fedavg"):
     out = tmp_path / out_name
     code = cli_main(
-        ["train", "--scenario", "fl_fedavg", "--synthetic", "--out", str(out)]
+        ["train", "--scenario", scenario, "--synthetic", "--out", str(out)]
         + FAST + list(extra)
     )
     return code, out
@@ -92,8 +93,9 @@ class TestTrain:
 
 
 class TestEvaluate:
-    def test_reproduces_training_metrics(self, tmp_path, capsys):
-        _, out = run_train(tmp_path)
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_reproduces_training_metrics(self, tmp_path, capsys, scenario):
+        _, out = run_train(tmp_path, scenario=scenario)
         trained = json.loads((out / "metrics.json").read_text())["metrics"]
         capsys.readouterr()
         code = cli_main(["evaluate", "--predictions", str(out / "predictions.json")])

@@ -82,6 +82,9 @@ class TestDefaults:
             {"fixed_point_bits": 0},
             {"clip_range": 0.0},
             {"seed": -1},
+            {"batch_size": 1},
+            {"lr": float("nan")},
+            {"mu": float("nan")},
         ],
     )
     def test_field_validation(self, kw):

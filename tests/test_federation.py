@@ -19,7 +19,6 @@ from fedfall.federation import (
     RoundConfig,
     TransportConfig,
     alert_and_feedback,
-    classify,
     client_scope,
     current_scope,
     early_stop_check,
@@ -28,6 +27,7 @@ from fedfall.federation import (
     make_label_oracle,
     run_round,
 )
+from fedfall.metrics import classify
 from fedfall.data.windows import SequenceWindow
 from fedfall.nn import (
     AdamState,
@@ -142,17 +142,20 @@ class TestLocalTrain:
         assert len(client.last_train_log["epoch_losses"]) == 3
 
     def test_empty_dataset_skipped_with_warning(self, caplog):
-        client = ClientState(
-            client_id="A",
-            dataset=PrivateDataset("A", []),
-            local_params=init_params(F, H, 0),
-            adam=None,
-            rng=np.random.default_rng(0),
-            epochs_per_round=1,
-        )
-        with caplog.at_level(logging.WARNING):
-            assert local_train(client, params_to_vector(client.local_params), small_config()) is None
-        assert any("no training windows" in r.message for r in caplog.records)
+        # one window cannot form a train-mode batch, so it is skipped like none
+        for windows, message in (([], "no training windows"), (make_windows(1), "1 training window")):
+            caplog.clear()
+            client = ClientState(
+                client_id="A",
+                dataset=PrivateDataset("A", windows),
+                local_params=init_params(F, H, 0),
+                adam=None,
+                rng=np.random.default_rng(0),
+                epochs_per_round=1,
+            )
+            with caplog.at_level(logging.WARNING):
+                assert local_train(client, params_to_vector(client.local_params), small_config()) is None
+            assert any(message in r.message for r in caplog.records)
 
     def test_dataset_only_read_in_owner_scope(self):
         client = make_client()
@@ -521,6 +524,9 @@ class TestRoundConfig:
             {"early_stop_patience": 0},
             {"lr": 0.0},
             {"mu": -0.1},
+            {"batch_size": 1},
+            {"lr": float("nan")},
+            {"mu": float("nan")},
         ],
     )
     def test_invalid_values_rejected(self, kw):

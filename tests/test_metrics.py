@@ -11,6 +11,7 @@ from fedfall.metrics import (
     compute_metrics,
     counts_from_predictions,
     per_client_recall,
+    report_from_probabilities,
 )
 
 
@@ -127,6 +128,18 @@ class TestPerClientRecall:
             counts_from_predictions(np.concatenate(all_p), np.concatenate(all_y))
         )
         assert overall.recall == pytest.approx(weighted, abs=1e-12)
+
+
+class TestReportFromProbabilities:
+    def test_strict_threshold_pooled_and_per_client(self):
+        probs = {"B": np.array([0.9, 0.3, 0.1]), "A": np.array([0.3, 0.8]), "C": np.zeros(0)}
+        labels = {"A": np.array([1, 0]), "B": np.array([1, 1, 0]), "C": np.zeros(0)}
+        r = report_from_probabilities(probs, labels, 0.3, "central", "fp", 4)
+        # 0.3 is not above the threshold: predictions A=[0,1], B=[1,0,0]
+        expected = brute_force([0, 1, 1, 0, 0], [1, 0, 1, 1, 0])
+        assert (r.accuracy, r.precision, r.recall, r.f1) == expected
+        assert r.per_client == {"A": 0.0, "B": 0.5, "C": None}
+        assert (r.scenario, r.config_fingerprint, r.seed) == ("central", "fp", 4)
 
 
 class TestReportRoundtrip:
