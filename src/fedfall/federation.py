@@ -28,13 +28,12 @@ from fedfall.nn import (
     ModelParams,
     adam_step,
     bce_loss,
+    commit_batchnorm_stats,
     fedprox_penalty,
-    grads_to_vector,
     manifest_for,
     model_backward,
     model_forward,
     params_to_vector,
-    vector_to_params,
 )
 from fedfall.secure_transport import FixedPointCodec, HeKeyPair, decrypt_vector, encrypt_vector
 
@@ -183,12 +182,11 @@ def local_train(
         windows = client.dataset.windows()
         batch_all, labels_all = stack_windows(windows)
 
-        in_size = batch_all.shape[2]
-        hid = client.local_params.hidden_size
-        manifest = manifest_for(in_size, hid)
-        mask = manifest.trainable_mask()
-        offsets = manifest.offsets()
-        vec = params_to_vector(client.local_params)
+        # Train a copy, adopted only when every epoch completes. Adam moves
+        # its flat vector in place; the forward reads the same memory.
+        params = client.local_params.copy()
+        vec = params.vec
+        manifest = manifest_for(params.input_size, params.hidden_size)
         global_params = np.asarray(global_params, dtype=np.float64)
         if global_params.shape != vec.shape:
             raise ShapeMismatchError(
@@ -196,10 +194,7 @@ def local_train(
             )
         if client.adam is None or client.adam.dim != manifest.dim:
             client.adam = AdamState(dim=manifest.dim, lr=config.lr)
-        anchor = global_params[mask]
 
-        rm_lo, rm_hi = offsets["bn_running_mean"]
-        rv_lo, rv_hi = offsets["bn_running_var"]
         epoch_losses = []
         for _ in range(client.epochs_per_round):
             order = client.rng.permutation(n)
@@ -208,25 +203,25 @@ def local_train(
                 idx = order[s : s + config.batch_size]
                 if len(idx) < 2:
                     continue  # train-mode batch statistics need >= 2 windows
-                params = vector_to_params(vec, in_size, hid)
                 probs, cache = model_forward(params, batch_all[idx], mode="train")
                 data_loss, dprobs = bce_loss(probs, labels_all[idx])
-                grads = grads_to_vector(model_backward(cache, dprobs, params))
+                grads = model_backward(cache, dprobs, params).vec
                 penalty = 0.0
                 if config.mu != 0.0:
-                    penalty, pen_grad = fedprox_penalty(vec[mask], anchor, config.mu)
-                    grads[mask] += pen_grad
-                vec = adam_step(client.adam, vec, grads, config.lr)
-                vec[rm_lo:rm_hi] = cache.new_running_mean
-                vec[rv_lo:rv_hi] = cache.new_running_var
+                    for lo, hi in manifest.trainable_slices:
+                        part, pen_grad = fedprox_penalty(vec[lo:hi], global_params[lo:hi], config.mu)
+                        penalty += part
+                        grads[lo:hi] += pen_grad
+                adam_step(client.adam, vec, grads, config.lr)
+                commit_batchnorm_stats(params, cache)
                 batch_losses.append(data_loss + penalty)
             epoch_losses.append(float(np.mean(batch_losses)))
 
-        client.local_params = vector_to_params(vec, in_size, hid)
+        client.local_params = params
     client.last_train_log = {"loss": epoch_losses[-1], "epoch_losses": epoch_losses}
     return ClientUpdate(
         client_id=client.client_id,
-        params=vec,
+        params=params_to_vector(params),
         epochs_trained=client.epochs_per_round,
         sample_count=n,
     )
@@ -298,8 +293,8 @@ def ensemble_predict(
     global_model: ModelParams, client_model: ModelParams, batch
 ) -> np.ndarray:
     """Arithmetic mean of the two models' fall probabilities per window."""
-    pg, _ = model_forward(global_model, batch, mode="eval")
-    pi, _ = model_forward(client_model, batch, mode="eval")
+    pg = model_forward(global_model, batch, mode="eval")[0]
+    pi = model_forward(client_model, batch, mode="eval")[0]
     return (pg + pi) / 2.0
 
 

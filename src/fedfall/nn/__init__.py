@@ -1,25 +1,28 @@
-"""Sequence classifier: model, losses, optimizer, gradients, flat views."""
+"""Sequence classifier: model, losses, optimizer, gradients, flat views.
+
+The weights of a model are one contiguous float64 vector; ``ModelParams``
+gives its tensors as named views, laid out by ``manifest_for``. Gradients
+come back in the same layout, and ``adam_step`` updates the vector in place.
+"""
 
 from fedfall.nn.gradcheck import GradCheckReport, finite_difference_grad, gradient_check
 from fedfall.nn.losses import bce_loss, fedprox_penalty
 from fedfall.nn.model import (
     BN_EPS,
     BN_MOMENTUM,
-    NON_TRAINABLE,
     ForwardCache,
-    LstmLayer,
-    ModelParams,
     commit_batchnorm_stats,
     init_params,
     model_backward,
     model_forward,
     sigmoid,
-    zero_grads,
 )
 from fedfall.nn.optim import AdamState, adam_step
 from fedfall.nn.params import (
+    NON_TRAINABLE,
+    LstmLayer,
+    ModelParams,
     ParamManifest,
-    grads_to_vector,
     load_params,
     manifest_for,
     params_to_vector,
@@ -42,7 +45,6 @@ __all__ = [
     "commit_batchnorm_stats",
     "fedprox_penalty",
     "finite_difference_grad",
-    "grads_to_vector",
     "gradient_check",
     "init_params",
     "load_params",
@@ -53,5 +55,4 @@ __all__ = [
     "save_params",
     "sigmoid",
     "vector_to_params",
-    "zero_grads",
 ]

@@ -14,13 +14,8 @@ from typing import Callable
 import numpy as np
 
 from fedfall.nn.losses import bce_loss
-from fedfall.nn.model import ModelParams, model_backward, model_forward
-from fedfall.nn.params import (
-    grads_to_vector,
-    manifest_for,
-    params_to_vector,
-    vector_to_params,
-)
+from fedfall.nn.model import model_backward, model_forward
+from fedfall.nn.params import ModelParams, manifest_for, params_to_vector, vector_to_params
 
 DEFAULT_EPS = 1e-5
 DEFAULT_TOL = 1e-4
@@ -83,7 +78,7 @@ def gradient_check(
 
     probs, cache = model_forward(params, batch, mode="train")
     _, dprobs = bce_loss(probs, labels)
-    analytic = grads_to_vector(model_backward(cache, dprobs, params))
+    analytic = model_backward(cache, dprobs, params).vec
 
     trainable = np.flatnonzero(manifest.trainable_mask())
     if n_coords >= len(trainable):

@@ -8,10 +8,13 @@ Everything is plain numpy in float64. Forward passes are pure functions of
 (params, batch); the backward pass replays the forward from a cache and is
 validated coordinate-wise against central finite differences, so this module
 can serve as the single source of truth for training without an autodiff
-framework.
+framework. Weights are read from, and gradients written to, named views of
+flat vectors (``fedfall.nn.params``).
 
 Gate layout inside each LSTM weight block is (input, forget, cell, output),
-stacked along the first axis in that order.
+stacked along the first axis in that order. Inside a layer, sequences are
+time-major (T, B, ...): the input projection of every timestep is one GEMM,
+and only the recurrent GEMM runs per step (Appleyard et al., 2016).
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from fedfall.errors import NumericalFailureError, ShapeMismatchError
+from fedfall.nn.params import LstmLayer, ModelParams, manifest_for
 
 # Small enough that normalized batch statistics stay within 1e-5 of
 # mean 0 / variance 1 even for low-variance hidden states.
@@ -29,93 +33,8 @@ BN_MOMENTUM = 0.1
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-@dataclass
-class LstmLayer:
-    """Gate weights for one LSTM layer.
-
-    wx: (4H, input_dim) input-to-gate weights
-    wh: (4H, H) recurrent weights
-    b:  (4H,) gate biases
-    """
-
-    wx: np.ndarray
-    wh: np.ndarray
-    b: np.ndarray
-
-    def copy(self) -> "LstmLayer":
-        return LstmLayer(self.wx.copy(), self.wh.copy(), self.b.copy())
-
-
-@dataclass
-class ModelParams:
-    """All weights of the classifier, in plain arrays.
-
-    ``bn_running_mean`` / ``bn_running_var`` are data statistics rather than
-    gradient-trained weights; they still travel with the parameter vector so
-    aggregation shares them between clients.
-    """
-
-    lstm1: LstmLayer
-    lstm2: LstmLayer
-    bn_gamma: np.ndarray
-    bn_beta: np.ndarray
-    bn_running_mean: np.ndarray
-    bn_running_var: np.ndarray
-    fc1_w: np.ndarray
-    fc1_b: np.ndarray
-    fc2_w: np.ndarray
-    fc2_b: np.ndarray
-    hidden_size: int
-
-    @property
-    def input_size(self) -> int:
-        return self.lstm1.wx.shape[1]
-
-    def tensors(self) -> list[tuple[str, np.ndarray]]:
-        """Named tensors in canonical serialization order."""
-        return [
-            ("lstm1_wx", self.lstm1.wx),
-            ("lstm1_wh", self.lstm1.wh),
-            ("lstm1_b", self.lstm1.b),
-            ("lstm2_wx", self.lstm2.wx),
-            ("lstm2_wh", self.lstm2.wh),
-            ("lstm2_b", self.lstm2.b),
-            ("bn_gamma", self.bn_gamma),
-            ("bn_beta", self.bn_beta),
-            ("bn_running_mean", self.bn_running_mean),
-            ("bn_running_var", self.bn_running_var),
-            ("fc1_w", self.fc1_w),
-            ("fc1_b", self.fc1_b),
-            ("fc2_w", self.fc2_w),
-            ("fc2_b", self.fc2_b),
-        ]
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            lstm1=self.lstm1.copy(),
-            lstm2=self.lstm2.copy(),
-            bn_gamma=self.bn_gamma.copy(),
-            bn_beta=self.bn_beta.copy(),
-            bn_running_mean=self.bn_running_mean.copy(),
-            bn_running_var=self.bn_running_var.copy(),
-            fc1_w=self.fc1_w.copy(),
-            fc1_b=self.fc1_b.copy(),
-            fc2_w=self.fc2_w.copy(),
-            fc2_b=self.fc2_b.copy(),
-            hidden_size=self.hidden_size,
-        )
-
-
-# Tensors excluded from gradient updates (batch statistics).
-NON_TRAINABLE = frozenset({"bn_running_mean", "bn_running_var"})
+    """0.5 * (1 + tanh(x / 2)): one transcendental and no overflow for any x."""
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def init_params(input_size: int, hidden_size: int, seed: int | np.random.Generator = 0) -> ModelParams:
@@ -127,57 +46,29 @@ def init_params(input_size: int, hidden_size: int, seed: int | np.random.Generat
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     h = hidden_size
     bound = 1.0 / np.sqrt(h)
-
-    def u(*shape):
-        return rng.uniform(-bound, bound, size=shape)
-
-    def lstm(in_dim):
-        b = u(4 * h)
-        b[h : 2 * h] = 1.0
-        return LstmLayer(wx=u(4 * h, in_dim), wh=u(4 * h, h), b=b)
-
-    return ModelParams(
-        lstm1=lstm(input_size),
-        lstm2=lstm(h),
-        bn_gamma=np.ones(h),
-        bn_beta=np.zeros(h),
-        bn_running_mean=np.zeros(h),
-        bn_running_var=np.ones(h),
-        fc1_w=u(h, h),
-        fc1_b=u(h),
-        fc2_w=u(1, h),
-        fc2_b=u(1),
-        hidden_size=h,
-    )
-
-
-def zero_grads(params: ModelParams) -> ModelParams:
-    """A gradient container with the same shapes as ``params``, all zeros."""
-    return ModelParams(
-        lstm1=LstmLayer(np.zeros_like(params.lstm1.wx), np.zeros_like(params.lstm1.wh), np.zeros_like(params.lstm1.b)),
-        lstm2=LstmLayer(np.zeros_like(params.lstm2.wx), np.zeros_like(params.lstm2.wh), np.zeros_like(params.lstm2.b)),
-        bn_gamma=np.zeros_like(params.bn_gamma),
-        bn_beta=np.zeros_like(params.bn_beta),
-        bn_running_mean=np.zeros_like(params.bn_running_mean),
-        bn_running_var=np.zeros_like(params.bn_running_var),
-        fc1_w=np.zeros_like(params.fc1_w),
-        fc1_b=np.zeros_like(params.fc1_b),
-        fc2_w=np.zeros_like(params.fc2_w),
-        fc2_b=np.zeros_like(params.fc2_b),
-        hidden_size=params.hidden_size,
-    )
+    params = ModelParams(np.zeros(manifest_for(input_size, h).dim), input_size, h)
+    views = dict(params.tensors())
+    for name in (
+        "lstm1_b", "lstm1_wx", "lstm1_wh", "lstm2_b", "lstm2_wx", "lstm2_wh",
+        "fc1_w", "fc1_b", "fc2_w", "fc2_b",
+    ):  # draw order of the seeded stream
+        views[name][...] = rng.uniform(-bound, bound, size=views[name].shape)
+    for layer in (params.lstm1, params.lstm2):
+        layer.b[h : 2 * h] = 1.0
+    params.bn_gamma[:] = 1.0
+    params.bn_running_var[:] = 1.0
+    return params
 
 
 @dataclass
 class _LstmTrace:
-    inputs: np.ndarray  # (B, T, in_dim)
-    h: np.ndarray       # (T+1, B, H); h[0] is the zero initial state
-    c: np.ndarray       # (T+1, B, H)
-    gi: np.ndarray      # (T, B, H) input gates
-    gf: np.ndarray      # (T, B, H) forget gates
-    gg: np.ndarray      # (T, B, H) cell candidates (tanh)
-    go: np.ndarray      # (T, B, H) output gates
-    tc: np.ndarray      # (T, B, H) tanh(c_t)
+    """What backward needs of one layer; eval mode keeps only ``h``."""
+
+    h: np.ndarray                       # (T+1, B, H); h[0] is the zero initial state
+    inputs: np.ndarray | None = None    # (T, B, in_dim)
+    c: np.ndarray | None = None         # (T+1, B, H)
+    gates: np.ndarray | None = None     # (T, B, 4H) activated (i, f, g, o)
+    tc: np.ndarray | None = None        # (T, B, H) tanh(c_t)
 
 
 @dataclass
@@ -225,26 +116,43 @@ def _check_finite(arr: np.ndarray, layer: str) -> None:
         raise NumericalFailureError(f"non-finite values in {layer}", layer=layer)
 
 
-def _lstm_forward(layer: LstmLayer, inputs: np.ndarray) -> _LstmTrace:
-    b_sz, t_len, _ = inputs.shape
+def _lstm_forward(layer: LstmLayer, inputs: np.ndarray, train: bool) -> _LstmTrace:
+    """One layer over a time-major (T, B, in_dim) sequence.
+
+    The input projection of all timesteps is one GEMM into a (T, B, 4H) gate
+    buffer; each step adds the recurrent GEMM and applies one tanh to all
+    four gate blocks in place. Train mode keeps the activated gates, cell
+    states and tanh(c_t) for backward; eval mode overwrites one cell slot.
+    """
+    t_len, b_sz, in_dim = inputs.shape
     h_dim = layer.wh.shape[1]
+    # Gate rows are pre-scaled so that one tanh activates all four blocks:
+    # scale * tanh(scale * a) + shift is sigmoid(a) = 0.5 + 0.5 * tanh(a / 2)
+    # on the i, f, o blocks and tanh(a) on g. Scaling by 0.5 is exact.
+    scale = np.repeat([0.5, 0.5, 1.0, 0.5], h_dim)
+    shift = np.repeat([0.5, 0.5, 0.0, 0.5], h_dim)
+    gates = inputs.reshape(t_len * b_sz, in_dim) @ (layer.wx * scale[:, None]).T
+    gates += layer.b * scale
+    gates = gates.reshape(t_len, b_sz, 4 * h_dim)
+    wh_t = (layer.wh * scale[:, None]).T
     h = np.zeros((t_len + 1, b_sz, h_dim))
-    c = np.zeros((t_len + 1, b_sz, h_dim))
-    gi = np.empty((t_len, b_sz, h_dim))
-    gf = np.empty_like(gi)
-    gg = np.empty_like(gi)
-    go = np.empty_like(gi)
-    tc = np.empty_like(gi)
+    c = np.zeros((t_len + 1 if train else 1, b_sz, h_dim))
+    tc = np.empty((t_len if train else 1, b_sz, h_dim))
     for t in range(t_len):
-        a = inputs[:, t, :] @ layer.wx.T + h[t] @ layer.wh.T + layer.b
-        gi[t] = sigmoid(a[:, :h_dim])
-        gf[t] = sigmoid(a[:, h_dim : 2 * h_dim])
-        gg[t] = np.tanh(a[:, 2 * h_dim : 3 * h_dim])
-        go[t] = sigmoid(a[:, 3 * h_dim :])
-        c[t + 1] = gf[t] * c[t] + gi[t] * gg[t]
-        tc[t] = np.tanh(c[t + 1])
-        h[t + 1] = go[t] * tc[t]
-    return _LstmTrace(inputs=inputs, h=h, c=c, gi=gi, gf=gf, gg=gg, go=go, tc=tc)
+        a = gates[t]
+        a += h[t] @ wh_t
+        np.tanh(a, out=a)
+        a *= scale
+        a += shift
+        s = t if train else 0
+        c_t, tc_t = c[s + train], tc[s]  # eval: c[0] is both c_{t-1} and c_t
+        np.multiply(a[:, h_dim : 2 * h_dim], c[s], out=c_t)
+        c_t += a[:, :h_dim] * a[:, 2 * h_dim : 3 * h_dim]
+        np.tanh(c_t, out=tc_t)
+        np.multiply(a[:, 3 * h_dim :], tc_t, out=h[t + 1])
+    if not train:
+        return _LstmTrace(h=h)
+    return _LstmTrace(h=h, inputs=inputs, c=c, gates=gates, tc=tc)
 
 
 def model_forward(params: ModelParams, batch, mode: str = "train") -> tuple[np.ndarray, ForwardCache]:
@@ -256,7 +164,8 @@ def model_forward(params: ModelParams, batch, mode: str = "train") -> tuple[np.n
 
     In ``train`` mode batch normalization uses batch statistics and the cache
     carries refreshed running statistics (the caller decides when to commit
-    them); in ``eval`` mode the stored running statistics are used.
+    them); in ``eval`` mode the stored running statistics are used, and the
+    layer traces keep only the hidden-state sequences.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -266,13 +175,14 @@ def model_forward(params: ModelParams, batch, mode: str = "train") -> tuple[np.n
             f"batch has {x.shape[2]} features, model expects {params.input_size}"
         )
 
-    l1 = _lstm_forward(params.lstm1, x)
+    train = mode == "train"
+    l1 = _lstm_forward(params.lstm1, np.ascontiguousarray(x.transpose(1, 0, 2)), train)
     _check_finite(l1.h[-1], "lstm1")
-    l2 = _lstm_forward(params.lstm2, np.transpose(l1.h[1:], (1, 0, 2)))
+    l2 = _lstm_forward(params.lstm2, l1.h[1:], train)
     _check_finite(l2.h[-1], "lstm2")
 
     h_last = l2.h[-1]  # (B, H)
-    if mode == "train":
+    if train:
         mean = h_last.mean(axis=0)
         var = h_last.var(axis=0)
         new_rm = (1.0 - BN_MOMENTUM) * params.bn_running_mean + BN_MOMENTUM * mean
@@ -316,44 +226,50 @@ def model_forward(params: ModelParams, batch, mode: str = "train") -> tuple[np.n
 
 
 def _lstm_backward(
-    layer: LstmLayer, trace: _LstmTrace, dh_seq: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    layer: LstmLayer,
+    trace: _LstmTrace,
+    out: LstmLayer,
+    dh_last: np.ndarray | None = None,
+    dh_seq: np.ndarray | None = None,
+) -> np.ndarray:
     """Backpropagation through time for one layer.
 
-    ``dh_seq`` is the (T, B, H) upstream gradient arriving at each hidden
-    state from the layer above (zeros where nothing arrives). Returns
-    (dwx, dwh, db, dinputs).
+    The upstream gradient arrives at the last hidden state (``dh_last``,
+    (B, H)) or at every hidden state (``dh_seq``, (T, B, H)). Writes dwx,
+    dwh and db into ``out`` and returns the gate pre-activation gradients as
+    a (T*B, 4H) matrix, from which the caller forms the input gradient.
+
+    Only the recurrent ``da @ wh`` runs inside the time loop; the weight
+    gradients are one GEMM each over all timesteps afterwards.
     """
-    t_len, b_sz, h_dim = dh_seq.shape
-    dwx = np.zeros_like(layer.wx)
-    dwh = np.zeros_like(layer.wh)
-    db = np.zeros_like(layer.b)
-    dinputs = np.zeros_like(trace.inputs)
-    dh = np.zeros((b_sz, h_dim))
+    t_len, b_sz, h_dim = trace.tc.shape
+    g = trace.gates.reshape(t_len, b_sz, 4, h_dim)
+    gi, gf, gg, go = g[:, :, 0], g[:, :, 1], g[:, :, 2], g[:, :, 3]
+    # Local derivatives of every step, computed before the recurrence:
+    # da_t = dc_t * k_t on the (i, f, g) blocks and dh_t * k_t on o.
+    # The loop overwrites k_t with da_t.
+    k = np.empty_like(g)
+    k[:, :, 0] = gg * (gi * (1.0 - gi))
+    k[:, :, 1] = trace.c[:-1] * (gf * (1.0 - gf))
+    k[:, :, 2] = gi * (1.0 - gg * gg)
+    k[:, :, 3] = trace.tc * (go * (1.0 - go))
+    dc_dh = go * (1.0 - trace.tc * trace.tc)  # dc_t gains dh_t * dc_dh_t
+    dh = np.zeros((b_sz, h_dim)) if dh_last is None else dh_last.copy()
     dc = np.zeros((b_sz, h_dim))
     for t in reversed(range(t_len)):
-        dh = dh + dh_seq[t]
-        do = dh * trace.tc[t]
-        dc = dc + dh * trace.go[t] * (1.0 - trace.tc[t] ** 2)
-        di = dc * trace.gg[t]
-        dg = dc * trace.gi[t]
-        df = dc * trace.c[t]
-        da = np.concatenate(
-            [
-                di * trace.gi[t] * (1.0 - trace.gi[t]),
-                df * trace.gf[t] * (1.0 - trace.gf[t]),
-                dg * (1.0 - trace.gg[t] ** 2),
-                do * trace.go[t] * (1.0 - trace.go[t]),
-            ],
-            axis=1,
-        )
-        dwx += da.T @ trace.inputs[:, t, :]
-        dwh += da.T @ trace.h[t]
-        db += da.sum(axis=0)
-        dinputs[:, t, :] = da @ layer.wx
-        dh = da @ layer.wh
-        dc = dc * trace.gf[t]
-    return dwx, dwh, db, dinputs
+        if dh_seq is not None:
+            dh += dh_seq[t]
+        dc += dh * dc_dh[t]
+        kt = k[t]
+        np.multiply(dc[:, None, :], kt[:, :3], out=kt[:, :3])
+        np.multiply(dh, kt[:, 3], out=kt[:, 3])
+        np.matmul(kt.reshape(b_sz, 4 * h_dim), layer.wh, out=dh)
+        dc *= gf[t]
+    da = k.reshape(t_len * b_sz, 4 * h_dim)
+    np.matmul(da.T, trace.inputs.reshape(t_len * b_sz, -1), out=out.wx)
+    np.matmul(da.T, trace.h[:-1].reshape(t_len * b_sz, h_dim), out=out.wh)
+    da.sum(axis=0, out=out.b)
+    return da
 
 
 def model_backward(cache: ForwardCache, loss_grads: np.ndarray, params: ModelParams) -> ModelParams:
@@ -361,7 +277,9 @@ def model_backward(cache: ForwardCache, loss_grads: np.ndarray, params: ModelPar
 
     ``loss_grads`` is dL/dprobability per window, as returned by the loss.
     The cache must come from a train-mode forward over the same ``params``
-    object; anything else is rejected.
+    object; anything else is rejected. The result is laid out like
+    ``params``: its ``vec`` is the flat gradient, and the running-statistic
+    slots are zero.
     """
     if cache.params is not params:
         raise ShapeMismatchError("cache was produced for a different ModelParams object")
@@ -373,8 +291,7 @@ def model_backward(cache: ForwardCache, loss_grads: np.ndarray, params: ModelPar
             f"loss_grads shape {loss_grads.shape} does not match batch {cache.probs.shape}"
         )
 
-    grads = zero_grads(params)
-    b_sz = cache.batch_size
+    grads = ModelParams(np.zeros_like(params.vec), params.input_size, params.hidden_size)
 
     # sigmoid output
     da2 = (loss_grads * cache.probs * (1.0 - cache.probs))[:, None]  # (B, 1)
@@ -396,22 +313,11 @@ def model_backward(cache: ForwardCache, loss_grads: np.ndarray, params: ModelPar
         - cache.bn_xhat * (dxhat * cache.bn_xhat).mean(axis=0)
     ) / cache.bn_std
 
-    # layer 2 receives upstream gradient only at the final timestep
-    t_len = cache.layer1.inputs.shape[1]
-    h_dim = params.hidden_size
-    dh_seq2 = np.zeros((t_len, b_sz, h_dim))
-    dh_seq2[t_len - 1] = dh_last
-    dwx2, dwh2, db2, dinto_l2 = _lstm_backward(params.lstm2, cache.layer2, dh_seq2)
-    grads.lstm2.wx[:] = dwx2
-    grads.lstm2.wh[:] = dwh2
-    grads.lstm2.b[:] = db2
-
-    # layer 1 receives per-timestep gradients from layer 2's inputs
-    dh_seq1 = np.transpose(dinto_l2, (1, 0, 2))
-    dwx1, dwh1, db1, _ = _lstm_backward(params.lstm1, cache.layer1, dh_seq1)
-    grads.lstm1.wx[:] = dwx1
-    grads.lstm1.wh[:] = dwh1
-    grads.lstm1.b[:] = db1
+    # layer 2 receives upstream gradient only at the final timestep; layer 1
+    # receives it at every timestep, through layer 2's inputs
+    da = _lstm_backward(params.lstm2, cache.layer2, grads.lstm2, dh_last=dh_last)
+    dh_seq1 = (da @ params.lstm2.wx).reshape(cache.layer1.tc.shape)
+    _lstm_backward(params.lstm1, cache.layer1, grads.lstm1, dh_seq=dh_seq1)
     return grads
 
 

@@ -1,4 +1,4 @@
-"""Adam on flat parameter vectors."""
+"""Adam on flat parameter vectors, updated in place."""
 
 from __future__ import annotations
 
@@ -30,12 +30,14 @@ class AdamState:
 def adam_step(
     state: AdamState, weights: np.ndarray, grads: np.ndarray, lr: float | None = None
 ) -> np.ndarray:
-    """One bias-corrected Adam update; returns the new weights.
+    """One bias-corrected Adam update of ``weights`` in place; returns ``weights``.
 
-    ``lr`` overrides the rate stored on the state for this step.
+    ``lr`` overrides the rate stored on the state for this step. Every check
+    runs before the state or the weights change.
     """
-    weights = np.asarray(weights, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
+    if not isinstance(weights, np.ndarray) or weights.dtype != np.float64:
+        raise TypeError("weights must be a float64 array; it is updated in place")
     if weights.shape != (state.dim,) or grads.shape != (state.dim,):
         raise ShapeMismatchError(
             f"expected vectors of length {state.dim}, got {weights.shape} and {grads.shape}"
@@ -43,11 +45,22 @@ def adam_step(
     if not np.all(np.isfinite(grads)):
         raise NumericalFailureError("non-finite gradient", layer="adam")
     rate = state.lr if lr is None else lr
-    if rate <= 0:
+    if not rate > 0:
         raise ValueError(f"learning rate must be positive, got {rate}")
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grads**2
-    m_hat = state.m / (1.0 - state.beta1**state.t)
-    v_hat = state.v / (1.0 - state.beta2**state.t)
-    return weights - rate * m_hat / (np.sqrt(v_hat) + state.eps)
+    # In-place steps in the operation order of m/(1-b1^t) * rate / (sqrt(v/(1-b2^t)) + eps),
+    # so the result is bit-identical to evaluating that expression.
+    state.m *= state.beta1
+    state.m += (1.0 - state.beta1) * grads
+    sq = np.square(grads)
+    sq *= 1.0 - state.beta2
+    state.v *= state.beta2
+    state.v += sq
+    denom = np.divide(state.v, 1.0 - state.beta2**state.t, out=sq)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    step = state.m / (1.0 - state.beta1**state.t)
+    step *= rate
+    step /= denom
+    weights -= step
+    return weights

@@ -1,51 +1,77 @@
-"""Flat-vector view of the model weights.
+"""The parameter layout and the weights as views of one flat vector.
 
-Aggregation, the proximal penalty, and encrypted transport all operate on a
-single float64 vector. The manifest (tensor name, shape) fixes the layout; it
-is derived from the model dimensions alone, so two models built with the same
-sizes always agree on coordinate order.
+Aggregation, the proximal penalty, Adam and encrypted transport all operate
+on a single float64 vector. The manifest (tensor name, shape) is the one
+declaration of its layout; it is derived from the model dimensions alone,
+so two models built with the same sizes always agree on coordinate order.
+``ModelParams`` exposes the tensors as named views into that vector, so the
+model reads and writes the same memory that the optimizer updates.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
 from fedfall.errors import ShapeMismatchError
-from fedfall.nn.model import LstmLayer, ModelParams, NON_TRAINABLE
 
 _FILE_MAGIC = b"EPFLPV1\n"
+
+# Tensors excluded from gradient updates (batch statistics).
+NON_TRAINABLE = frozenset({"bn_running_mean", "bn_running_var"})
 
 
 @dataclass(frozen=True)
 class ParamManifest:
-    """Ordered (name, shape) entries describing one flat layout."""
+    """Ordered (name, shape) entries describing one flat layout.
+
+    Offsets, the total length and the trainable slices are computed once,
+    when the manifest is built.
+    """
 
     entries: tuple[tuple[str, tuple[int, ...]], ...]
+    dim: int = field(init=False, compare=False)
+    # (lo, hi) of each maximal run of trainable coordinates
+    trainable_slices: tuple[tuple[int, int], ...] = field(init=False, compare=False)
+    _offsets: dict = field(init=False, compare=False, repr=False)
 
-    @property
-    def dim(self) -> int:
-        return sum(int(np.prod(shape)) for _, shape in self.entries)
+    def __post_init__(self):
+        offsets, runs, pos = {}, [], 0
+        for name, shape in self.entries:
+            lo, pos = pos, pos + math.prod(shape)
+            offsets[name] = (lo, pos)
+            if name in NON_TRAINABLE:
+                continue
+            if runs and runs[-1][1] == lo:
+                runs[-1] = (runs[-1][0], pos)
+            else:
+                runs.append((lo, pos))
+        object.__setattr__(self, "dim", pos)
+        object.__setattr__(self, "trainable_slices", tuple(runs))
+        object.__setattr__(self, "_offsets", offsets)
 
     def offsets(self) -> dict[str, tuple[int, int]]:
-        out = {}
-        pos = 0
-        for name, shape in self.entries:
-            size = int(np.prod(shape))
-            out[name] = (pos, pos + size)
-            pos += size
-        return out
+        return dict(self._offsets)
 
     def trainable_mask(self) -> np.ndarray:
         mask = np.zeros(self.dim, dtype=bool)
-        for name, (lo, hi) in self.offsets().items():
-            if name not in NON_TRAINABLE:
-                mask[lo:hi] = True
+        for lo, hi in self.trainable_slices:
+            mask[lo:hi] = True
         return mask
 
+    def views(self, vec: np.ndarray) -> dict[str, np.ndarray]:
+        """Each tensor as a reshaped view of ``vec`` (no copies)."""
+        return {
+            name: vec[lo:hi].reshape(shape)
+            for (name, shape), (lo, hi) in zip(self.entries, self._offsets.values())
+        }
 
+
+@cache
 def manifest_for(input_size: int, hidden_size: int) -> ParamManifest:
     h = hidden_size
     return ParamManifest(
@@ -68,40 +94,82 @@ def manifest_for(input_size: int, hidden_size: int) -> ParamManifest:
     )
 
 
+@dataclass(frozen=True)
+class LstmLayer:
+    """Gate weights for one LSTM layer.
+
+    wx: (4H, input_dim) input-to-gate weights
+    wh: (4H, H) recurrent weights
+    b:  (4H,) gate biases
+    """
+
+    wx: np.ndarray
+    wh: np.ndarray
+    b: np.ndarray
+
+
+class ModelParams:
+    """All weights of the classifier as named views into one flat vector.
+
+    ``vec`` holds every coordinate in ``manifest_for(input_size,
+    hidden_size)`` order, and ``lstm1``/``lstm2`` (``LstmLayer``),
+    ``bn_gamma``, ``bn_beta``, ``bn_running_mean``, ``bn_running_var``,
+    ``fc1_w``, ``fc1_b``, ``fc2_w`` and ``fc2_b`` are views of it. The
+    object aliases ``vec`` rather than copying it. Assigning to a tensor
+    attribute copies into its view, so ``vec`` stays the only copy.
+
+    ``bn_running_mean`` / ``bn_running_var`` are data statistics rather than
+    gradient-trained weights; they still travel with the parameter vector so
+    aggregation shares them between clients.
+    """
+
+    def __init__(self, vec: np.ndarray, input_size: int, hidden_size: int):
+        manifest = manifest_for(input_size, hidden_size)
+        if not (
+            isinstance(vec, np.ndarray)
+            and vec.dtype == np.float64
+            and vec.shape == (manifest.dim,)
+            and vec.flags.c_contiguous
+        ):
+            raise ShapeMismatchError(
+                f"need a contiguous float64 vector of shape ({manifest.dim},) for "
+                f"input={input_size} hidden={hidden_size}, got shape {np.shape(vec)} "
+                f"dtype {getattr(vec, 'dtype', None)}"
+            )
+        views = manifest.views(vec)
+        self.__dict__.update(
+            vec=vec,
+            input_size=input_size,
+            hidden_size=hidden_size,
+            lstm1=LstmLayer(views.pop("lstm1_wx"), views.pop("lstm1_wh"), views.pop("lstm1_b")),
+            lstm2=LstmLayer(views.pop("lstm2_wx"), views.pop("lstm2_wh"), views.pop("lstm2_b")),
+            **views,
+        )
+
+    def __setattr__(self, name, value):
+        view = self.__dict__.get(name)
+        if not isinstance(view, np.ndarray):
+            raise AttributeError(f"ModelParams.{name} is fixed by the layout")
+        if np.shape(value) != view.shape:
+            raise ShapeMismatchError(f"{name}: shape {np.shape(value)} vs {view.shape}")
+        view[...] = value
+
+    def tensors(self) -> list[tuple[str, np.ndarray]]:
+        """Named tensors in canonical serialization order."""
+        return list(manifest_for(self.input_size, self.hidden_size).views(self.vec).items())
+
+    def copy(self) -> "ModelParams":
+        return ModelParams(self.vec.copy(), self.input_size, self.hidden_size)
+
+
 def params_to_vector(params: ModelParams) -> np.ndarray:
-    return np.concatenate([arr.ravel() for _, arr in params.tensors()]).astype(np.float64)
+    """A copy of the flat vector."""
+    return params.vec.copy()
 
 
 def vector_to_params(vec: np.ndarray, input_size: int, hidden_size: int) -> ModelParams:
-    vec = np.asarray(vec, dtype=np.float64)
-    manifest = manifest_for(input_size, hidden_size)
-    if vec.shape != (manifest.dim,):
-        raise ShapeMismatchError(
-            f"vector has shape {vec.shape}, layout for input={input_size} "
-            f"hidden={hidden_size} needs ({manifest.dim},)"
-        )
-    arrs = {}
-    for name, shape in manifest.entries:
-        lo, hi = manifest.offsets()[name]
-        arrs[name] = vec[lo:hi].reshape(shape).copy()
-    return ModelParams(
-        lstm1=LstmLayer(arrs["lstm1_wx"], arrs["lstm1_wh"], arrs["lstm1_b"]),
-        lstm2=LstmLayer(arrs["lstm2_wx"], arrs["lstm2_wh"], arrs["lstm2_b"]),
-        bn_gamma=arrs["bn_gamma"],
-        bn_beta=arrs["bn_beta"],
-        bn_running_mean=arrs["bn_running_mean"],
-        bn_running_var=arrs["bn_running_var"],
-        fc1_w=arrs["fc1_w"],
-        fc1_b=arrs["fc1_b"],
-        fc2_w=arrs["fc2_w"],
-        fc2_b=arrs["fc2_b"],
-        hidden_size=hidden_size,
-    )
-
-
-def grads_to_vector(grads: ModelParams) -> np.ndarray:
-    """Flatten a gradient container; running-stat slots come out as zeros."""
-    return params_to_vector(grads)
+    """Views over a float64 copy of ``vec``; the result never aliases it."""
+    return ModelParams(np.array(vec, dtype=np.float64), input_size, hidden_size)
 
 
 def save_params(path, params: ModelParams) -> None:
@@ -111,13 +179,12 @@ def save_params(path, params: ModelParams) -> None:
         "hidden_size": params.hidden_size,
         "tensors": [[name, list(arr.shape)] for name, arr in params.tensors()],
     }
-    vec = params_to_vector(params)
     with open(path, "wb") as fh:
         fh.write(_FILE_MAGIC)
         blob = json.dumps(header).encode("utf-8")
         fh.write(len(blob).to_bytes(4, "little"))
         fh.write(blob)
-        fh.write(vec.astype("<f8").tobytes())
+        fh.write(params.vec.astype("<f8").tobytes())
 
 
 def load_params(path) -> ModelParams:
@@ -127,7 +194,7 @@ def load_params(path) -> ModelParams:
             raise ShapeMismatchError(f"{path}: not a parameter file")
         hlen = int.from_bytes(fh.read(4), "little")
         header = json.loads(fh.read(hlen).decode("utf-8"))
-        vec = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
+        vec = np.frombuffer(fh.read(), dtype="<f8")
     expected = manifest_for(header["input_size"], header["hidden_size"])
     stored = tuple((name, tuple(shape)) for name, shape in header["tensors"])
     if stored != expected.entries:

@@ -2,10 +2,14 @@
 
 Everything here is deliberately written in plain Python floats and loops,
 with no numpy vectorization, so it cannot share bugs with the package code
-it is checking.
+it is checking. The one exception is ``masked_sigmoid``, the package's
+earlier numpy sigmoid, kept as the reference for the tanh form that
+replaced it.
 """
 
 import math
+
+import numpy as np
 
 
 def scalar_sigmoid(x):
@@ -13,6 +17,16 @@ def scalar_sigmoid(x):
         return 1.0 / (1.0 + math.exp(-x))
     e = math.exp(x)
     return e / (1.0 + e)
+
+
+def masked_sigmoid(x):
+    """exp-based logistic function, branching on the sign of each entry."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
 def scalar_lstm_layer(wx, wh, b, xs, hidden):

@@ -33,7 +33,7 @@ from fedfall.nn import (
     AdamState,
     adam_step,
     bce_loss,
-    grads_to_vector,
+    commit_batchnorm_stats,
     init_params,
     manifest_for,
     model_backward,
@@ -170,14 +170,11 @@ class TestLocalTrain:
         update = local_train(client, global_vec, cfg)
 
         # independent plain-BCE loop with the same seeds and batching
-        manifest = manifest_for(F, H)
-        offsets = manifest.offsets()
-        rm, rv = offsets["bn_running_mean"], offsets["bn_running_var"]
         windows = make_windows(8, seed=7)
         batch_all = np.stack([w.values for w in windows])
         labels_all = np.asarray([w.label for w in windows], dtype=np.float64)
-        vec = params_to_vector(init_params(F, H, 5))
-        adam = AdamState(dim=manifest.dim, lr=0.01)
+        params = init_params(F, H, 5)
+        adam = AdamState(dim=manifest_for(F, H).dim, lr=0.01)
         rng = np.random.default_rng(5)
         losses = []
         for _ in range(2):
@@ -185,17 +182,15 @@ class TestLocalTrain:
             batch_losses = []
             for s in range(0, 8, 4):
                 idx = order[s : s + 4]
-                params = vector_to_params(vec, F, H)
                 probs, cache = model_forward(params, batch_all[idx], mode="train")
                 loss, dprobs = bce_loss(probs, labels_all[idx])
-                grads = grads_to_vector(model_backward(cache, dprobs, params))
-                vec = adam_step(adam, vec, grads, 0.01)
-                vec[rm[0] : rm[1]] = cache.new_running_mean
-                vec[rv[0] : rv[1]] = cache.new_running_var
+                grads = model_backward(cache, dprobs, params).vec
+                adam_step(adam, params.vec, grads, 0.01)
+                commit_batchnorm_stats(params, cache)
                 batch_losses.append(loss)
             losses.append(float(np.mean(batch_losses)))
 
-        np.testing.assert_array_equal(update.params, vec)
+        np.testing.assert_array_equal(update.params, params.vec)
         assert client.last_train_log["epoch_losses"] == pytest.approx(losses, abs=1e-12)
 
     def test_huge_mu_pins_trainable_params_to_global(self):
@@ -236,6 +231,20 @@ class TestLocalTrain:
         local_train(client, g, cfg)
         assert client.adam is state
         assert client.adam.t == 2 * t_after_first
+
+    def test_update_params_do_not_alias_client_model(self):
+        client = make_client()
+        update = local_train(client, params_to_vector(client.local_params), small_config())
+        trained = client.local_params.vec.copy()
+        update.params[:] *= 1000.0  # an update_transform may scale it in place
+        np.testing.assert_array_equal(client.local_params.vec, trained)
+
+    def test_failed_training_leaves_client_model(self):
+        client = make_client()
+        before = client.local_params.vec.copy()
+        with pytest.raises(ShapeMismatchError):
+            local_train(client, np.zeros(7), small_config())
+        np.testing.assert_array_equal(client.local_params.vec, before)
 
     def test_updates_client_local_params(self):
         client = make_client()

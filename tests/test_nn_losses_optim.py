@@ -156,11 +156,11 @@ class TestAdam:
         w = np.array([5.0, -5.0])
         g = np.array([3.0, -0.25])
         for _ in range(10):
-            w_new = adam_step(state, w, g)
+            w_old = w.copy()
+            adam_step(state, w, g)  # in place
             np.testing.assert_allclose(
-                w - w_new, 0.001 * g / (np.abs(g) + 1e-8), rtol=1e-12
+                w_old - w, 0.001 * g / (np.abs(g) + 1e-8), rtol=1e-12
             )
-            w = w_new
 
     def test_dim_mismatch(self):
         state = AdamState(dim=4)
@@ -171,7 +171,8 @@ class TestAdam:
         state = AdamState(dim=3)
         w = np.array([1.0, -2.0, 0.5])
         out = adam_step(state, w, np.zeros(3))
-        np.testing.assert_array_equal(out, w)
+        assert out is w  # updated in place
+        np.testing.assert_array_equal(out, [1.0, -2.0, 0.5])
         assert state.t == 1
 
     def test_lr_override(self):
@@ -181,14 +182,46 @@ class TestAdam:
         w2 = adam_step(s2, np.zeros(1), np.ones(1), lr=0.1)
         assert w1[0] == w2[0]
 
+    @staticmethod
+    def _stepped_state():
+        state = AdamState(dim=2)
+        adam_step(state, np.zeros(2), np.array([0.5, -1.0]))
+        return state, (state.t, state.m.copy(), state.v.copy())
+
+    @staticmethod
+    def _assert_unchanged(state, before, weights):
+        t, m, v = before
+        assert state.t == t
+        np.testing.assert_array_equal(state.m, m)
+        np.testing.assert_array_equal(state.v, v)
+        np.testing.assert_array_equal(weights, [1.0, 2.0])
+
     def test_nonfinite_gradient_rejected(self):
         from fedfall.errors import NumericalFailureError
 
-        state = AdamState(dim=2)
+        state, before = self._stepped_state()
+        w = np.array([1.0, 2.0])
         with pytest.raises(NumericalFailureError):
-            adam_step(state, np.zeros(2), np.array([1.0, np.nan]))
+            adam_step(state, w, np.array([1.0, np.nan]))
+        self._assert_unchanged(state, before, w)
 
     def test_nonpositive_lr_rejected(self):
-        state = AdamState(dim=1)
+        for lr in (0.0, -0.1, float("nan")):
+            state, before = self._stepped_state()
+            w = np.array([1.0, 2.0])
+            with pytest.raises(ValueError):
+                adam_step(state, w, np.ones(2), lr=lr)
+            self._assert_unchanged(state, before, w)
+
+    def test_nan_lr_on_state_rejected(self):
+        state = AdamState(dim=2, lr=float("nan"))
+        w = np.array([1.0, 2.0])
         with pytest.raises(ValueError):
-            adam_step(state, np.zeros(1), np.ones(1), lr=0.0)
+            adam_step(state, w, np.ones(2))
+        self._assert_unchanged(state, (0, np.zeros(2), np.zeros(2)), w)
+
+    def test_non_float64_weights_rejected(self):
+        state = AdamState(dim=2)
+        with pytest.raises(TypeError):
+            adam_step(state, [0.0, 0.0], np.ones(2))
+        assert state.t == 0

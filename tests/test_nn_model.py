@@ -12,13 +12,12 @@ from fedfall.errors import NumericalFailureError, ShapeMismatchError
 from fedfall.nn import (
     BN_EPS,
     AdamState,
-    LstmLayer,
     ModelParams,
     adam_step,
     bce_loss,
     commit_batchnorm_stats,
-    grads_to_vector,
     init_params,
+    manifest_for,
     model_backward,
     model_forward,
     params_to_vector,
@@ -26,34 +25,27 @@ from fedfall.nn import (
     vector_to_params,
 )
 
-from oracles import scalar_model_eval
+from oracles import masked_sigmoid, scalar_model_eval
 
 
 def tiny_fixed_params():
     """Hand-pinned 1-unit model; every weight chosen by hand."""
-    lstm1 = LstmLayer(
-        wx=np.array([[0.1], [0.2], [0.3], [0.4]]),
-        wh=np.array([[0.5], [-0.3], [0.2], [0.1]]),
-        b=np.array([0.0, 1.0, 0.0, 0.0]),
-    )
-    lstm2 = LstmLayer(
-        wx=np.array([[-0.2], [0.6], [0.8], [-0.5]]),
-        wh=np.array([[0.3], [0.1], [-0.4], [0.2]]),
-        b=np.array([0.1, 1.0, -0.1, 0.0]),
-    )
-    return ModelParams(
-        lstm1=lstm1,
-        lstm2=lstm2,
-        bn_gamma=np.array([1.2]),
-        bn_beta=np.array([-0.1]),
-        bn_running_mean=np.array([0.05]),
-        bn_running_var=np.array([0.8]),
-        fc1_w=np.array([[-0.7]]),
-        fc1_b=np.array([0.1]),
-        fc2_w=np.array([[-1.5]]),
-        fc2_b=np.array([0.2]),
-        hidden_size=1,
-    )
+    params = ModelParams(np.zeros(manifest_for(1, 1).dim), 1, 1)
+    params.lstm1.wx[:, 0] = [0.1, 0.2, 0.3, 0.4]
+    params.lstm1.wh[:, 0] = [0.5, -0.3, 0.2, 0.1]
+    params.lstm1.b[:] = [0.0, 1.0, 0.0, 0.0]
+    params.lstm2.wx[:, 0] = [-0.2, 0.6, 0.8, -0.5]
+    params.lstm2.wh[:, 0] = [0.3, 0.1, -0.4, 0.2]
+    params.lstm2.b[:] = [0.1, 1.0, -0.1, 0.0]
+    params.bn_gamma = np.array([1.2])
+    params.bn_beta = np.array([-0.1])
+    params.bn_running_mean = np.array([0.05])
+    params.bn_running_var = np.array([0.8])
+    params.fc1_w = np.array([[-0.7]])
+    params.fc1_b = np.array([0.1])
+    params.fc2_w = np.array([[-1.5]])
+    params.fc2_b = np.array([0.2])
+    return params
 
 
 class TestForwardOracle:
@@ -166,7 +158,7 @@ class TestBackwardFiniteDifferences:
 
         probs, cache = model_forward(params, batch, mode="train")
         _, dprobs = bce_loss(probs, labels)
-        analytic = grads_to_vector(model_backward(cache, dprobs, params))
+        analytic = model_backward(cache, dprobs, params).vec
 
         from fedfall.nn import manifest_for
 
@@ -276,3 +268,32 @@ class TestSigmoid:
     def test_symmetry(self):
         x = np.linspace(-20, 20, 101)
         np.testing.assert_allclose(sigmoid(x) + sigmoid(-x), 1.0, atol=1e-15)
+
+    def test_tanh_form_matches_masked_reference(self):
+        x = np.concatenate([np.linspace(-800.0, 800.0, 200_001), np.linspace(-5.0, 5.0, 100_001)])
+        np.testing.assert_allclose(sigmoid(x), masked_sigmoid(x), rtol=0, atol=3e-16)
+
+    def test_extremes_exact_and_bounded(self):
+        assert sigmoid(np.array([0.0]))[0] == 0.5
+        out = sigmoid(np.array([-1000.0, 1000.0, -np.finfo(float).max, np.finfo(float).max]))
+        assert np.all(np.isfinite(out))
+        assert np.all((out >= 0.0) & (out <= 1.0))
+
+
+class TestEvalTrace:
+    def test_eval_keeps_only_hidden_states(self):
+        params = init_params(3, 5, seed=8)
+        _, cache = model_forward(params, np.random.default_rng(8).normal(size=(6, 7, 3)), mode="eval")
+        for trace in (cache.layer1, cache.layer2):
+            assert trace.h.shape == (8, 6, 5)
+            assert trace.c is None and trace.gates is None and trace.tc is None
+
+    @pytest.mark.parametrize("hidden,batch_size", [(1, 2), (4, 5), (16, 33)])
+    def test_eval_hidden_states_equal_train_bit_for_bit(self, hidden, batch_size):
+        rng = np.random.default_rng(hidden + batch_size)
+        params = init_params(3, hidden, seed=rng)
+        batch = rng.normal(size=(batch_size, 9, 3))
+        _, train = model_forward(params, batch, mode="train")
+        _, evaluated = model_forward(params, batch, mode="eval")
+        assert train.layer2.h.tobytes() == evaluated.layer2.h.tobytes()
+        assert train.layer1.h.tobytes() == evaluated.layer1.h.tobytes()

@@ -136,6 +136,37 @@ class TestInferenceMode:
             np.testing.assert_array_equal(result.test_probabilities[cid], probs)
 
 
+class TestBestRoundSnapshots:
+    @pytest.mark.parametrize("scenario", ["central", "pfl_swa", "epfl_swa"])
+    def test_snapshots_do_not_move_when_later_rounds_train(self, dataset, scenario, monkeypatch):
+        import fedfall.simulate as sim
+
+        seen = []  # per inference call: global vector and client vectors, copied
+        real = sim._probabilities
+
+        def recording(windows_by_client, global_model, client_models):
+            locals_ = {c: params_to_vector(m) for c, m in (client_models or {}).items()}
+            seen.append((params_to_vector(global_model), locals_))
+            return real(windows_by_client, global_model, client_models)
+
+        monkeypatch.setattr(sim, "_probabilities", recording)
+        result = simulate_full(
+            dataset, fast_config(global_epochs=6, early_stop_patience=2, lr=0.05), scenario
+        )
+        assert result.best_round < result.rounds_run - 1, "later rounds must train"
+        # one validation call per round, then the test scoring call
+        assert len(seen) == result.rounds_run + 1
+        best_global, best_locals = seen[result.best_round]
+        test_global, test_locals = seen[-1]
+        np.testing.assert_array_equal(test_global, best_global)
+        np.testing.assert_array_equal(params_to_vector(result.global_params), best_global)
+        assert not np.array_equal(seen[-2][0], best_global)
+        assert test_locals.keys() == best_locals.keys()
+        for cid, vec in best_locals.items():
+            np.testing.assert_array_equal(test_locals[cid], vec)
+            np.testing.assert_array_equal(params_to_vector(result.client_params[cid]), vec)
+
+
 class TestFeedbackLoop:
     def test_disabled_by_default_outside_epfl(self, dataset):
         result = simulate_full(
