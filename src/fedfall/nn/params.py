@@ -194,7 +194,10 @@ def load_params(path) -> ModelParams:
             raise ShapeMismatchError(f"{path}: not a parameter file")
         hlen = int.from_bytes(fh.read(4), "little")
         header = json.loads(fh.read(hlen).decode("utf-8"))
-        vec = np.frombuffer(fh.read(), dtype="<f8")
+        blob = fh.read()
+    if len(blob) % 8:
+        raise ShapeMismatchError(f"{path}: weight blob of {len(blob)} bytes is not float64")
+    vec = np.frombuffer(blob, dtype="<f8")
     expected = manifest_for(header["input_size"], header["hidden_size"])
     stored = tuple((name, tuple(shape)) for name, shape in header["tensors"])
     if stored != expected.entries:

@@ -162,6 +162,7 @@ class TestFileRoundtrip:
         path = tmp_path / "weights.bin"
         save_params(path, params)
         data = path.read_bytes()
-        path.write_bytes(data[:-16])
-        with pytest.raises(ShapeMismatchError):
-            load_params(path)
+        for cut in (16, 3):
+            path.write_bytes(data[:-cut])
+            with pytest.raises(ShapeMismatchError):
+                load_params(path)
