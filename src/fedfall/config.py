@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fedfall.aggregation import SwaConfig
 from fedfall.errors import ConfigError
 from fedfall.federation import RoundConfig
+from fedfall.secure_transport import FixedPointCodec, min_modulus_bits, slot_layout
 
 ENV_SEED = "FEDFALL_SEED"
 
@@ -86,6 +87,11 @@ class ExperimentConfig:
         need(self.he_key_bits >= 128, f"he_key_bits must be >= 128, got {self.he_key_bits}")
         need(self.fixed_point_bits >= 1, f"fixed_point_bits must be >= 1, got {self.fixed_point_bits}")
         need(self.clip_range > 0.0, f"clip_range must be positive, got {self.clip_range}")
+        try:
+            codec = FixedPointCodec(scale_bits=self.fixed_point_bits, clip_range=self.clip_range)
+            slot_layout(codec, min_modulus_bits(self.he_key_bits))
+        except ValueError as exc:
+            raise ConfigError(f"he_key_bits/fixed_point_bits/clip_range: {exc}") from None
         need(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
         # The training-protocol fields are checked once, by RoundConfig; the
         # SWA fields above come first so they fail as ConfigError, not as

@@ -1,17 +1,31 @@
 """Additively homomorphic transport for model updates.
 
-Clients quantize their parameter vectors to fixed point, encrypt each
-coordinate under a Paillier-style public key, and ship ciphertexts; the
-server can sum ciphertexts without decrypting and only ever decrypts the
-aggregate (for an equal-weight mean), or decrypt individual updates first
-when the aggregation rule needs sorting (trimming cannot run on
-ciphertexts under a purely additive scheme).
+Clients quantize their parameter vectors to fixed point, pack many
+coordinates into each plaintext, encrypt it under a Paillier-style public
+key, and ship ciphertexts; the server can sum ciphertexts without
+decrypting and only ever decrypts the aggregate (for an equal-weight
+mean), or decrypt individual updates first when the aggregation rule needs
+sorting (trimming cannot run on ciphertexts under a purely additive
+scheme).
 
 The scheme is the classic n+1-generator construction: n = p*q, encryption
 c = (1 + m*n) * r^n mod n^2, decryption m = L(c^lambda mod n^2) * mu mod n
 with L(x) = (x-1)/n, lambda = (p-1)(q-1), mu = lambda^-1 mod n. Additive
-homomorphism is ciphertext multiplication mod n^2. Signed values are stored
-mod n and folded back at n/2.
+homomorphism is ciphertext multiplication mod n^2. ``decrypt`` computes the
+same m by the Chinese remainder theorem (Paillier, EUROCRYPT 1999): it
+exponentiates by p-1 mod p^2 and by q-1 mod q^2, half-size exponents on
+quarter-size moduli, and recombines mod n with constants computed once per
+key.
+
+Slot layout (after BatchCrypt, Zhang et al., USENIX ATC 2020). A codec
+integer m lies in [-offset, offset], where offset is the code of
++clip_range; the slot holds u = m + offset >= 0. Each slot is
+(2*offset).bit_length() + CARRY_BITS bits wide, so up to 2**CARRY_BITS
+encrypted vectors can be summed before a slot could carry into the next.
+One plaintext holds (n.bit_length() - 1) // width slots, coordinate 0 in
+the lowest bits, so it stays below n and never wraps; the last plaintext
+of a vector may hold fewer. Decryption unpacks the slots and subtracts
+addends * offset, which gives back exactly the sum of the codes.
 
 Key sizes here are deliberately small (256-bit test keys, 1024-bit demo
 keys) and the primality test is probabilistic; nothing in this module is
@@ -27,6 +41,8 @@ import logging
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +56,10 @@ MILLER_RABIN_ROUNDS = 40
 
 TEST_KEY_BITS = 256
 DEMO_KEY_BITS = 1024
+
+# Headroom bits above each slot's largest code: room for sums of up to
+# 2**CARRY_BITS encrypted vectors.
+CARRY_BITS = 8
 
 
 def _is_probable_prime(n: int, rng: random.Random, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
@@ -76,10 +96,12 @@ def _random_prime(bits: int, rng: random.Random) -> int:
 
 @dataclass(frozen=True)
 class HeKeyPair:
-    """Public modulus/generator plus the private decryption exponents."""
+    """Public modulus/generator plus the private primes and exponents."""
 
     n: int
     g: int
+    p: int
+    q: int
     lam: int
     mu: int
     key_bits: int
@@ -91,6 +113,15 @@ class HeKeyPair:
     @property
     def fingerprint(self) -> str:
         return hashlib.sha256(hex(self.n).encode()).hexdigest()[:16]
+
+    @cached_property
+    def _crt(self) -> tuple[int, int, int, int, int]:
+        """p^2, q^2, hp, hq and p^-1 mod q, the constants of CRT decryption."""
+        p, q = self.p, self.q
+        p2, q2 = p * p, q * q
+        hp = pow((pow(self.g, p - 1, p2) - 1) // p, -1, p)
+        hq = pow((pow(self.g, q - 1, q2) - 1) // q, -1, q)
+        return p2, q2, hp, hq, pow(p, -1, q)
 
 
 def keygen(bits: int = DEMO_KEY_BITS, seed: int = 0) -> HeKeyPair:
@@ -109,11 +140,17 @@ def keygen(bits: int = DEMO_KEY_BITS, seed: int = 0) -> HeKeyPair:
     n = p * q
     lam = (p - 1) * (q - 1)
     mu = pow(lam, -1, n)
-    return HeKeyPair(n=n, g=n + 1, lam=lam, mu=mu, key_bits=bits)
+    return HeKeyPair(n=n, g=n + 1, p=p, q=q, lam=lam, mu=mu, key_bits=bits)
+
+
+def min_modulus_bits(bits: int) -> int:
+    """The smallest n.bit_length() of a ``keygen(bits)`` key: two primes of
+    bits//2 bits each, top bits set, multiply to at least 2^(2*(bits//2) - 2)."""
+    return 2 * (bits // 2) - 1
 
 
 def encrypt(m: int, key: HeKeyPair, rng: random.Random) -> int:
-    """Encrypt one plaintext residue mod n."""
+    """Encrypt one plaintext residue mod n, reading only the public n."""
     m %= key.n
     n, n2 = key.n, key.n_squared
     while True:
@@ -125,11 +162,14 @@ def encrypt(m: int, key: HeKeyPair, rng: random.Random) -> int:
 
 
 def decrypt(c: int, key: HeKeyPair) -> int:
-    """Decrypt to the plaintext residue in [0, n)."""
+    """Decrypt to the plaintext residue in [0, n), by CRT over p and q."""
     if not 0 <= c < key.n_squared:
         raise ValueError("ciphertext out of range")
-    x = pow(c, key.lam, key.n_squared)
-    return ((x - 1) // key.n) * key.mu % key.n
+    p, q = key.p, key.q
+    p2, q2, hp, hq, p_inv = key._crt
+    mp = (pow(c, p - 1, p2) - 1) // p * hp % p
+    mq = (pow(c, q - 1, q2) - 1) // q * hq % q
+    return mp + (mq - mp) * p_inv % q * p
 
 
 @dataclass(frozen=True)
@@ -143,8 +183,14 @@ class FixedPointCodec:
     clip_range: float = 100.0
 
     def __post_init__(self):
-        if self.scale_bits < 1 or self.clip_range <= 0:
-            raise ValueError("scale_bits must be >= 1 and clip_range positive")
+        if self.scale_bits < 1 or not 0 < self.clip_range < math.inf:
+            raise ValueError("scale_bits must be >= 1 and clip_range positive and finite")
+        try:
+            self.encode(self.clip_range)
+        except OverflowError:
+            raise ValueError(
+                f"clip_range {self.clip_range:g} at 2^{self.scale_bits} overflows a float"
+            ) from None
 
     @property
     def scale(self) -> int:
@@ -153,37 +199,98 @@ class FixedPointCodec:
     def encode(self, x: float) -> tuple[int, bool]:
         clipped = x > self.clip_range or x < -self.clip_range
         x = min(max(x, -self.clip_range), self.clip_range)
-        # round-half-away-from-zero keeps the error bound symmetric
+        # floor(x + 0.5) rounds halves up, so the code of -clip_range is never
+        # further from 0 than the code of +clip_range, the slot offset
         return int(math.floor(x * self.scale + 0.5)), clipped
 
     def decode(self, v: int) -> float:
         return v / self.scale
 
 
-def _to_signed(m: int, n: int) -> int:
-    return m - n if m > n // 2 else m
+class SlotLayout(NamedTuple):
+    """Where a codec's integers sit in one plaintext (see the module docstring)."""
+
+    offset: int  # code of +clip_range; slot value = code + offset
+    width: int  # bits per slot, CARRY_BITS of them headroom
+    per: int  # slots per plaintext
+
+    def ciphertext_count(self, length: int) -> int:
+        return -(-length // self.per)
+
+    def pack(self, slots: list[int]) -> int:
+        plaintext = 0
+        for u in reversed(slots):
+            plaintext = plaintext << self.width | u
+        return plaintext
+
+    def unpack(self, plaintext: int) -> list[int]:
+        if plaintext >> (self.per * self.width):
+            raise ValueError("plaintext overflows its slots; the ciphertext is corrupt")
+        mask = (1 << self.width) - 1
+        return [plaintext >> (k * self.width) & mask for k in range(self.per)]
+
+
+def slot_layout(codec: FixedPointCodec, modulus_bits: int) -> SlotLayout:
+    """The layout of ``codec``'s slots under a modulus of ``modulus_bits`` bits.
+
+    Raises ValueError when not even one slot, carry bits included, fits
+    below the modulus: the codes would wrap mod n and decrypt to garbage.
+    """
+    offset = codec.encode(codec.clip_range)[0]
+    width = (2 * offset).bit_length() + CARRY_BITS
+    per = (modulus_bits - 1) // width
+    if per < 1:
+        raise ValueError(
+            f"a {width}-bit slot (scale_bits={codec.scale_bits}, clip_range={codec.clip_range:g}, "
+            f"{CARRY_BITS} carry bits) does not fit below a {modulus_bits}-bit modulus"
+        )
+    return SlotLayout(offset=offset, width=width, per=per)
 
 
 @dataclass(frozen=True)
 class EncryptedVector:
-    """Per-coordinate ciphertexts plus enough metadata to refuse mixing.
+    """Packed ciphertexts plus enough metadata to unpack them and refuse mixing.
 
     ``modulus`` is the public n, carried so ciphertext addition can run
-    without the private key.
+    without the private key. ``length`` is the coordinate count, which
+    ``len()`` reports; ``addends`` is how many encrypted vectors were
+    summed into this one.
     """
 
     ciphertexts: tuple[int, ...]
     modulus: int
     scale_bits: int
     clip_range: float
+    length: int
     clipped_count: int = 0
+    addends: int = 1
+
+    def __post_init__(self):
+        if not 1 <= self.addends <= 1 << CARRY_BITS:
+            raise ValueError(
+                f"{self.addends} addends: a slot's {CARRY_BITS} carry bits hold sums "
+                f"of 1 to {1 << CARRY_BITS} vectors"
+            )
+        if self.length < 0:
+            raise ShapeMismatchError(f"negative length {self.length}")
+        expected = self.layout.ciphertext_count(self.length)
+        if len(self.ciphertexts) != expected:
+            raise ShapeMismatchError(
+                f"{len(self.ciphertexts)} ciphertexts for {self.length} coordinates; "
+                f"the slot layout needs {expected}"
+            )
+
+    @property
+    def layout(self) -> SlotLayout:
+        codec = FixedPointCodec(scale_bits=self.scale_bits, clip_range=self.clip_range)
+        return slot_layout(codec, self.modulus.bit_length())
 
     @property
     def key_fingerprint(self) -> str:
         return hashlib.sha256(hex(self.modulus).encode()).hexdigest()[:16]
 
     def __len__(self) -> int:
-        return len(self.ciphertexts)
+        return self.length
 
     def _compatible(self, other: "EncryptedVector") -> None:
         if self.modulus != other.modulus:
@@ -200,47 +307,59 @@ def encrypt_vector(
     codec: FixedPointCodec,
     rng: random.Random | None = None,
 ) -> EncryptedVector:
-    """Quantize and encrypt a flat parameter vector.
+    """Quantize a flat parameter vector, pack it into slots and encrypt it.
 
     Out-of-range coordinates are clipped; the count is carried on the
-    result and logged.
+    result and logged. Raises ValueError when one slot of ``codec`` does
+    not fit below the key's modulus.
     """
     rng = rng or random.Random()
     params = np.asarray(params, dtype=np.float64)
     if params.ndim != 1:
         raise ShapeMismatchError(f"expected a flat vector, got shape {params.shape}")
-    cts = []
+    layout = slot_layout(codec, key.n.bit_length())
+    slots = []
     clipped = 0
     for x in params.tolist():
         m, was_clipped = codec.encode(x)
         clipped += was_clipped
-        cts.append(encrypt(m, key, rng))
+        slots.append(m + layout.offset)
     if clipped:
-        logger.warning("clipped %d of %d coordinates to +-%g", clipped, len(cts), codec.clip_range)
+        logger.warning("clipped %d of %d coordinates to +-%g", clipped, len(slots), codec.clip_range)
+    cts = tuple(
+        encrypt(layout.pack(slots[i : i + layout.per]), key, rng)
+        for i in range(0, len(slots), layout.per)
+    )
     return EncryptedVector(
-        ciphertexts=tuple(cts),
+        ciphertexts=cts,
         modulus=key.n,
         scale_bits=codec.scale_bits,
         clip_range=codec.clip_range,
+        length=len(slots),
         clipped_count=clipped,
     )
 
 
 def decrypt_vector(enc: EncryptedVector, key: HeKeyPair, codec: FixedPointCodec) -> np.ndarray:
+    """Decrypt and unpack; each coordinate decodes the sum of its addends' codes."""
     if enc.modulus != key.n:
         raise ValueError("vector was encrypted under a different key")
     if (enc.scale_bits, enc.clip_range) != (codec.scale_bits, codec.clip_range):
         raise ValueError("vector was encoded under a different codec")
-    out = np.empty(len(enc))
-    for i, c in enumerate(enc.ciphertexts):
-        out[i] = codec.decode(_to_signed(decrypt(c, key), key.n))
-    return out
+    layout = enc.layout
+    shift = enc.addends * layout.offset
+    slots = []
+    for c in enc.ciphertexts:
+        slots.extend(layout.unpack(decrypt(c, key)))
+    return np.array([codec.decode(u - shift) for u in slots[: len(enc)]], dtype=np.float64)
 
 
 def add_encrypted(a: EncryptedVector, b: EncryptedVector) -> EncryptedVector:
     """Coordinate-wise ciphertext combination; decrypts to the plaintext sum.
 
-    Runs entirely on public material (ciphertext product mod n^2).
+    Runs entirely on public material (ciphertext product mod n^2). Raises
+    ValueError when the sum would hold more than 2**CARRY_BITS addends,
+    the most a slot's carry bits can take.
     """
     a._compatible(b)
     n2 = a.modulus * a.modulus
@@ -250,7 +369,9 @@ def add_encrypted(a: EncryptedVector, b: EncryptedVector) -> EncryptedVector:
         modulus=a.modulus,
         scale_bits=a.scale_bits,
         clip_range=a.clip_range,
+        length=a.length,
         clipped_count=a.clipped_count + b.clipped_count,
+        addends=a.addends + b.addends,
     )
 
 
@@ -268,9 +389,11 @@ def secure_mean_demo(
     encrypted domain. Sorting-based rules cannot run in this domain: a
     robust trimming step requires the server to decrypt individual updates
     first, which is the decrypt-then-aggregate variant the round loop uses.
+    At most 2**CARRY_BITS updates fit one sum; more are rejected before any
+    encryption.
     """
-    if not updates:
-        raise ValueError("no updates")
+    if not 1 <= len(updates) <= 1 << CARRY_BITS:
+        raise ValueError(f"{len(updates)} updates; one sum holds 1 to {1 << CARRY_BITS}")
     rng = rng or random.Random()
     encrypted = [encrypt_vector(u, key, codec, rng) for u in updates]
     total = encrypted[0]
@@ -280,10 +403,11 @@ def secure_mean_demo(
     return summed / len(updates)
 
 
-# Payload file format: magic, JSON header (fingerprint, codec, length),
-# then each ciphertext as a 4-byte big-endian length prefix + big-endian
-# integer bytes.
-_PAYLOAD_MAGIC = b"EPFLHE1\n"
+# Payload file format: magic, 4-byte big-endian header length, JSON header
+# (fingerprint, modulus, codec, coordinate length, ciphertext count,
+# addends, clipped count), then each ciphertext as a 4-byte big-endian
+# length prefix + big-endian integer bytes, and nothing after the last.
+_PAYLOAD_MAGIC = b"EPFLHE2\n"
 
 
 def save_payload(path, enc: EncryptedVector) -> None:
@@ -294,6 +418,8 @@ def save_payload(path, enc: EncryptedVector) -> None:
         "clip_range": enc.clip_range,
         "clipped_count": enc.clipped_count,
         "length": len(enc),
+        "ciphertext_count": len(enc.ciphertexts),
+        "addends": enc.addends,
     }
     with open(path, "wb") as fh:
         fh.write(_PAYLOAD_MAGIC)
@@ -306,26 +432,43 @@ def save_payload(path, enc: EncryptedVector) -> None:
             fh.write(raw)
 
 
+def _read_exact(fh, size: int, path) -> bytes:
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise ValueError(f"{path}: truncated payload")
+    return raw
+
+
 def load_payload(path) -> EncryptedVector:
+    """Read a payload written by ``save_payload``; raise ValueError on any other file."""
     with open(path, "rb") as fh:
         if fh.read(len(_PAYLOAD_MAGIC)) != _PAYLOAD_MAGIC:
-            raise ValueError(f"{path}: not an encrypted payload file")
-        hlen = int.from_bytes(fh.read(4), "big")
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+            raise ValueError(f"{path}: not an {_PAYLOAD_MAGIC[:-1].decode()} payload file")
+        hlen = int.from_bytes(_read_exact(fh, 4, path), "big")
+        header = json.loads(_read_exact(fh, hlen, path))
+        try:
+            count = int(header["ciphertext_count"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"{path}: malformed header ({exc})") from None
         cts = []
-        for _ in range(header["length"]):
-            clen = int.from_bytes(fh.read(4), "big")
-            raw = fh.read(clen)
-            if len(raw) != clen:
-                raise ValueError(f"{path}: truncated payload")
-            cts.append(int.from_bytes(raw, "big"))
-    vec = EncryptedVector(
-        ciphertexts=tuple(cts),
-        modulus=int(header["modulus_hex"], 16),
-        scale_bits=header["scale_bits"],
-        clip_range=header["clip_range"],
-        clipped_count=header["clipped_count"],
-    )
-    if vec.key_fingerprint != header["key_fingerprint"]:
+        for _ in range(count):
+            clen = int.from_bytes(_read_exact(fh, 4, path), "big")
+            cts.append(int.from_bytes(_read_exact(fh, clen, path), "big"))
+        if fh.read(1):
+            raise ValueError(f"{path}: bytes after the last ciphertext")
+    try:
+        vec = EncryptedVector(
+            ciphertexts=tuple(cts),
+            modulus=int(header["modulus_hex"], 16),
+            scale_bits=header["scale_bits"],
+            clip_range=header["clip_range"],
+            length=header["length"],
+            clipped_count=header["clipped_count"],
+            addends=header["addends"],
+        )
+        fingerprint = header["key_fingerprint"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed header ({exc})") from None
+    if vec.key_fingerprint != fingerprint:
         raise ValueError(f"{path}: fingerprint does not match modulus")
     return vec

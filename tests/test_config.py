@@ -85,11 +85,21 @@ class TestDefaults:
             {"batch_size": 1},
             {"lr": float("nan")},
             {"mu": float("nan")},
+            # codec slots that do not fit below the key's modulus
+            {"he_key_bits": 128, "fixed_point_bits": 130},
+            {"he_key_bits": 128, "fixed_point_bits": 111},
+            {"fixed_point_bits": 1100},
+            {"clip_range": 1e300},
+            {"clip_range": float("inf")},
         ],
     )
     def test_field_validation(self, kw):
         with pytest.raises(ConfigError):
             ExperimentConfig(**kw)
+
+    def test_largest_fitting_codec_accepted(self):
+        cfg = ExperimentConfig(he_key_bits=128, fixed_point_bits=110)
+        assert cfg.fixed_point_bits == 110
 
     def test_replace_checks_keys(self):
         cfg = ExperimentConfig()

@@ -1,6 +1,7 @@
 """Client/server round mechanics: privacy, local training, aggregation."""
 
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -383,6 +384,26 @@ class TestRunRound:
         )
         assert np.max(np.abs(secured.global_params - plain.global_params)) <= 1e-5
         assert all(e["encrypted"] for e in secured.entries)
+
+    @pytest.mark.parametrize("strategy", ["fedavg", "swa"])
+    def test_encrypted_transport_equals_codec_quantisation(self, strategy):
+        codec = FixedPointCodec(scale_bits=12, clip_range=0.3)
+
+        def quantise(update):
+            params = np.array([codec.decode(codec.encode(x)[0]) for x in update.params.tolist()])
+            return replace(update, params=params)
+
+        g = params_to_vector(init_params(F, H, 0))
+        quantised = run_round(
+            g, [make_client(c, seed=i, data_seed=i) for i, c in enumerate("ABC")],
+            small_config(), strategy=strategy, update_transform=quantise,
+        )
+        transport = TransportConfig(key=keygen(256, seed=11), codec=codec, rng=_random.Random(3))
+        secured = run_round(
+            g, [make_client(c, seed=i, data_seed=i) for i, c in enumerate("ABC")],
+            small_config(), strategy=strategy, transport=transport,
+        )
+        assert secured.global_params.tobytes() == quantised.global_params.tobytes()
 
 
 class TestEnsembleAndClassify:

@@ -3,8 +3,11 @@
 The benchmark in ``perfbench/`` wraps public functions by the path they are
 exported from, tells train, bulk-eval and single-window-eval forwards apart
 by the ``mode`` keyword and the batch length of
-``fedfall.nn.model_forward(params, batch, mode=...)``, and digests the final
-weights with ``fedfall.nn.params_to_vector``.
+``fedfall.nn.model_forward(params, batch, mode=...)``, digests the final
+weights with ``fedfall.nn.params_to_vector``, and pairs each
+``encrypt_vector`` call with the next ``decrypt_vector(enc, key, codec)``
+call to check every encrypted update's round trip, counting coordinates
+with ``len()`` of the encrypted vector.
 """
 
 import importlib
@@ -15,6 +18,7 @@ import numpy as np
 import pytest
 
 import fedfall.nn
+import fedfall.secure_transport
 from fedfall.config import ExperimentConfig
 from fedfall.data.synthetic import make_separable_dataset
 from fedfall.simulate import simulate_full
@@ -96,3 +100,41 @@ def test_inference_calls_model_forward_with_mode_keyword(monkeypatch):
     assert {mode for _, mode, _ in calls} == {"train", "eval"}
     eval_lengths = {length for _, mode, length in calls if mode == "eval"}
     assert 1 in eval_lengths and max(eval_lengths) > 1
+
+
+def test_one_encrypt_and_one_positional_decrypt_per_update(monkeypatch):
+    real_encrypt = fedfall.secure_transport.encrypt_vector
+    real_decrypt = fedfall.secure_transport.decrypt_vector
+    calls = []
+
+    def encrypt_spy(params, *args, **kwargs):
+        enc = real_encrypt(params, *args, **kwargs)
+        calls.append(("encrypt", len(params), len(enc)))
+        return enc
+
+    def decrypt_spy(*args, **kwargs):
+        assert len(args) == 3 and not kwargs, "decrypt_vector(enc, key, codec) is positional"
+        out = real_decrypt(*args, **kwargs)
+        calls.append(("decrypt", len(args[0]), len(out)))
+        return out
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "fedfall" or name.startswith("fedfall.")):
+            for attr, value in list(vars(module).items()):
+                if value is real_encrypt:
+                    monkeypatch.setattr(module, attr, encrypt_spy)
+                elif value is real_decrypt:
+                    monkeypatch.setattr(module, attr, decrypt_spy)
+
+    config = ExperimentConfig(
+        hidden_size=1,
+        global_epochs=2,
+        batch_size=8,
+        smote_target=0.0,
+        encrypt_transport=True,
+        he_key_bits=256,
+        seed=2,
+    )
+    simulate_full(tiny_dataset(2), config, "fl_fedavg")
+    dim = fedfall.nn.manifest_for(2, 1).dim
+    assert calls == [("encrypt", dim, dim), ("decrypt", dim, dim)] * (3 * 2)

@@ -1,12 +1,16 @@
 """Homomorphic transport: primitives, codec, vectors, payload files."""
 
+import json
+import logging
 import math
 import random
 
 import numpy as np
 import pytest
 
+from fedfall.errors import ShapeMismatchError
 from fedfall.secure_transport import (
+    CARRY_BITS,
     TEST_KEY_BITS,
     EncryptedVector,
     FixedPointCodec,
@@ -19,8 +23,10 @@ from fedfall.secure_transport import (
     encrypt_vector,
     keygen,
     load_payload,
+    min_modulus_bits,
     save_payload,
     secure_mean_demo,
+    slot_layout,
 )
 
 KEY = keygen(TEST_KEY_BITS, seed=1234)
@@ -51,6 +57,13 @@ class TestKeygen:
         assert KEY.g == KEY.n + 1
         assert KEY.n.bit_length() in (TEST_KEY_BITS - 1, TEST_KEY_BITS)
         assert KEY.lam * KEY.mu % KEY.n == 1 % KEY.n
+        assert KEY.p * KEY.q == KEY.n and KEY.p != KEY.q
+
+    def test_min_modulus_bits(self):
+        for bits in (128, 129, 256):
+            low = min_modulus_bits(bits)
+            for seed in range(4):
+                assert keygen(bits, seed=seed).n.bit_length() in (low, low + 1)
 
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
@@ -70,6 +83,23 @@ class TestKeygen:
         rng = random.Random(9)
         c = encrypt(-5, KEY, rng)
         assert decrypt(c, KEY) == KEY.n - 5
+
+
+class TestCrtDecrypt:
+    @pytest.mark.parametrize("bits", [TEST_KEY_BITS, 1024])
+    def test_equals_lambda_mu_formula(self, bits):
+        key = KEY if bits == TEST_KEY_BITS else keygen(bits, seed=1)
+        rng = random.Random(bits)
+        for _ in range(200):
+            c = rng.randrange(1, key.n_squared)
+            assert math.gcd(c, key.n) == 1
+            reference = (pow(c, key.lam, key.n_squared) - 1) // key.n * key.mu % key.n
+            assert decrypt(c, key) == reference
+
+    def test_out_of_range_rejected(self):
+        for c in (-1, KEY.n_squared):
+            with pytest.raises(ValueError, match="out of range"):
+                decrypt(c, KEY)
 
 
 class TestHomomorphism:
@@ -122,6 +152,128 @@ class TestCodec:
             FixedPointCodec(scale_bits=0)
         with pytest.raises(ValueError):
             FixedPointCodec(clip_range=-1.0)
+        for clip in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                FixedPointCodec(clip_range=clip)
+        with pytest.raises(ValueError, match="overflows"):
+            FixedPointCodec(clip_range=1e308)
+        with pytest.raises(ValueError, match="overflows"):
+            FixedPointCodec(scale_bits=2000)
+
+
+def quantized(vec, codec):
+    """The per-coordinate codec round trip that the packed transport must equal."""
+    return np.array([codec.decode(codec.encode(x)[0]) for x in np.asarray(vec).tolist()])
+
+
+def edge_vector(length, codec, seed):
+    """Random in-range values, with +-clip and +-1e9 (clipped) at the front."""
+    c = codec.clip_range
+    vec = np.random.default_rng(seed).uniform(-c, c, size=length)
+    edges = [c, -c, 1e9, -1e9, np.nextafter(c, 0.0), 0.0]
+    vec[: min(length, len(edges))] = edges[:length]
+    return vec
+
+
+NON_DYADIC = FixedPointCodec(scale_bits=20, clip_range=0.3)
+PER = slot_layout(CODEC, KEY.n.bit_length()).per
+
+
+class TestSlotLayout:
+    def test_formula(self):
+        layout = slot_layout(CODEC, 1024)
+        assert layout.offset == CODEC.encode(CODEC.clip_range)[0] == 100 << 20
+        assert layout.width == (2 * layout.offset).bit_length() + CARRY_BITS == 36
+        assert layout.per == 1023 // 36
+        assert -CODEC.encode(-CODEC.clip_range)[0] <= layout.offset
+        assert -NON_DYADIC.encode(-NON_DYADIC.clip_range)[0] <= slot_layout(NON_DYADIC, 256).offset
+
+    def test_no_slot_fits_rejected(self):
+        # a 146-bit slot cannot sit below a 128-bit modulus; this used to
+        # wrap mod n silently and decrypt 50.0 as -0.0346
+        key = keygen(128, seed=0)
+        codec = FixedPointCodec(scale_bits=130, clip_range=100.0)
+        with pytest.raises(ValueError, match="does not fit"):
+            slot_layout(codec, key.n.bit_length())
+        with pytest.raises(ValueError, match="does not fit"):
+            encrypt_vector(np.array([50.0]), key, codec, random.Random(0))
+
+    def test_one_slot_exactly_fits(self):
+        # 110 scale bits at clip 100: a 127-bit slot, the most a 128-bit key holds
+        key = keygen(128, seed=0)
+        codec = FixedPointCodec(scale_bits=110, clip_range=100.0)
+        assert slot_layout(codec, key.n.bit_length()).per == 1
+        with pytest.raises(ValueError):
+            slot_layout(FixedPointCodec(scale_bits=111, clip_range=100.0), key.n.bit_length())
+        vec = np.array([100.0, -100.0, 50.0, -1e9])
+        enc = encrypt_vector(vec, key, codec, random.Random(1))
+        assert len(enc.ciphertexts) == 4
+        out = decrypt_vector(enc, key, codec)
+        assert out.tobytes() == quantized(vec, codec).tobytes()
+
+    def test_corrupt_plaintext_rejected(self):
+        enc = EncryptedVector(
+            ciphertexts=(encrypt(KEY.n - 1, KEY, random.Random(2)),),
+            modulus=KEY.n,
+            scale_bits=CODEC.scale_bits,
+            clip_range=CODEC.clip_range,
+            length=1,
+        )
+        with pytest.raises(ValueError, match="overflows its slots"):
+            decrypt_vector(enc, KEY, CODEC)
+
+
+class TestPackedRoundTrip:
+    @pytest.mark.parametrize("codec", [CODEC, NON_DYADIC], ids=["clip100", "clip0.3"])
+    def test_equals_per_coordinate_codec(self, codec):
+        per = slot_layout(codec, KEY.n.bit_length()).per
+        for length in (0, 1, per - 1, per, per + 1, 64):
+            vec = edge_vector(length, codec, seed=length)
+            enc = encrypt_vector(vec, KEY, codec, random.Random(length))
+            assert len(enc) == length
+            assert len(enc.ciphertexts) == math.ceil(length / per)
+            out = decrypt_vector(enc, KEY, codec)
+            assert out.dtype == np.float64 and out.shape == (length,)
+            assert out.tobytes() == quantized(vec, codec).tobytes()
+
+    def test_clip_warning_counts_coordinates(self, caplog):
+        vec = edge_vector(64, CODEC, seed=3)
+        with caplog.at_level(logging.WARNING, logger="fedfall.secure_transport"):
+            enc = encrypt_vector(vec, KEY, CODEC, random.Random(4))
+        assert enc.clipped_count == 2
+        assert "clipped 2 of 64 coordinates" in caplog.text
+
+
+class TestCarryGuard:
+    @pytest.mark.parametrize("codec", [CODEC, NON_DYADIC], ids=["clip100", "clip0.3"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_full_headroom_sums_exactly(self, codec, sign):
+        vec = np.full(slot_layout(codec, KEY.n.bit_length()).per + 1, sign * codec.clip_range)
+        enc = encrypt_vector(vec, KEY, codec, random.Random(5))
+        total = enc
+        for _ in range((1 << CARRY_BITS) - 1):
+            total = add_encrypted(total, enc)
+        assert total.addends == 1 << CARRY_BITS
+        code = codec.encode(sign * codec.clip_range)[0]
+        expected = codec.decode(code << CARRY_BITS)
+        np.testing.assert_array_equal(decrypt_vector(total, KEY, codec), expected)
+        with pytest.raises(ValueError, match="carry bits"):
+            add_encrypted(total, enc)
+
+    def test_addends_counted_and_validated(self):
+        rng = random.Random(6)
+        a = encrypt_vector(np.ones(3), KEY, CODEC, rng)
+        assert a.addends == 1
+        assert add_encrypted(add_encrypted(a, a), a).addends == 3
+        with pytest.raises(ValueError, match="carry bits"):
+            EncryptedVector(a.ciphertexts, a.modulus, a.scale_bits, a.clip_range, 3, addends=0)
+
+    def test_ciphertext_count_must_match_layout(self):
+        a = encrypt_vector(np.ones(PER + 1), KEY, CODEC, random.Random(7))
+        assert len(a.ciphertexts) == 2
+        for length in (PER, 2 * PER + 1, -1):
+            with pytest.raises(ShapeMismatchError):
+                EncryptedVector(a.ciphertexts, a.modulus, a.scale_bits, a.clip_range, length)
 
 
 class TestVectorOps:
@@ -220,6 +372,11 @@ class TestSecureMean:
         with pytest.raises(ValueError):
             secure_mean_demo([], KEY, CODEC)
 
+    def test_more_updates_than_carry_bits_hold_rejected(self):
+        updates = [np.zeros(2)] * ((1 << CARRY_BITS) + 1)
+        with pytest.raises(ValueError, match="one sum holds"):
+            secure_mean_demo(updates, KEY, CODEC, random.Random(0))
+
 
 class TestPayloadFile:
     def test_round_trip(self, tmp_path):
@@ -248,4 +405,60 @@ class TestPayloadFile:
         data = path.read_bytes()
         path.write_bytes(data[:-10])
         with pytest.raises(ValueError):
+            load_payload(path)
+
+    def test_every_truncation_rejected(self, tmp_path):
+        enc = encrypt_vector(np.ones(PER + 1), KEY, CODEC, random.Random(25))
+        path = tmp_path / "update.ehe"
+        save_payload(path, enc)
+        data = path.read_bytes()
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ValueError):
+                load_payload(path)
+
+    @staticmethod
+    def _split(data):
+        hlen = int.from_bytes(data[8:12], "big")
+        return data[:8], json.loads(data[12 : 12 + hlen]), data[12 + hlen :]
+
+    @staticmethod
+    def _join(magic, header, body):
+        blob = json.dumps(header).encode("utf-8")
+        return magic + len(blob).to_bytes(4, "big") + blob + body
+
+    def test_v2_header(self, tmp_path):
+        rng = random.Random(26)
+        a = encrypt_vector(np.ones(PER + 1), KEY, CODEC, rng)
+        total = add_encrypted(a, encrypt_vector(np.ones(PER + 1), KEY, CODEC, rng))
+        path = tmp_path / "sum.ehe"
+        save_payload(path, total)
+        magic, header, _ = self._split(path.read_bytes())
+        assert magic == b"EPFLHE2\n"
+        assert (header["length"], header["ciphertext_count"], header["addends"]) == (PER + 1, 2, 2)
+        loaded = load_payload(path)
+        assert loaded == total
+        np.testing.assert_array_equal(decrypt_vector(loaded, KEY, CODEC), 2.0)
+
+    def test_v1_and_mismatched_counts_rejected(self, tmp_path):
+        enc = encrypt_vector(np.ones(PER + 1), KEY, CODEC, random.Random(27))
+        path = tmp_path / "update.ehe"
+        save_payload(path, enc)
+        magic, header, body = self._split(path.read_bytes())
+        path.write_bytes(self._join(b"EPFLHE1\n", header, body))
+        with pytest.raises(ValueError, match="not an EPFLHE2 payload"):
+            load_payload(path)
+        # more ciphertexts than the layout needs for the declared length
+        path.write_bytes(self._join(magic, dict(header, length=PER), body))
+        with pytest.raises(ValueError, match="slot layout"):
+            load_payload(path)
+        # a count that leaves a ciphertext unread
+        path.write_bytes(self._join(magic, dict(header, ciphertext_count=1), body))
+        with pytest.raises(ValueError):
+            load_payload(path)
+        path.write_bytes(self._join(magic, header, body + b"\0"))
+        with pytest.raises(ValueError, match="after the last ciphertext"):
+            load_payload(path)
+        path.write_bytes(self._join(magic, {k: v for k, v in header.items() if k != "addends"}, body))
+        with pytest.raises(ValueError, match="malformed header"):
             load_payload(path)
