@@ -3,7 +3,6 @@
 Modules:
   nn               sequence classifier with hand-written gradients
   data             dataset parsing, windowing, oversampling, caching
-  baselines        histogram and isolation-forest anomaly scorers
   aggregation      robust weighted model averaging
   federation       privacy boundary, local training, communication rounds
   simulate         scenario orchestration, validation, early stopping

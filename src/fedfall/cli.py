@@ -15,7 +15,6 @@ and ``config.cfg`` (the resolved configuration, reloadable as-is).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import random as _random
 import sys
@@ -24,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fedfall.config import ExperimentConfig, config_to_text, load_config
+from fedfall.config import FIELD_TYPES, ExperimentConfig, config_to_text, load_config
 from fedfall.data.cache import load_dataset, save_dataset
 from fedfall.data.pipeline import prepare_dataset
 from fedfall.data.synthetic import make_synthetic_dataset
@@ -235,16 +234,15 @@ def _sweep_values(spec: str) -> tuple[str, list[float]]:
 def cmd_sweep(args) -> int:
     config = _resolve_config(args)
     name, values = _sweep_values(args.param)
-    field_types = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
-    if name not in field_types:
+    if name not in FIELD_TYPES:
         raise ConfigError(f"unknown config key {name!r}")
-    if field_types[name] not in ("int", "float"):
+    if FIELD_TYPES[name] not in ("int", "float"):
         raise ConfigError(f"{name} is not numeric; only int/float fields sweep")
     split = _load_split(args, config)
     base_out = Path(args.out or config.output_dir)
     for value in values:
-        typed = int(value) if field_types[name] == "int" else value
-        if field_types[name] == "int" and typed != value:
+        typed = int(value) if FIELD_TYPES[name] == "int" else value
+        if FIELD_TYPES[name] == "int" and typed != value:
             raise ConfigError(f"{name} is integer-valued; grid produced {value}")
         run_config = config.replace(**{name: typed})
         result = simulate_full(split, run_config, args.scenario)

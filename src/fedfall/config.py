@@ -77,26 +77,25 @@ class ExperimentConfig:
         need(0.0 <= self.smote_target < 1.0, f"smote_target must be in [0,1), got {self.smote_target}")
         need(self.smote_k >= 1, f"smote_k must be >= 1, got {self.smote_k}")
         need(self.hidden_size >= 1, f"hidden_size must be >= 1, got {self.hidden_size}")
-        need(0.0 <= self.beta < 0.5, f"beta must be in [0, 0.5), got {self.beta}")
-        need(0.0 < self.alpha <= 1.0, f"alpha must be in (0, 1], got {self.alpha}")
-        need(self.swa_mode in ("delta", "literal"), f"swa_mode must be delta|literal, got {self.swa_mode!r}")
         need(0.0 <= self.feedback_noise_p <= 1.0,
              f"feedback_noise_p must be in [0,1], got {self.feedback_noise_p}")
         need(self.monitor_windows_per_round >= 0,
              f"monitor_windows_per_round must be >= 0, got {self.monitor_windows_per_round}")
         need(self.he_key_bits >= 128, f"he_key_bits must be >= 128, got {self.he_key_bits}")
-        need(self.fixed_point_bits >= 1, f"fixed_point_bits must be >= 1, got {self.fixed_point_bits}")
-        need(self.clip_range > 0.0, f"clip_range must be positive, got {self.clip_range}")
         try:
             codec = FixedPointCodec(scale_bits=self.fixed_point_bits, clip_range=self.clip_range)
             slot_layout(codec, min_modulus_bits(self.he_key_bits))
         except ValueError as exc:
             raise ConfigError(f"he_key_bits/fixed_point_bits/clip_range: {exc}") from None
         need(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
-        # The training-protocol fields are checked once, by RoundConfig; the
-        # SWA fields above come first so they fail as ConfigError, not as
-        # SwaConfig's ValueError.
-        self.round_config()
+        # SwaConfig checks the aggregation fields and RoundConfig the
+        # training-protocol ones; SwaConfig raises plain ValueError.
+        try:
+            self.round_config()
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"swa config: {exc}") from None
 
     def swa_config(self) -> SwaConfig:
         return SwaConfig(
@@ -140,14 +139,14 @@ class ExperimentConfig:
         return digest[:16]
 
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
 
 _TRUE_WORDS = {"true", "1", "yes", "on"}
 _FALSE_WORDS = {"false", "0", "no", "off"}
 
 
 def _coerce(key: str, raw: str):
-    kind = _FIELD_TYPES[key]
+    kind = FIELD_TYPES[key]
     raw = raw.strip()
     if kind == "bool":
         low = raw.lower()
@@ -180,7 +179,7 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected key=value, got {stripped!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in _FIELD_TYPES:
+        if key not in FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate config key {key!r}")
@@ -199,7 +198,7 @@ def load_config(
         with open(path, "r", encoding="utf-8") as fh:
             values.update(parse_config_text(fh.read()))
     if overrides:
-        unknown = set(overrides) - set(_FIELD_TYPES)
+        unknown = set(overrides) - set(FIELD_TYPES)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, value in overrides.items():

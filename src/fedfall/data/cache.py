@@ -2,7 +2,8 @@
 
 Layout: magic bytes, a 4-byte little-endian JSON header length, the JSON
 header (window/feature sizes, counts, labels, origins), then the train and
-test window values as contiguous little-endian float64 blocks.
+test window values as contiguous little-endian float64 blocks, and
+nothing after them.
 """
 
 from __future__ import annotations
@@ -53,33 +54,54 @@ def save_dataset(path, split: DatasetSplit, write_summary: bool = True) -> None:
         Path(str(path) + ".summary.txt").write_text(summary_text(split), encoding="utf-8")
 
 
-def _read_block(fh, count: int, t: int, f: int) -> np.ndarray:
+_HEADER_KEYS = (
+    "window", "features", "n_train", "n_test",
+    "train_labels", "test_labels", "train_origins", "test_origins",
+)
+
+
+def _read_block(fh, count: int, t: int, f: int, path) -> np.ndarray:
     raw = fh.read(count * t * f * 8)
     if len(raw) != count * t * f * 8:
-        raise ValueError("truncated dataset cache")
+        raise ValueError(f"{path}: truncated dataset cache")
     return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(count, t, f)
 
 
 def load_dataset(path) -> DatasetSplit:
+    """Read a cache written by ``save_dataset``; raise ValueError naming
+    ``path`` on any other file, including a header that lacks a key or
+    whose label and origin lists disagree with its window counts."""
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
             raise ValueError(f"{path}: not a dataset cache")
         hlen = int.from_bytes(fh.read(4), "little")
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        try:
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+        except ValueError as exc:
+            raise ValueError(f"{path}: unreadable cache header ({exc})") from None
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: cache header is not a JSON object")
+        missing = [k for k in _HEADER_KEYS if k not in header]
+        if missing:
+            raise ValueError(f"{path}: cache header lacks {', '.join(missing)}")
         t, f = header["window"], header["features"]
-        train_vals = _read_block(fh, header["n_train"], t, f)
-        test_vals = _read_block(fh, header["n_test"], t, f)
+        groups = {}
+        for name in ("train", "test"):
+            n = header[f"n_{name}"]
+            labels, origins = header[f"{name}_labels"], header[f"{name}_origins"]
+            if len(labels) != n or len(origins) != n:
+                raise ValueError(
+                    f"{path}: n_{name} = {n} but {len(labels)} labels and {len(origins)} origins"
+                )
+            values = _read_block(fh, n, t, f, path)
+            groups[name] = [
+                SequenceWindow(values=values[i], label=int(labels[i]), origin=tuple(origins[i]))
+                for i in range(n)
+            ]
+        if fh.read(1):
+            raise ValueError(f"{path}: bytes after the test block")
 
-    def rebuild(values, labels, origins):
-        return [
-            SequenceWindow(values=values[i], label=int(labels[i]), origin=tuple(origins[i]))
-            for i in range(len(labels))
-        ]
-
-    split = DatasetSplit(
-        train=rebuild(train_vals, header["train_labels"], header["train_origins"]),
-        test=rebuild(test_vals, header["test_labels"], header["test_origins"]),
-    )
+    split = DatasetSplit(train=groups["train"], test=groups["test"])
     for w in split.train:
         split.train_by_client.setdefault(w.individual, []).append(w)
     for w in split.test:

@@ -35,8 +35,6 @@ layer is semantically transparent to aggregation up to quantization error.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import logging
 import math
 import random
@@ -109,10 +107,6 @@ class HeKeyPair:
     @property
     def n_squared(self) -> int:
         return self.n * self.n
-
-    @property
-    def fingerprint(self) -> str:
-        return hashlib.sha256(hex(self.n).encode()).hexdigest()[:16]
 
     @cached_property
     def _crt(self) -> tuple[int, int, int, int, int]:
@@ -285,10 +279,6 @@ class EncryptedVector:
         codec = FixedPointCodec(scale_bits=self.scale_bits, clip_range=self.clip_range)
         return slot_layout(codec, self.modulus.bit_length())
 
-    @property
-    def key_fingerprint(self) -> str:
-        return hashlib.sha256(hex(self.modulus).encode()).hexdigest()[:16]
-
     def __len__(self) -> int:
         return self.length
 
@@ -401,74 +391,3 @@ def secure_mean_demo(
         total = add_encrypted(total, e)
     summed = decrypt_vector(total, key, codec)
     return summed / len(updates)
-
-
-# Payload file format: magic, 4-byte big-endian header length, JSON header
-# (fingerprint, modulus, codec, coordinate length, ciphertext count,
-# addends, clipped count), then each ciphertext as a 4-byte big-endian
-# length prefix + big-endian integer bytes, and nothing after the last.
-_PAYLOAD_MAGIC = b"EPFLHE2\n"
-
-
-def save_payload(path, enc: EncryptedVector) -> None:
-    header = {
-        "key_fingerprint": enc.key_fingerprint,
-        "modulus_hex": hex(enc.modulus),
-        "scale_bits": enc.scale_bits,
-        "clip_range": enc.clip_range,
-        "clipped_count": enc.clipped_count,
-        "length": len(enc),
-        "ciphertext_count": len(enc.ciphertexts),
-        "addends": enc.addends,
-    }
-    with open(path, "wb") as fh:
-        fh.write(_PAYLOAD_MAGIC)
-        blob = json.dumps(header).encode("utf-8")
-        fh.write(len(blob).to_bytes(4, "big"))
-        fh.write(blob)
-        for c in enc.ciphertexts:
-            raw = c.to_bytes((c.bit_length() + 7) // 8 or 1, "big")
-            fh.write(len(raw).to_bytes(4, "big"))
-            fh.write(raw)
-
-
-def _read_exact(fh, size: int, path) -> bytes:
-    raw = fh.read(size)
-    if len(raw) != size:
-        raise ValueError(f"{path}: truncated payload")
-    return raw
-
-
-def load_payload(path) -> EncryptedVector:
-    """Read a payload written by ``save_payload``; raise ValueError on any other file."""
-    with open(path, "rb") as fh:
-        if fh.read(len(_PAYLOAD_MAGIC)) != _PAYLOAD_MAGIC:
-            raise ValueError(f"{path}: not an {_PAYLOAD_MAGIC[:-1].decode()} payload file")
-        hlen = int.from_bytes(_read_exact(fh, 4, path), "big")
-        header = json.loads(_read_exact(fh, hlen, path))
-        try:
-            count = int(header["ciphertext_count"])
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"{path}: malformed header ({exc})") from None
-        cts = []
-        for _ in range(count):
-            clen = int.from_bytes(_read_exact(fh, 4, path), "big")
-            cts.append(int.from_bytes(_read_exact(fh, clen, path), "big"))
-        if fh.read(1):
-            raise ValueError(f"{path}: bytes after the last ciphertext")
-    try:
-        vec = EncryptedVector(
-            ciphertexts=tuple(cts),
-            modulus=int(header["modulus_hex"], 16),
-            scale_bits=header["scale_bits"],
-            clip_range=header["clip_range"],
-            length=header["length"],
-            clipped_count=header["clipped_count"],
-            addends=header["addends"],
-        )
-        fingerprint = header["key_fingerprint"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: malformed header ({exc})") from None
-    if vec.key_fingerprint != fingerprint:
-        raise ValueError(f"{path}: fingerprint does not match modulus")
-    return vec

@@ -128,46 +128,3 @@ def scalar_trimmed_mean(columns_as_rows, m):
             acc += v
         out.append(acc / len(kept))
     return out
-
-
-def scalar_hbos_score(sample, histograms, eps=1e-9):
-    """histograms: per feature (edges, densities) with max-normalized
-    densities; a value outside the observed range contributes the floor
-    density eps (the histogram says it has never been seen)."""
-    total = 0.0
-    for x, (edges, dens) in zip(sample, histograms):
-        nbins = len(dens)
-        if x < edges[0] or x > edges[-1]:
-            d = 0.0
-        elif x == edges[-1]:
-            d = dens[nbins - 1]
-        else:
-            b = 0
-            while not (edges[b] <= x < edges[b + 1]):
-                b += 1
-            d = dens[b]
-        total += math.log(1.0 / max(d, eps))
-    return total
-
-
-def scalar_iforest_path(tree, sample, depth=0):
-    """Expected isolation depth of one sample down one stored tree.
-
-    ``tree`` is the nested dict form: leaves carry {"size": s}, internal
-    nodes carry {"feature": i, "split": v, "left":, "right":}.
-    """
-    if "feature" not in tree:
-        return depth + scalar_avg_path_length(tree["size"])
-    if sample[tree["feature"]] < tree["split"]:
-        return scalar_iforest_path(tree["left"], sample, depth + 1)
-    return scalar_iforest_path(tree["right"], sample, depth + 1)
-
-
-def scalar_avg_path_length(m):
-    """c(m): average unsuccessful-search path length of a BST of m points."""
-    if m <= 1:
-        return 0.0
-    if m == 2:
-        return 1.0
-    harmonic = math.log(m - 1.0) + 0.5772156649015329
-    return 2.0 * harmonic - 2.0 * (m - 1.0) / m

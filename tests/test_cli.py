@@ -2,12 +2,18 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fedfall
 from fedfall.cli import cli_main
 from fedfall.simulate import SCENARIOS
+from test_data_windows import CACHE_CORRUPTIONS
 
 FAST = [
     "--set", "hidden_size=4",
@@ -291,11 +297,36 @@ class TestExitCodes:
         )
         assert code == 2
 
-    def test_corrupt_cache_is_validation_error(self, tmp_path):
-        bad = tmp_path / "corrupt.npz"
-        bad.write_bytes(b"not an archive")
+    @pytest.mark.parametrize("kind", sorted(CACHE_CORRUPTIONS))
+    def test_corrupt_cache_is_validation_error(self, tmp_path, capsys, kind):
+        bad = tmp_path / "corrupt.cache"
+        assert cli_main(["prepare-data", "--synthetic", "--out", str(bad), "--set", "stride=12"]) == 0
+        bad.write_bytes(CACHE_CORRUPTIONS[kind](bad.read_bytes()))
+        capsys.readouterr()
         code = cli_main(
             ["train", "--scenario", "central", "--data", str(bad),
              "--out", str(tmp_path / "x")] + FAST
         )
         assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
+def test_cli_loads_every_module():
+    """A module that ``import fedfall.cli`` does not load is reachable only
+    from tests; walk_packages imports subpackages itself, so sys.modules is
+    read before the walk."""
+    src = str(Path(fedfall.__file__).parents[1])
+    script = (
+        "import pkgutil, sys, fedfall, fedfall.cli\n"
+        "loaded = set(sys.modules)\n"
+        "for m in pkgutil.walk_packages(fedfall.__path__, 'fedfall.'):\n"
+        "    if m.name not in loaded: print(m.name)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.split() == []

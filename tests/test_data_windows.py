@@ -1,5 +1,8 @@
 """Sliding windows, oversampling, splitting, and the dataset cache."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -201,6 +204,35 @@ class TestSplit:
         assert sum(len(v) for v in split.train_by_client.values()) == len(split.train)
 
 
+def _with_header(data: bytes, make) -> bytes:
+    """Cache bytes whose JSON header is replaced by ``make(header)``."""
+    start = len(b"EPFLDS1") + 4
+    end = start + int.from_bytes(data[start - 4 : start], "little")
+    blob = json.dumps(make(json.loads(data[start:end]))).encode("utf-8")
+    return data[: start - 4] + len(blob).to_bytes(4, "little") + blob + data[end:]
+
+
+# Malformed variants of a valid cache's bytes, each of which load_dataset
+# must reject with a ValueError naming the file.
+CACHE_CORRUPTIONS = {
+    "not_a_cache": lambda data: b"not an archive",
+    "header_not_an_object": lambda data: _with_header(data, lambda h: 7),
+    "header_without_window": lambda data: _with_header(
+        data, lambda h: {k: v for k, v in h.items() if k != "window"}
+    ),
+    "extra_train_label": lambda data: _with_header(
+        data, lambda h: dict(h, train_labels=h["train_labels"] + [0])
+    ),
+    "missing_train_label": lambda data: _with_header(
+        data, lambda h: dict(h, train_labels=h["train_labels"][:-1])
+    ),
+    "missing_test_origin": lambda data: _with_header(
+        data, lambda h: dict(h, test_origins=h["test_origins"][:-1])
+    ),
+    "trailing_bytes": lambda data: data + b"\0",
+}
+
+
 class TestCache:
     def make_split(self):
         seqs = TestSplit().make_sequences("AB", per=3, windows_each=5)
@@ -246,6 +278,14 @@ class TestCache:
         data = path.read_bytes()
         path.write_bytes(data[:-40])
         with pytest.raises(ValueError):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("kind", sorted(CACHE_CORRUPTIONS))
+    def test_malformed_rejected_naming_path(self, tmp_path, kind):
+        path = tmp_path / "data.bin"
+        save_dataset(path, self.make_split())
+        path.write_bytes(CACHE_CORRUPTIONS[kind](path.read_bytes()))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
             load_dataset(path)
 
 

@@ -1,6 +1,5 @@
-"""Homomorphic transport: primitives, codec, vectors, payload files."""
+"""Homomorphic transport: primitives, codec, slot layout, vectors, secure mean."""
 
-import json
 import logging
 import math
 import random
@@ -14,7 +13,6 @@ from fedfall.secure_transport import (
     TEST_KEY_BITS,
     EncryptedVector,
     FixedPointCodec,
-    HeKeyPair,
     _is_probable_prime,
     add_encrypted,
     decrypt,
@@ -22,9 +20,7 @@ from fedfall.secure_transport import (
     encrypt,
     encrypt_vector,
     keygen,
-    load_payload,
     min_modulus_bits,
-    save_payload,
     secure_mean_demo,
     slot_layout,
 )
@@ -376,89 +372,3 @@ class TestSecureMean:
         updates = [np.zeros(2)] * ((1 << CARRY_BITS) + 1)
         with pytest.raises(ValueError, match="one sum holds"):
             secure_mean_demo(updates, KEY, CODEC, random.Random(0))
-
-
-class TestPayloadFile:
-    def test_round_trip(self, tmp_path):
-        rng = random.Random(23)
-        vec = np.random.default_rng(5).uniform(-3, 3, size=17)
-        enc = encrypt_vector(vec, KEY, CODEC, rng)
-        path = tmp_path / "update.ehe"
-        save_payload(path, enc)
-        loaded = load_payload(path)
-        assert loaded == enc
-        np.testing.assert_array_equal(
-            decrypt_vector(loaded, KEY, CODEC), decrypt_vector(enc, KEY, CODEC)
-        )
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.ehe"
-        path.write_bytes(b"garbage file content")
-        with pytest.raises(ValueError):
-            load_payload(path)
-
-    def test_truncated(self, tmp_path):
-        rng = random.Random(24)
-        enc = encrypt_vector(np.ones(5), KEY, CODEC, rng)
-        path = tmp_path / "update.ehe"
-        save_payload(path, enc)
-        data = path.read_bytes()
-        path.write_bytes(data[:-10])
-        with pytest.raises(ValueError):
-            load_payload(path)
-
-    def test_every_truncation_rejected(self, tmp_path):
-        enc = encrypt_vector(np.ones(PER + 1), KEY, CODEC, random.Random(25))
-        path = tmp_path / "update.ehe"
-        save_payload(path, enc)
-        data = path.read_bytes()
-        for cut in range(len(data)):
-            path.write_bytes(data[:cut])
-            with pytest.raises(ValueError):
-                load_payload(path)
-
-    @staticmethod
-    def _split(data):
-        hlen = int.from_bytes(data[8:12], "big")
-        return data[:8], json.loads(data[12 : 12 + hlen]), data[12 + hlen :]
-
-    @staticmethod
-    def _join(magic, header, body):
-        blob = json.dumps(header).encode("utf-8")
-        return magic + len(blob).to_bytes(4, "big") + blob + body
-
-    def test_v2_header(self, tmp_path):
-        rng = random.Random(26)
-        a = encrypt_vector(np.ones(PER + 1), KEY, CODEC, rng)
-        total = add_encrypted(a, encrypt_vector(np.ones(PER + 1), KEY, CODEC, rng))
-        path = tmp_path / "sum.ehe"
-        save_payload(path, total)
-        magic, header, _ = self._split(path.read_bytes())
-        assert magic == b"EPFLHE2\n"
-        assert (header["length"], header["ciphertext_count"], header["addends"]) == (PER + 1, 2, 2)
-        loaded = load_payload(path)
-        assert loaded == total
-        np.testing.assert_array_equal(decrypt_vector(loaded, KEY, CODEC), 2.0)
-
-    def test_v1_and_mismatched_counts_rejected(self, tmp_path):
-        enc = encrypt_vector(np.ones(PER + 1), KEY, CODEC, random.Random(27))
-        path = tmp_path / "update.ehe"
-        save_payload(path, enc)
-        magic, header, body = self._split(path.read_bytes())
-        path.write_bytes(self._join(b"EPFLHE1\n", header, body))
-        with pytest.raises(ValueError, match="not an EPFLHE2 payload"):
-            load_payload(path)
-        # more ciphertexts than the layout needs for the declared length
-        path.write_bytes(self._join(magic, dict(header, length=PER), body))
-        with pytest.raises(ValueError, match="slot layout"):
-            load_payload(path)
-        # a count that leaves a ciphertext unread
-        path.write_bytes(self._join(magic, dict(header, ciphertext_count=1), body))
-        with pytest.raises(ValueError):
-            load_payload(path)
-        path.write_bytes(self._join(magic, header, body + b"\0"))
-        with pytest.raises(ValueError, match="after the last ciphertext"):
-            load_payload(path)
-        path.write_bytes(self._join(magic, {k: v for k, v in header.items() if k != "addends"}, body))
-        with pytest.raises(ValueError, match="malformed header"):
-            load_payload(path)
