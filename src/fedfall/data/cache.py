@@ -67,10 +67,28 @@ def _read_block(fh, count: int, t: int, f: int, path) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(count, t, f)
 
 
+def _window_meta(path, name: str, i: int, label, origin) -> tuple[int, tuple[str, str, int]]:
+    """Check one window's label (0 or 1) and origin ([str, str, int])."""
+    if type(label) is not int or label not in (0, 1):
+        raise ValueError(f"{path}: {name}_labels[{i}] is {label!r}, not 0 or 1")
+    if not (
+        isinstance(origin, list)
+        and len(origin) == 3
+        and isinstance(origin[0], str)
+        and isinstance(origin[1], str)
+        and type(origin[2]) is int
+    ):
+        raise ValueError(
+            f"{path}: {name}_origins[{i}] is {origin!r}, not [individual, sequence, start]"
+        )
+    return label, tuple(origin)
+
+
 def load_dataset(path) -> DatasetSplit:
     """Read a cache written by ``save_dataset``; raise ValueError naming
-    ``path`` on any other file, including a header that lacks a key or
-    whose label and origin lists disagree with its window counts."""
+    ``path`` on any other file, including a header that lacks a key, whose
+    label and origin lists disagree with its window counts, or that holds a
+    label other than 0/1 or an origin that is not [str, str, int]."""
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
             raise ValueError(f"{path}: not a dataset cache")
@@ -93,10 +111,11 @@ def load_dataset(path) -> DatasetSplit:
                 raise ValueError(
                     f"{path}: n_{name} = {n} but {len(labels)} labels and {len(origins)} origins"
                 )
+            meta = [_window_meta(path, name, i, labels[i], origins[i]) for i in range(n)]
             values = _read_block(fh, n, t, f, path)
             groups[name] = [
-                SequenceWindow(values=values[i], label=int(labels[i]), origin=tuple(origins[i]))
-                for i in range(n)
+                SequenceWindow(values=values[i], label=label, origin=origin)
+                for i, (label, origin) in enumerate(meta)
             ]
         if fh.read(1):
             raise ValueError(f"{path}: bytes after the test block")

@@ -68,10 +68,16 @@ def expected_window_count(length: int, window: int, stride: int) -> int:
     return (length - window) // stride + 1
 
 
-def stack_windows(windows: list[SequenceWindow]) -> tuple[np.ndarray, np.ndarray]:
-    """(B, T, F) batch array and (B,) label array."""
+def stack_windows(
+    windows: list[SequenceWindow], dtype=np.float64
+) -> tuple[np.ndarray, np.ndarray]:
+    """(B, T, F) batch array in ``dtype`` and (B,) float64 label array.
+
+    The values are cast while stacking, so no float64 stack is made on the
+    way to a float32 one.
+    """
     if not windows:
         raise ValueError("no windows to stack")
-    batch = np.stack([w.values for w in windows])
+    batch = np.stack([w.values for w in windows], dtype=dtype)
     labels = np.array([w.label for w in windows], dtype=np.float64)
     return batch, labels

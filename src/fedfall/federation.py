@@ -24,12 +24,12 @@ from fedfall.aggregation import ClientUpdate, SwaConfig, fedavg, swa_aggregate
 from fedfall.data.windows import SequenceWindow, stack_windows
 from fedfall.errors import ConfigError, PrivacyViolationError, ShapeMismatchError
 from fedfall.nn import (
+    COMPUTE_DTYPE,
     AdamState,
     ModelParams,
     adam_step,
     bce_loss,
     commit_batchnorm_stats,
-    fedprox_penalty,
     manifest_for,
     model_backward,
     model_forward,
@@ -169,6 +169,11 @@ def local_train(
     batch statistics are data, not weights, and cannot be pulled toward the
     anchor). Returns None for a client with fewer than 2 windows, which the
     round skips: train-mode batch statistics need at least 2 windows.
+
+    Forward and backward run on a float32 shadow of the weights; each step
+    upcasts the gradient, applies the proximal term (``fedprox_penalty``,
+    computed in place) and Adam to the float64 master, and refreshes the
+    shadow from it.
     """
     n = len(client.dataset)
     if n < 2:
@@ -180,12 +185,14 @@ def local_train(
         return None
     with client_scope(client.client_id):
         windows = client.dataset.windows()
-        batch_all, labels_all = stack_windows(windows)
+        batch_all, labels_all = stack_windows(windows, dtype=COMPUTE_DTYPE)
 
         # Train a copy, adopted only when every epoch completes. Adam moves
-        # its flat vector in place; the forward reads the same memory.
+        # its float64 flat vector in place; the float32 shadow follows it.
         params = client.local_params.copy()
         vec = params.vec
+        shadow = params.astype(COMPUTE_DTYPE)
+        grads = np.empty_like(vec)
         manifest = manifest_for(params.input_size, params.hidden_size)
         global_params = np.asarray(global_params, dtype=np.float64)
         if global_params.shape != vec.shape:
@@ -194,6 +201,8 @@ def local_train(
             )
         if client.adam is None or client.adam.dim != manifest.dim:
             client.adam = AdamState(dim=manifest.dim, lr=config.lr)
+        slices = manifest.trainable_slices
+        diff = np.empty(max(hi - lo for lo, hi in slices))
 
         epoch_losses = []
         for _ in range(client.epochs_per_round):
@@ -203,17 +212,21 @@ def local_train(
                 idx = order[s : s + config.batch_size]
                 if len(idx) < 2:
                     continue  # train-mode batch statistics need >= 2 windows
-                probs, cache = model_forward(params, batch_all[idx], mode="train")
+                probs, cache = model_forward(shadow, batch_all[idx], mode="train")
                 data_loss, dprobs = bce_loss(probs, labels_all[idx])
-                grads = model_backward(cache, dprobs, params).vec
+                np.copyto(grads, model_backward(cache, dprobs, shadow).vec)
                 penalty = 0.0
                 if config.mu != 0.0:
-                    for lo, hi in manifest.trainable_slices:
-                        part, pen_grad = fedprox_penalty(vec[lo:hi], global_params[lo:hi], config.mu)
-                        penalty += part
-                        grads[lo:hi] += pen_grad
+                    # fedprox_penalty's arithmetic, without its two allocations
+                    for lo, hi in slices:
+                        d = diff[: hi - lo]
+                        np.subtract(vec[lo:hi], global_params[lo:hi], out=d)
+                        penalty += config.mu * float(d @ d)
+                        d *= 2.0 * config.mu
+                        grads[lo:hi] += d
                 adam_step(client.adam, vec, grads, config.lr)
                 commit_batchnorm_stats(params, cache)
+                np.copyto(shadow.vec, vec)
                 batch_losses.append(data_loss + penalty)
             epoch_losses.append(float(np.mean(batch_losses)))
 
@@ -292,10 +305,15 @@ def run_round(
 def ensemble_predict(
     global_model: ModelParams, client_model: ModelParams, batch
 ) -> np.ndarray:
-    """Arithmetic mean of the two models' fall probabilities per window."""
+    """Arithmetic mean of the two models' fall probabilities per window.
+
+    Each pass runs in the dtype of its model; callers hand in float32 copies
+    (``ModelParams.astype``), cast once for all the batches they score. The
+    mean is taken, and returned, in float64.
+    """
     pg = model_forward(global_model, batch, mode="eval")[0]
     pi = model_forward(client_model, batch, mode="eval")[0]
-    return (pg + pi) / 2.0
+    return (pg.astype(np.float64) + pi) / 2.0
 
 
 def make_label_oracle(noise_p: float, rng: np.random.Generator):

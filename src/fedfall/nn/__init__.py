@@ -1,8 +1,10 @@
 """Sequence classifier: model, losses, optimizer, gradients, flat views.
 
-The weights of a model are one contiguous float64 vector; ``ModelParams``
-gives its tensors as named views, laid out by ``manifest_for``. Gradients
-come back in the same layout, and ``adam_step`` updates the vector in place.
+float64 master weights, float32 compute. The weights of a model are one
+contiguous float64 vector; ``ModelParams`` gives its tensors as named views,
+laid out by ``manifest_for``, and ``astype(COMPUTE_DTYPE)`` gives the float32
+copy that forward and backward passes run on. Gradients come back in the
+same layout, and ``adam_step`` updates the float64 vector in place.
 """
 
 from fedfall.nn.gradcheck import GradCheckReport, finite_difference_grad, gradient_check
@@ -19,6 +21,7 @@ from fedfall.nn.model import (
 )
 from fedfall.nn.optim import AdamState, adam_step
 from fedfall.nn.params import (
+    COMPUTE_DTYPE,
     NON_TRAINABLE,
     LstmLayer,
     ModelParams,
@@ -33,6 +36,7 @@ from fedfall.nn.params import (
 __all__ = [
     "BN_EPS",
     "BN_MOMENTUM",
+    "COMPUTE_DTYPE",
     "NON_TRAINABLE",
     "AdamState",
     "ForwardCache",

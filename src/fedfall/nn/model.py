@@ -4,12 +4,15 @@ The network maps a (batch, time, features) window of motion data to a fall
 probability: two LSTM layers, batch normalization of the final hidden state,
 a dense layer with ReLU, a second dense layer, and a sigmoid output.
 
-Everything is plain numpy in float64. Forward passes are pure functions of
-(params, batch); the backward pass replays the forward from a cache and is
-validated coordinate-wise against central finite differences, so this module
-can serve as the single source of truth for training without an autodiff
-framework. Weights are read from, and gradients written to, named views of
-flat vectors (``fedfall.nn.params``).
+Everything is plain numpy, with float64 master weights and float32 compute:
+a pass runs in the dtype of its weights (``params.vec.dtype``), and training
+and inference hand it a float32 copy of the float64 master vector
+(mixed-precision training, Micikevicius et al., ICLR 2018). Forward passes
+are pure functions of (params, batch); the backward pass replays the forward
+from a cache and is validated coordinate-wise in float64 against central
+finite differences, so this module can serve as the single source of truth
+for training without an autodiff framework. Weights are read from, and
+gradients written to, named views of flat vectors (``fedfall.nn.params``).
 
 Gate layout inside each LSTM weight block is (input, forget, cell, output),
 stacked along the first axis in that order. Inside a layer, sequences are
@@ -27,7 +30,8 @@ from fedfall.errors import NumericalFailureError, ShapeMismatchError
 from fedfall.nn.params import LstmLayer, ModelParams, manifest_for
 
 # Small enough that normalized batch statistics stay within 1e-5 of
-# mean 0 / variance 1 even for low-variance hidden states.
+# mean 0 / variance 1 even for low-variance hidden states; it is a normal
+# float32 number, so it guards float32 passes too.
 BN_EPS = 1e-10
 BN_MOMENTUM = 0.1
 
@@ -101,14 +105,15 @@ class ForwardCache:
         self.batch_size = self.probs.shape[0]
 
 
-def _as_batch_array(batch) -> np.ndarray:
+def _as_batch_array(batch, dtype) -> np.ndarray:
+    """The batch as a ``dtype`` array, cast once (no copy when it already is)."""
     if isinstance(batch, np.ndarray):
-        x = batch
+        x = np.asarray(batch, dtype=dtype)
     else:
-        x = np.stack([np.asarray(w.values, dtype=float) for w in batch])
+        x = np.stack([w.values for w in batch], dtype=dtype)
     if x.ndim != 3:
         raise ShapeMismatchError(f"batch must be (B, T, F), got shape {x.shape}")
-    return np.asarray(x, dtype=np.float64)
+    return x
 
 
 def _check_finite(arr: np.ndarray, layer: str) -> None:
@@ -123,21 +128,23 @@ def _lstm_forward(layer: LstmLayer, inputs: np.ndarray, train: bool) -> _LstmTra
     buffer; each step adds the recurrent GEMM and applies one tanh to all
     four gate blocks in place. Train mode keeps the activated gates, cell
     states and tanh(c_t) for backward; eval mode overwrites one cell slot.
+    Every buffer has the dtype of the weights.
     """
     t_len, b_sz, in_dim = inputs.shape
     h_dim = layer.wh.shape[1]
+    dtype = layer.wh.dtype
     # Gate rows are pre-scaled so that one tanh activates all four blocks:
     # scale * tanh(scale * a) + shift is sigmoid(a) = 0.5 + 0.5 * tanh(a / 2)
     # on the i, f, o blocks and tanh(a) on g. Scaling by 0.5 is exact.
-    scale = np.repeat([0.5, 0.5, 1.0, 0.5], h_dim)
-    shift = np.repeat([0.5, 0.5, 0.0, 0.5], h_dim)
+    scale = np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype=dtype), h_dim)
+    shift = np.repeat(np.array([0.5, 0.5, 0.0, 0.5], dtype=dtype), h_dim)
     gates = inputs.reshape(t_len * b_sz, in_dim) @ (layer.wx * scale[:, None]).T
     gates += layer.b * scale
     gates = gates.reshape(t_len, b_sz, 4 * h_dim)
     wh_t = (layer.wh * scale[:, None]).T
-    h = np.zeros((t_len + 1, b_sz, h_dim))
-    c = np.zeros((t_len + 1 if train else 1, b_sz, h_dim))
-    tc = np.empty((t_len if train else 1, b_sz, h_dim))
+    h = np.zeros((t_len + 1, b_sz, h_dim), dtype=dtype)
+    c = np.zeros((t_len + 1 if train else 1, b_sz, h_dim), dtype=dtype)
+    tc = np.empty((t_len if train else 1, b_sz, h_dim), dtype=dtype)
     for t in range(t_len):
         a = gates[t]
         a += h[t] @ wh_t
@@ -159,8 +166,10 @@ def model_forward(params: ModelParams, batch, mode: str = "train") -> tuple[np.n
     """Run the classifier over a batch of windows.
 
     ``batch`` is either a (B, T, F) array or a list of SequenceWindow-like
-    objects with a ``values`` attribute. Returns per-window fall
-    probabilities and the cache required by :func:`model_backward`.
+    objects with a ``values`` attribute; it is cast once to the dtype of
+    ``params.vec``, in which the whole pass runs. Returns per-window fall
+    probabilities in that dtype and the cache required by
+    :func:`model_backward`.
 
     In ``train`` mode batch normalization uses batch statistics and the cache
     carries refreshed running statistics (the caller decides when to commit
@@ -169,7 +178,7 @@ def model_forward(params: ModelParams, batch, mode: str = "train") -> tuple[np.n
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    x = _as_batch_array(batch)
+    x = _as_batch_array(batch, params.vec.dtype)
     if x.shape[2] != params.input_size:
         raise ShapeMismatchError(
             f"batch has {x.shape[2]} features, model expects {params.input_size}"
@@ -243,6 +252,7 @@ def _lstm_backward(
     gradients are one GEMM each over all timesteps afterwards.
     """
     t_len, b_sz, h_dim = trace.tc.shape
+    dtype = trace.tc.dtype
     g = trace.gates.reshape(t_len, b_sz, 4, h_dim)
     gi, gf, gg, go = g[:, :, 0], g[:, :, 1], g[:, :, 2], g[:, :, 3]
     # Local derivatives of every step, computed before the recurrence:
@@ -254,8 +264,8 @@ def _lstm_backward(
     k[:, :, 2] = gi * (1.0 - gg * gg)
     k[:, :, 3] = trace.tc * (go * (1.0 - go))
     dc_dh = go * (1.0 - trace.tc * trace.tc)  # dc_t gains dh_t * dc_dh_t
-    dh = np.zeros((b_sz, h_dim)) if dh_last is None else dh_last.copy()
-    dc = np.zeros((b_sz, h_dim))
+    dh = np.zeros((b_sz, h_dim), dtype=dtype) if dh_last is None else dh_last.copy()
+    dc = np.zeros((b_sz, h_dim), dtype=dtype)
     for t in reversed(range(t_len)):
         if dh_seq is not None:
             dh += dh_seq[t]
@@ -278,14 +288,14 @@ def model_backward(cache: ForwardCache, loss_grads: np.ndarray, params: ModelPar
     ``loss_grads`` is dL/dprobability per window, as returned by the loss.
     The cache must come from a train-mode forward over the same ``params``
     object; anything else is rejected. The result is laid out like
-    ``params``: its ``vec`` is the flat gradient, and the running-statistic
-    slots are zero.
+    ``params``, in its dtype: its ``vec`` is the flat gradient, and the
+    running-statistic slots are zero.
     """
     if cache.params is not params:
         raise ShapeMismatchError("cache was produced for a different ModelParams object")
     if cache.mode != "train":
         raise ShapeMismatchError("backward requires a train-mode cache")
-    loss_grads = np.asarray(loss_grads, dtype=np.float64)
+    loss_grads = np.asarray(loss_grads, dtype=params.vec.dtype)
     if loss_grads.shape != cache.probs.shape:
         raise ShapeMismatchError(
             f"loss_grads shape {loss_grads.shape} does not match batch {cache.probs.shape}"

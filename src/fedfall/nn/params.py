@@ -1,8 +1,10 @@
 """The parameter layout and the weights as views of one flat vector.
 
-Aggregation, the proximal penalty, Adam and encrypted transport all operate
-on a single float64 vector. The manifest (tensor name, shape) is the one
-declaration of its layout; it is derived from the model dimensions alone,
+float64 master weights, float32 compute. Aggregation, the proximal penalty,
+Adam, encrypted transport and weight files all operate on a single float64
+vector; forward and backward passes run on a float32 copy of it
+(``COMPUTE_DTYPE``). The manifest (tensor name, shape) is the one
+declaration of the layout; it is derived from the model dimensions alone,
 so two models built with the same sizes always agree on coordinate order.
 ``ModelParams`` exposes the tensors as named views into that vector, so the
 model reads and writes the same memory that the optimizer updates.
@@ -20,6 +22,9 @@ import numpy as np
 from fedfall.errors import ShapeMismatchError
 
 _FILE_MAGIC = b"EPFLPV1\n"
+
+# The dtype forward and backward passes run in; master weights stay float64.
+COMPUTE_DTYPE = np.float32
 
 # Tensors excluded from gradient updates (batch statistics).
 NON_TRAINABLE = frozenset({"bn_running_mean", "bn_running_var"})
@@ -116,7 +121,9 @@ class ModelParams:
     ``bn_gamma``, ``bn_beta``, ``bn_running_mean``, ``bn_running_var``,
     ``fc1_w``, ``fc1_b``, ``fc2_w`` and ``fc2_b`` are views of it. The
     object aliases ``vec`` rather than copying it. Assigning to a tensor
-    attribute copies into its view, so ``vec`` stays the only copy.
+    attribute copies into its view, so ``vec`` stays the only copy. ``vec``
+    is float64 (master weights, gradients of them) or float32 (a compute
+    copy, see ``astype``).
 
     ``bn_running_mean`` / ``bn_running_var`` are data statistics rather than
     gradient-trained weights; they still travel with the parameter vector so
@@ -127,12 +134,12 @@ class ModelParams:
         manifest = manifest_for(input_size, hidden_size)
         if not (
             isinstance(vec, np.ndarray)
-            and vec.dtype == np.float64
+            and vec.dtype in (np.float64, COMPUTE_DTYPE)
             and vec.shape == (manifest.dim,)
             and vec.flags.c_contiguous
         ):
             raise ShapeMismatchError(
-                f"need a contiguous float64 vector of shape ({manifest.dim},) for "
+                f"need a contiguous float64 or float32 vector of shape ({manifest.dim},) for "
                 f"input={input_size} hidden={hidden_size}, got shape {np.shape(vec)} "
                 f"dtype {getattr(vec, 'dtype', None)}"
             )
@@ -160,6 +167,10 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.vec.copy(), self.input_size, self.hidden_size)
+
+    def astype(self, dtype) -> "ModelParams":
+        """A copy of the weights in ``dtype`` (float64 or float32)."""
+        return ModelParams(self.vec.astype(dtype), self.input_size, self.hidden_size)
 
 
 def params_to_vector(params: ModelParams) -> np.ndarray:

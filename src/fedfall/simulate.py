@@ -50,7 +50,14 @@ from fedfall.federation import (
     TransportConfig,
 )
 from fedfall.metrics import MetricsReport, report_from_probabilities
-from fedfall.nn import ModelParams, init_params, model_forward, params_to_vector, vector_to_params
+from fedfall.nn import (
+    COMPUTE_DTYPE,
+    ModelParams,
+    init_params,
+    model_forward,
+    params_to_vector,
+    vector_to_params,
+)
 from fedfall.secure_transport import FixedPointCodec, keygen
 
 logger = logging.getLogger(__name__)
@@ -106,19 +113,22 @@ def _probabilities(
     global_model: ModelParams,
     client_models: dict[str, ModelParams] | None,
 ) -> dict[str, np.ndarray]:
-    """Per-client fall probabilities: the two-model ensemble when client
-    models are given, the global model alone otherwise."""
+    """Per-client float64 fall probabilities: the two-model ensemble when
+    client models are given, the global model alone otherwise. The passes
+    run in float32, and each model is cast once per call."""
+    global_model = global_model.astype(COMPUTE_DTYPE)
     out: dict[str, np.ndarray] = {}
     for cid in sorted(windows_by_client):
         windows = windows_by_client[cid]
         if not windows:
             out[cid] = np.zeros(0)
             continue
-        batch, _ = stack_windows(windows)
+        batch, _ = stack_windows(windows, dtype=COMPUTE_DTYPE)
         if client_models is None:
-            out[cid], _ = model_forward(global_model, batch, mode="eval")
+            out[cid] = model_forward(global_model, batch, mode="eval")[0].astype(np.float64)
         else:
-            out[cid] = ensemble_predict(global_model, client_models[cid], batch)
+            local_model = client_models[cid].astype(COMPUTE_DTYPE)
+            out[cid] = ensemble_predict(global_model, local_model, batch)
     return out
 
 
@@ -269,17 +279,21 @@ def simulate_full(
         client_models = {c.client_id: c.local_params for c in clients} if ensemble else None
 
         if feedback_on:
+            # The models do not change while a round is screened, so each is
+            # cast to the compute dtype once, not once per monitor window.
+            global_screen = global_model.astype(COMPUTE_DTYPE)
             for c in clients:
                 raw = dataset.train_by_client[c.client_id]
                 if not raw:
                     continue
+                local_screen = c.local_params.astype(COMPUTE_DTYPE)
                 rng = monitor_rngs[c.client_id]
                 alerts = 0
                 for _ in range(config.monitor_windows_per_round):
                     base = raw[int(rng.integers(0, len(raw)))]
                     window = _make_monitor_window(base, c.client_id, r, rng)
-                    batch, _ = stack_windows([window])
-                    prob = float(ensemble_predict(global_model, c.local_params, batch)[0])
+                    batch, _ = stack_windows([window], dtype=COMPUTE_DTYPE)
+                    prob = float(ensemble_predict(global_screen, local_screen, batch)[0])
                     event = alert_and_feedback(c, window, prob, oracle, round_cfg, r)
                     if event is not None:
                         feedback_events.append(event)

@@ -230,6 +230,15 @@ CACHE_CORRUPTIONS = {
         data, lambda h: dict(h, test_origins=h["test_origins"][:-1])
     ),
     "trailing_bytes": lambda data: data + b"\0",
+    "train_label_two": lambda data: _with_header(
+        data, lambda h: dict(h, train_labels=[2] + h["train_labels"][1:])
+    ),
+    "empty_train_origin": lambda data: _with_header(
+        data, lambda h: dict(h, train_origins=[[]] + h["train_origins"][1:])
+    ),
+    "test_origin_start_not_int": lambda data: _with_header(
+        data, lambda h: dict(h, test_origins=[h["test_origins"][0][:2] + ["0"]] + h["test_origins"][1:])
+    ),
 }
 
 

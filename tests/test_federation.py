@@ -35,6 +35,7 @@ from fedfall.nn import (
     adam_step,
     bce_loss,
     commit_batchnorm_stats,
+    fedprox_penalty,
     init_params,
     manifest_for,
     model_backward,
@@ -163,6 +164,39 @@ class TestLocalTrain:
         local_train(client, params_to_vector(client.local_params), small_config())
         assert set(client.dataset.access_log) == {"A"}
 
+    @staticmethod
+    def reference_training(seed, data_seed, anchor, mu, epochs=2, n=8, batch_size=4, lr=0.01):
+        """Minibatch Adam on BCE plus ``fedprox_penalty``, written out step by
+        step: forward and backward on a fresh float32 copy of the master
+        weights at every step, and Adam on the float64 master."""
+        windows = make_windows(n, seed=data_seed)
+        batch_all = np.stack([w.values for w in windows]).astype(np.float32)
+        labels_all = np.asarray([w.label for w in windows], dtype=np.float64)
+        params = init_params(F, H, seed)
+        adam = AdamState(dim=manifest_for(F, H).dim, lr=lr)
+        rng = np.random.default_rng(seed)
+        losses = []
+        for _ in range(epochs):
+            order = rng.permutation(n)
+            batch_losses = []
+            for s in range(0, n, batch_size):
+                idx = order[s : s + batch_size]
+                shadow = params.astype(np.float32)
+                probs, cache = model_forward(shadow, batch_all[idx], mode="train")
+                loss, dprobs = bce_loss(probs, labels_all[idx])
+                grads = model_backward(cache, dprobs, shadow).vec.astype(np.float64)
+                penalty = 0.0
+                if mu != 0.0:
+                    for lo, hi in manifest_for(F, H).trainable_slices:
+                        part, pen_grad = fedprox_penalty(params.vec[lo:hi], anchor[lo:hi], mu)
+                        penalty += part
+                        grads[lo:hi] += pen_grad
+                adam_step(adam, params.vec, grads, lr)
+                commit_batchnorm_stats(params, cache)
+                batch_losses.append(loss + penalty)
+            losses.append(float(np.mean(batch_losses)))
+        return params.vec, losses
+
     def test_mu_zero_equals_plain_bce_training(self):
         """With no penalty the loop is exactly minibatch Adam on BCE."""
         cfg = small_config(mu=0.0, client_epochs=2, batch_size=4, lr=0.01)
@@ -171,28 +205,23 @@ class TestLocalTrain:
         update = local_train(client, global_vec, cfg)
 
         # independent plain-BCE loop with the same seeds and batching
-        windows = make_windows(8, seed=7)
-        batch_all = np.stack([w.values for w in windows])
-        labels_all = np.asarray([w.label for w in windows], dtype=np.float64)
-        params = init_params(F, H, 5)
-        adam = AdamState(dim=manifest_for(F, H).dim, lr=0.01)
-        rng = np.random.default_rng(5)
-        losses = []
-        for _ in range(2):
-            order = rng.permutation(8)
-            batch_losses = []
-            for s in range(0, 8, 4):
-                idx = order[s : s + 4]
-                probs, cache = model_forward(params, batch_all[idx], mode="train")
-                loss, dprobs = bce_loss(probs, labels_all[idx])
-                grads = model_backward(cache, dprobs, params).vec
-                adam_step(adam, params.vec, grads, 0.01)
-                commit_batchnorm_stats(params, cache)
-                batch_losses.append(loss)
-            losses.append(float(np.mean(batch_losses)))
-
-        np.testing.assert_array_equal(update.params, params.vec)
+        vec, losses = self.reference_training(5, 7, global_vec, mu=0.0)
+        np.testing.assert_array_equal(update.params, vec)
         assert client.last_train_log["epoch_losses"] == pytest.approx(losses, abs=1e-12)
+
+    def test_in_place_penalty_equals_fedprox_penalty(self):
+        """The in-place proximal term is bit-identical to ``fedprox_penalty``."""
+        cfg = small_config(mu=0.5, client_epochs=2, batch_size=4, lr=0.01)
+        client = make_client(seed=5, data_seed=7, epochs=2)
+        global_vec = params_to_vector(init_params(F, H, 99))
+        update = local_train(client, global_vec, cfg)
+
+        vec, losses = self.reference_training(5, 7, global_vec, mu=0.5)
+        np.testing.assert_array_equal(update.params, vec)
+        assert client.last_train_log["epoch_losses"] == losses
+        # the penalty moved the result: the comparison is not vacuous
+        plain, _ = self.reference_training(5, 7, global_vec, mu=0.0)
+        assert not np.array_equal(vec, plain)
 
     def test_huge_mu_pins_trainable_params_to_global(self):
         cfg = small_config(mu=1e6, client_epochs=2, batch_size=4, lr=1e-4)

@@ -297,3 +297,51 @@ class TestEvalTrace:
         _, evaluated = model_forward(params, batch, mode="eval")
         assert train.layer2.h.tobytes() == evaluated.layer2.h.tobytes()
         assert train.layer1.h.tobytes() == evaluated.layer1.h.tobytes()
+
+
+class TestComputeDtype:
+    """A pass runs in the dtype of ``params.vec``: float64 for the master
+    weights and gradient checks, float32 for training and inference."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_outputs_and_gradients_follow_params_dtype(self, dtype):
+        rng = np.random.default_rng(4)
+        params = init_params(3, 5, seed=4).astype(dtype)
+        batch = rng.normal(size=(6, 7, 3))  # float64 batch: cast once, to dtype
+        labels = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
+        probs, cache = model_forward(params, batch, mode="train")
+        assert probs.dtype == dtype
+        for arr in (cache.layer1.h, cache.layer2.gates, cache.layer2.c, cache.bn_xhat,
+                    cache.new_running_mean, cache.new_running_var):
+            assert arr.dtype == dtype
+        _, dprobs = bce_loss(probs, labels)
+        grads = model_backward(cache, dprobs, params)
+        assert grads.vec.dtype == dtype
+        assert model_forward(params, batch, mode="eval")[0].dtype == dtype
+
+    def test_float32_pass_tracks_float64(self):
+        # float32 rounding (eps 1.2e-7) through two 9-step layers stays far
+        # inside these bounds; a wrong cast or dtype mix would not
+        rng = np.random.default_rng(6)
+        params = init_params(3, 8, seed=6)
+        batch = rng.normal(size=(16, 9, 3))
+        labels = (rng.uniform(size=16) < 0.5).astype(np.float64)
+        p64, c64 = model_forward(params, batch, mode="train")
+        p32, c32 = model_forward(params.astype(np.float32), batch, mode="train")
+        np.testing.assert_allclose(p32, p64, rtol=0, atol=1e-5)
+        g64 = model_backward(c64, bce_loss(p64, labels)[1], params).vec
+        g32 = model_backward(c32, bce_loss(p32, labels)[1], c32.params).vec
+        assert np.linalg.norm(g32 - g64) <= 1e-4 * np.linalg.norm(g64)
+
+    def test_float32_constant_final_state_gives_finite_xhat(self):
+        # identical windows give identical final hidden states, so the batch
+        # variance is (up to rounding) zero and only BN_EPS keeps it finite
+        params = init_params(3, 6, seed=2).astype(np.float32)
+        window = np.random.default_rng(2).normal(size=(1, 5, 3))
+        batch = np.repeat(window, 8, axis=0)
+        probs, cache = model_forward(params, batch, mode="train")
+        assert cache.bn_var.dtype == np.float32
+        assert np.max(cache.bn_var) < 1e-12
+        assert np.all(np.isfinite(cache.bn_xhat))
+        grads = model_backward(cache, np.full(8, 0.1), params).vec
+        assert np.all(np.isfinite(grads))

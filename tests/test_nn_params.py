@@ -80,9 +80,26 @@ class TestFlatViews:
         with pytest.raises(AttributeError):
             params.lstm1 = params.lstm2
 
+    def test_float32_copy_keeps_the_layout(self):
+        params = init_params(3, 4, seed=0)
+        shadow = params.astype(np.float32)
+        assert shadow.vec.dtype == np.float32 and shadow.vec.flags.c_contiguous
+        assert shadow.lstm2.wh.dtype == np.float32
+        np.testing.assert_array_equal(shadow.fc1_w, params.fc1_w.astype(np.float32))
+        shadow.vec[:] = 0.0  # a copy: the master is untouched
+        assert np.any(params.vec != 0.0)
+        vec32 = np.zeros(manifest_for(3, 4).dim, dtype=np.float32)
+        assert ModelParams(vec32, 3, 4).vec is vec32
+
     def test_rejects_vectors_it_cannot_view(self):
         dim = manifest_for(3, 4).dim
-        for bad in (np.zeros(dim, dtype=np.float32), np.zeros(2 * dim)[::2], np.zeros(dim - 1)):
+        for bad in (
+            np.zeros(dim, dtype=np.float16),
+            np.zeros(dim, dtype=np.int64),
+            np.zeros(2 * dim)[::2],
+            np.zeros(2 * dim, dtype=np.float32)[::2],
+            np.zeros(dim - 1),
+        ):
             with pytest.raises(ShapeMismatchError):
                 ModelParams(bad, 3, 4)
 

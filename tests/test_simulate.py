@@ -33,6 +33,17 @@ def fast_config(**kw):
     return ExperimentConfig(**defaults)
 
 
+def assert_scored_by_global_model(result, dataset):
+    """Test probabilities are exactly one eval pass of the float64 global
+    model cast to float32, over the float32 test windows, widened back to
+    float64."""
+    model = result.global_params.astype(np.float32)
+    for cid, windows in dataset.test_by_client.items():
+        batch = np.stack([w.values for w in windows]).astype(np.float32)
+        probs, _ = model_forward(model, batch, mode="eval")
+        np.testing.assert_array_equal(result.test_probabilities[cid], probs.astype(np.float64))
+
+
 @pytest.fixture(scope="module")
 def dataset():
     return make_separable_dataset(
@@ -78,6 +89,16 @@ class TestScenarioContract:
             np.testing.assert_array_equal(
                 a.test_probabilities[cid], b.test_probabilities[cid]
             )
+
+    @pytest.mark.parametrize("scenario", ["fl_fedavg", "epfl_swa"])
+    def test_results_are_float64(self, dataset, scenario):
+        # passes run in float32; what leaves simulate_full is float64
+        result = simulate_full(dataset, fast_config(global_epochs=2), scenario)
+        assert result.global_params.vec.dtype == np.float64
+        for model in result.client_params.values():
+            assert model.vec.dtype == np.float64
+        for probs in result.test_probabilities.values():
+            assert probs.dtype == np.float64
 
     def test_seed_changes_results(self, dataset):
         a = simulate_full(dataset, fast_config(seed=0), "fl_fedavg")
@@ -129,11 +150,7 @@ class TestInferenceMode:
         result = simulate_full(dataset, fast_config(global_epochs=2), "fl_fedavg")
         # restart scenario trains from the global each round; the published
         # probabilities come from the single global model
-        model = result.global_params
-        for cid, windows in dataset.test_by_client.items():
-            batch = np.stack([w.values for w in windows])
-            probs, _ = model_forward(model, batch, mode="eval")
-            np.testing.assert_array_equal(result.test_probabilities[cid], probs)
+        assert_scored_by_global_model(result, dataset)
 
 
 class TestBestRoundSnapshots:
@@ -265,11 +282,7 @@ class TestCentralPath:
 
     def test_central_trains_one_model_for_all_clients(self, dataset):
         result = simulate_full(dataset, fast_config(), "central")
-        model = result.global_params
-        for cid, windows in dataset.test_by_client.items():
-            batch = np.stack([w.values for w in windows])
-            probs, _ = model_forward(model, batch, mode="eval")
-            np.testing.assert_array_equal(result.test_probabilities[cid], probs)
+        assert_scored_by_global_model(result, dataset)
 
     def test_round_log_marks_central_trainer(self, dataset):
         result = simulate_full(dataset, fast_config(global_epochs=2), "central")
