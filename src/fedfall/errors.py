@@ -32,6 +32,9 @@ class AggregationInfeasibleError(FedfallError, ValueError):
         self.beta = beta
         self.m = m
 
+    def __reduce__(self):
+        return type(self), (self.n, self.beta, self.m), self.__dict__
+
 
 class ConfigError(FedfallError, ValueError):
     """Invalid or unknown configuration."""

@@ -161,6 +161,10 @@ class ModelParams:
             raise ShapeMismatchError(f"{name}: shape {np.shape(value)} vs {view.shape}")
         view[...] = value
 
+    def __reduce__(self):
+        # rebuilt from the vector, so the views alias it again
+        return ModelParams, (self.vec, self.input_size, self.hidden_size)
+
     def tensors(self) -> list[tuple[str, np.ndarray]]:
         """Named tensors in canonical serialization order."""
         return list(manifest_for(self.input_size, self.hidden_size).views(self.vec).items())

@@ -1,5 +1,8 @@
 """Flat-vector layout, trainable mask, and weight file round-trips."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -90,6 +93,24 @@ class TestFlatViews:
         assert np.any(params.vec != 0.0)
         vec32 = np.zeros(manifest_for(3, 4).dim, dtype=np.float32)
         assert ModelParams(vec32, 3, 4).vec is vec32
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    def test_clones_keep_views_of_their_own_vec(self, dtype, clone):
+        params = init_params(9, 4, seed=0).astype(dtype)
+        twin = clone(params)
+        assert twin.vec.dtype == dtype and (twin.input_size, twin.hidden_size) == (9, 4)
+        np.testing.assert_array_equal(twin.vec, params.vec)
+        assert not np.shares_memory(twin.vec, params.vec)
+        for _, arr in twin.tensors():
+            assert np.shares_memory(arr, twin.vec)
+        assert np.shares_memory(twin.lstm1.wx, twin.vec) and np.shares_memory(twin.fc2_b, twin.vec)
+        twin.fc2_b = np.array([5.0])
+        assert twin.vec[-1] == 5.0 and params.vec[-1] != 5.0
 
     def test_rejects_vectors_it_cannot_view(self):
         dim = manifest_for(3, 4).dim
