@@ -59,6 +59,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
+def _count(text: str) -> int:
+    """argparse type of a count flag: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _add_config_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument(
@@ -158,8 +169,11 @@ def cmd_prepare_data(args) -> int:
         save_dataset(out, split)
         print(f"synthetic dataset: {len(split.train)} train / {len(split.test)} test windows")
     else:
+        csv_path = args.csv or config.data_path
+        if not csv_path:
+            raise ConfigError("no data source: pass --csv CSV or --synthetic, or set data_path")
         split, stats = prepare_dataset(
-            args.csv,
+            csv_path,
             window=config.window,
             stride=config.stride,
             seed=config.seed,
@@ -186,9 +200,27 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _load_predictions(path: str, need_threshold: bool) -> dict:
+    """Read a ``predictions.json``; raise ValueError naming the file if it is not one."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            saved = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not JSON ({exc})") from None
+    if not isinstance(saved, dict) or not isinstance(saved.get("clients"), dict):
+        raise ValueError(f"{path}: not an object with a clients object")
+    if need_threshold and not isinstance(saved.get("threshold"), (int, float)):
+        raise ValueError(f"{path}: no numeric threshold; pass --threshold")
+    for cid, entry in saved["clients"].items():
+        if not isinstance(entry, dict) or not all(
+            isinstance(entry.get(key), list) for key in ("probabilities", "labels")
+        ):
+            raise ValueError(f"{path}: client {cid!r} lacks probabilities and labels lists")
+    return saved
+
+
 def cmd_evaluate(args) -> int:
-    with open(args.predictions, "r", encoding="utf-8") as fh:
-        saved = json.load(fh)
+    saved = _load_predictions(args.predictions, need_threshold=args.threshold is None)
     threshold = args.threshold if args.threshold is not None else saved["threshold"]
     clients = saved["clients"]
     metrics = report_from_probabilities(
@@ -310,8 +342,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("prepare-data", help="build the binary dataset cache")
     _add_config_options(p)
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--csv", help="raw localization-data CSV")
+    src = p.add_mutually_exclusive_group()
+    src.add_argument("--csv", help="raw localization-data CSV (default: config data_path)")
     src.add_argument("--synthetic", action="store_true", help="generate the synthetic corpus")
     p.add_argument("--out", required=True, help="cache file to write")
     p.set_defaults(func=cmd_prepare_data)
@@ -341,15 +373,15 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("secure-demo", help="encrypted aggregation demonstration")
     _add_config_options(p)
-    p.add_argument("--clients", type=int, default=5)
-    p.add_argument("--dim", type=int, default=1000)
+    p.add_argument("--clients", type=_count, default=5)
+    p.add_argument("--dim", type=_count, default=1000)
     p.add_argument("--key-bits", type=int, help="override config he_key_bits")
     p.set_defaults(func=cmd_secure_demo)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the network gradients")
     _add_config_options(p)
-    p.add_argument("--models", type=int, default=20)
-    p.add_argument("--coords", type=int, default=25, help="coordinates sampled per model")
+    p.add_argument("--models", type=_count, default=20)
+    p.add_argument("--coords", type=_count, default=25, help="coordinates sampled per model")
     p.add_argument("--timesteps", type=int, default=5)
     p.add_argument("--features", type=int, default=3)
     p.add_argument("--tol", type=float, default=1e-4)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from fedfall.aggregation import SwaConfig
 from fedfall.errors import ConfigError
-from fedfall.federation import RoundConfig
 from fedfall.secure_transport import FixedPointCodec, min_modulus_bits, slot_layout
 
 ENV_SEED = "FEDFALL_SEED"
@@ -77,6 +76,16 @@ class ExperimentConfig:
         need(0.0 <= self.smote_target < 1.0, f"smote_target must be in [0,1), got {self.smote_target}")
         need(self.smote_k >= 1, f"smote_k must be >= 1, got {self.smote_k}")
         need(self.hidden_size >= 1, f"hidden_size must be >= 1, got {self.hidden_size}")
+        need(self.lr > 0, f"lr must be positive, got {self.lr}")
+        need(self.batch_size >= 2,
+             f"batch_size must be >= 2 (a train-mode batch needs 2 windows), got {self.batch_size}")
+        for name in ("global_epochs", "client_epochs", "early_stop_patience"):
+            value = getattr(self, name)
+            need(value >= 1, f"{name} must be >= 1, got {value}")
+        need(self.mu >= 0, f"mu must be >= 0, got {self.mu}")
+        for name in ("classification_threshold", "alert_threshold"):
+            value = getattr(self, name)
+            need(0.0 < value < 1.0, f"{name} must be in (0,1), got {value}")
         need(0.0 <= self.feedback_noise_p <= 1.0,
              f"feedback_noise_p must be in [0,1], got {self.feedback_noise_p}")
         need(self.monitor_windows_per_round >= 0,
@@ -88,31 +97,14 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"he_key_bits/fixed_point_bits/clip_range: {exc}") from None
         need(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
-        # SwaConfig checks the aggregation fields and RoundConfig the
-        # training-protocol ones; SwaConfig raises plain ValueError.
         try:
-            self.round_config()
-        except ConfigError:
-            raise
+            self.swa_config()
         except ValueError as exc:
             raise ConfigError(f"swa config: {exc}") from None
 
     def swa_config(self) -> SwaConfig:
         return SwaConfig(
             beta=self.beta, alpha=self.alpha, mode=self.swa_mode, trim_enabled=self.trim_enabled
-        )
-
-    def round_config(self) -> RoundConfig:
-        return RoundConfig(
-            global_epochs=self.global_epochs,
-            client_epochs=self.client_epochs,
-            batch_size=self.batch_size,
-            lr=self.lr,
-            mu=self.mu,
-            classification_threshold=self.classification_threshold,
-            alert_threshold=self.alert_threshold,
-            swa=self.swa_config(),
-            early_stop_patience=self.early_stop_patience,
         )
 
     def replace(self, **changes) -> "ExperimentConfig":

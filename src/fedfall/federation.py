@@ -4,7 +4,8 @@ One communication round: every client trains its own model against the
 frozen incoming global parameters (cross-entropy plus a proximal penalty
 pulling toward the global), the server collects one ClientUpdate per
 client at a barrier, and the configured aggregation rule produces the next
-global vector.
+global vector. Rounds read the protocol (local epochs, batch size, lr, mu,
+the SWA settings, the alert threshold) from the run's ``ExperimentConfig``.
 
 Raw windows never leave a client: ``PrivateDataset`` raises when touched
 outside its owner's execution scope and counts every access, so tests can
@@ -30,7 +31,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from fedfall.aggregation import ClientUpdate, SwaConfig, fedavg, swa_aggregate
+from fedfall.aggregation import ClientUpdate, fedavg, swa_aggregate
+from fedfall.config import ExperimentConfig
 from fedfall.data.windows import SequenceWindow, stack_windows
 from fedfall.errors import ConfigError, PrivacyViolationError, ShapeMismatchError
 from fedfall.nn import (
@@ -109,45 +111,7 @@ class ClientState:
     local_params: ModelParams
     adam: AdamState | None
     rng: np.random.Generator
-    epochs_per_round: int
     last_train_log: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.epochs_per_round < 1:
-            raise ValueError(f"epochs_per_round must be >= 1, got {self.epochs_per_round}")
-
-
-@dataclass(frozen=True)
-class RoundConfig:
-    """Knobs of the training protocol."""
-
-    global_epochs: int = 60
-    client_epochs: int = 30
-    batch_size: int = 32
-    lr: float = 0.001
-    mu: float = 0.01
-    classification_threshold: float = 0.3
-    alert_threshold: float = 0.4
-    swa: SwaConfig = field(default_factory=SwaConfig)
-    early_stop_patience: int = 10
-
-    def __post_init__(self):
-        for name in ("global_epochs", "client_epochs", "early_stop_patience"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.batch_size < 2:
-            raise ConfigError(
-                f"batch_size must be >= 2 (train-mode batch statistics need at least "
-                f"2 windows), got {self.batch_size}"
-            )
-        for name in ("classification_threshold", "alert_threshold"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ConfigError(f"{name} must be in (0,1), got {v}")
-        if not self.lr > 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if not self.mu >= 0:
-            raise ConfigError(f"mu must be >= 0, got {self.mu}")
 
 
 @dataclass(frozen=True)
@@ -171,9 +135,9 @@ class TransportConfig:
 
 
 def local_train(
-    client: ClientState, global_params: np.ndarray, config: RoundConfig
+    client: ClientState, global_params: np.ndarray, config: ExperimentConfig
 ) -> ClientUpdate | None:
-    """Run this client's local epochs against the frozen global anchor.
+    """Run ``config.client_epochs`` epochs against the frozen global anchor.
 
     Minimizes BCE plus the proximal penalty (trainable coordinates only;
     batch statistics are data, not weights, and cannot be pulled toward the
@@ -210,7 +174,7 @@ def local_train(
         diff = np.empty(max(hi - lo for lo, hi in slices))
 
         epoch_losses = []
-        for _ in range(client.epochs_per_round):
+        for _ in range(config.client_epochs):
             order = client.rng.permutation(n)
             batch_losses = []
             for s in range(0, n, config.batch_size):
@@ -240,7 +204,7 @@ def local_train(
     return ClientUpdate(
         client_id=client.client_id,
         params=params_to_vector(params),
-        epochs_trained=client.epochs_per_round,
+        epochs_trained=config.client_epochs,
         sample_count=n,
     )
 
@@ -281,7 +245,7 @@ class _Trained:
 
 
 def _train_share(
-    clients: list[ClientState], global_params: np.ndarray, config: RoundConfig
+    clients: list[ClientState], global_params: np.ndarray, config: ExperimentConfig
 ) -> list:
     """Run ``local_train`` on a working copy of each client, in order.
 
@@ -355,7 +319,7 @@ def _worker_count(jobs: int) -> int:
 
 
 def _train_clients(
-    clients: list[ClientState], global_params: np.ndarray, config: RoundConfig
+    clients: list[ClientState], global_params: np.ndarray, config: ExperimentConfig
 ) -> list[_Trained]:
     """Train every client, one ``_Trained`` each, in client order.
 
@@ -415,7 +379,7 @@ class RoundResult:
 def run_round(
     global_params: np.ndarray,
     clients: list[ClientState],
-    config: RoundConfig,
+    config: ExperimentConfig,
     strategy: str = "swa",
     round_index: int = 0,
     update_transform=None,
@@ -472,7 +436,7 @@ def run_round(
     if strategy == "fedavg":
         new_global = fedavg(updates)
     else:
-        new_global = swa_aggregate(global_params, updates, config.swa)
+        new_global = swa_aggregate(global_params, updates, config.swa_config())
     return RoundResult(global_params=new_global, entries=entries)
 
 
@@ -512,7 +476,7 @@ def alert_and_feedback(
     window: SequenceWindow,
     ensemble_prob: float,
     label_oracle,
-    config: RoundConfig,
+    config: ExperimentConfig,
     round_index: int,
 ) -> FeedbackEvent | None:
     """Fire an alert when the ensemble probability exceeds theta.

@@ -11,11 +11,15 @@ minority oversampling of the remaining train windows) and one model:
 * ``epfl_swa``  - pfl_swa plus two-model ensemble inference and the
                   optional alert-driven feedback loop.
 
+Each scenario trains under the caller's ``ExperimentConfig`` with its own
+overrides (``central``: ``mu=0``, one epoch per round; ``fl_fedavg``:
+``mu=0``); the report keeps the caller's fingerprint.
+
 All four run through one round loop. Only the training step branches:
 ``central`` is a single trainer holding every client's train windows
-(sorted by client) that takes one plain ``local_train`` epoch per round
-and adopts the result as the global model, with no aggregation and no
-transport; the federated scenarios call ``run_round``. Everything after
+(sorted by client) that runs ``local_train`` each round and adopts the
+result as the global model, with no aggregation and no transport; the
+federated scenarios call ``run_round``. Everything after
 the step is shared: feedback, validation, the loss curve, best-round
 tracking, early stopping and test scoring, and every report comes from
 ``metrics.report_from_probabilities``.
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 import logging
 import random as _random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,6 +67,8 @@ from fedfall.secure_transport import FixedPointCodec, keygen
 logger = logging.getLogger(__name__)
 
 SCENARIOS = ("central", "fl_fedavg", "pfl_swa", "epfl_swa")
+# Where a scenario's training protocol departs from the caller's config.
+_SCENARIO_OVERRIDES = {"central": {"mu": 0.0, "client_epochs": 1}, "fl_fedavg": {"mu": 0.0}}
 
 VALIDATION_FRACTION = 0.15
 
@@ -150,6 +156,8 @@ def simulate_full(
     """Run one scenario end to end and return metrics plus diagnostics."""
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}; expected one of {SCENARIOS}")
+    fingerprint = config.fingerprint()
+    config = config.replace(**_SCENARIO_OVERRIDES.get(scenario, {}))
     client_ids = dataset.clients
     if not client_ids:
         raise ConfigError("dataset has no clients")
@@ -186,12 +194,9 @@ def simulate_full(
         )
 
     init = init_params(input_size, config.hidden_size, np.random.default_rng(ss_init))
-    round_cfg = config.round_config()
     threshold = config.classification_threshold
     central = scenario == "central"
     ensemble = scenario == "epfl_swa"
-    if scenario in ("central", "fl_fedavg"):
-        round_cfg = replace(round_cfg, mu=0.0)
 
     if central:
         pooled = [w for cid in sorted(train_by_client) for w in train_by_client[cid]]
@@ -205,7 +210,6 @@ def simulate_full(
             local_params=init.copy(),
             adam=None,
             rng=np.random.default_rng(client_seeds[i]),
-            epochs_per_round=1 if central else config.client_epochs,
         )
         for i, (cid, windows) in enumerate(members)
     ]
@@ -244,7 +248,7 @@ def simulate_full(
     for r in range(config.global_epochs):
         if central:
             (trainer,) = clients
-            update = local_train(trainer, global_vec, round_cfg)
+            update = local_train(trainer, global_vec, config)
             if update is None:
                 raise ConfigError("central scenario requires at least 2 pooled training windows")
             global_vec = update.params
@@ -253,7 +257,7 @@ def simulate_full(
                     "round": r,
                     "client": "central",
                     "loss": trainer.last_train_log["loss"],
-                    "epochs": 1,
+                    "epochs": update.epochs_trained,
                     "n_samples": update.sample_count,
                 }
             ]
@@ -265,7 +269,7 @@ def simulate_full(
             result = run_round(
                 global_vec,
                 clients,
-                round_cfg,
+                config,
                 strategy="fedavg" if scenario == "fl_fedavg" else "swa",
                 round_index=r,
                 transport=transport,
@@ -294,7 +298,7 @@ def simulate_full(
                     window = _make_monitor_window(base, c.client_id, r, rng)
                     batch, _ = stack_windows([window], dtype=COMPUTE_DTYPE)
                     prob = float(ensemble_predict(global_screen, local_screen, batch)[0])
-                    event = alert_and_feedback(c, window, prob, oracle, round_cfg, r)
+                    event = alert_and_feedback(c, window, prob, oracle, config, r)
                     if event is not None:
                         feedback_events.append(event)
                         alerts += 1
@@ -350,7 +354,7 @@ def simulate_full(
     )
     test_labels = {cid: _labels_of(dataset.test_by_client[cid]) for cid in test_probs}
     metrics = report_from_probabilities(
-        test_probs, test_labels, threshold, scenario, config.fingerprint(), config.seed
+        test_probs, test_labels, threshold, scenario, fingerprint, config.seed
     )
     return SimulationResult(
         metrics=metrics,

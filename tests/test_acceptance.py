@@ -23,7 +23,7 @@ from fedfall.aggregation import (
 )
 from fedfall.config import ExperimentConfig
 from fedfall.data.synthetic import make_separable_dataset, make_synthetic_dataset
-from fedfall.federation import ClientState, PrivateDataset, RoundConfig, local_train
+from fedfall.federation import ClientState, PrivateDataset, local_train
 from fedfall.metrics import compute_metrics, counts_from_predictions
 from fedfall.nn import (
     bce_loss,
@@ -94,7 +94,7 @@ def test_aggregation_oracle_equivalence():
     )
 
 
-def _trained_updates(seed: int, global_vec: np.ndarray, split, config: RoundConfig):
+def _trained_updates(seed: int, global_vec: np.ndarray, split, config: ExperimentConfig):
     root = np.random.SeedSequence(seed)
     updates = []
     for cid, child in zip(sorted(split.train_by_client), root.spawn(5)):
@@ -104,7 +104,6 @@ def _trained_updates(seed: int, global_vec: np.ndarray, split, config: RoundConf
             local_params=vector_to_params(global_vec.copy(), 9, 8),
             adam=None,
             rng=np.random.default_rng(child),
-            epochs_per_round=1,
         )
         updates.append(local_train(client, global_vec, config))
     return updates
@@ -121,9 +120,8 @@ def _pooled_test_loss(vec: np.ndarray, split) -> float:
 def test_swa_robustness_against_scaled_client():
     started = time.perf_counter()
     wins = 0
-    config = RoundConfig(
+    config = ExperimentConfig(
         global_epochs=1, client_epochs=1, batch_size=16, lr=0.01, mu=0.01,
-        swa=SwaConfig(),
     )
     for seed in range(10):
         split = make_separable_dataset(
@@ -159,9 +157,9 @@ def test_degeneracy_collapse_to_fedavg():
         seed=3, n_clients=4, train_per_client=32, test_per_client=4,
         window=8, features=9,
     )
-    config = RoundConfig(
+    config = ExperimentConfig(
         global_epochs=1, client_epochs=1, batch_size=16, lr=0.01, mu=0.0,
-        swa=SwaConfig(beta=0.1, alpha=1.0, mode="literal", trim_enabled=False),
+        beta=0.1, alpha=1.0, swa_mode="literal", trim_enabled=False,
     )
     global_vec = params_to_vector(init_params(9, 8, seed=11))
     root = np.random.SeedSequence(11)
@@ -173,11 +171,10 @@ def test_degeneracy_collapse_to_fedavg():
             local_params=vector_to_params(global_vec.copy(), 9, 8),
             adam=None,
             rng=np.random.default_rng(child),
-            epochs_per_round=1,  # equal epoch counts
         )
-        updates.append(local_train(client, global_vec, config))
+        updates.append(local_train(client, global_vec, config))  # equal epoch counts
     assert len({u.sample_count for u in updates}) == 1  # equal sample counts
-    gap = np.max(np.abs(swa_aggregate(global_vec, updates, config.swa) - fedavg(updates)))
+    gap = np.max(np.abs(swa_aggregate(global_vec, updates, config.swa_config()) - fedavg(updates)))
     ok = gap <= 1e-12
     _report("degeneracy-collapse", ok, f"L_inf gap {gap:.3e}")
     assert gap <= 1e-12

@@ -25,6 +25,20 @@ FAST = [
 ]
 
 
+# predictions.json files that evaluate must reject, by what is wrong
+PREDICTION_CORRUPTIONS = {
+    "not_json": "not json",
+    "not_an_object": "[1, 2]",
+    "no_clients": '{"threshold": 0.3}',
+    "clients_not_an_object": '{"threshold": 0.3, "clients": []}',
+    "no_threshold": '{"clients": {}}',
+    "threshold_not_a_number": '{"threshold": "high", "clients": {}}',
+    "client_not_an_object": '{"threshold": 0.3, "clients": {"A": [0.5]}}',
+    "no_probabilities": '{"threshold": 0.3, "clients": {"A": {"labels": [1]}}}',
+    "labels_not_a_list": '{"threshold": 0.3, "clients": {"A": {"probabilities": [0.5], "labels": 1}}}',
+}
+
+
 def run_train(tmp_path, extra=(), out_name="run", scenario="fl_fedavg"):
     out = tmp_path / out_name
     code = cli_main(
@@ -142,6 +156,19 @@ class TestEvaluate:
     def test_missing_predictions_file_is_runtime_error(self, tmp_path):
         assert cli_main(["evaluate", "--predictions", str(tmp_path / "none.json")]) == 2
 
+    @pytest.mark.parametrize("kind", sorted(PREDICTION_CORRUPTIONS))
+    def test_malformed_predictions_file_is_validation_error(self, tmp_path, capsys, kind):
+        bad = tmp_path / "predictions.json"
+        bad.write_text(PREDICTION_CORRUPTIONS[kind])
+        assert cli_main(["evaluate", "--predictions", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+    def test_threshold_flag_stands_in_for_a_missing_one(self, tmp_path, capsys):
+        saved = tmp_path / "predictions.json"
+        saved.write_text('{"clients": {"A": {"probabilities": [0.9, 0.1], "labels": [1, 0]}}}')
+        assert cli_main(["evaluate", "--predictions", str(saved), "--threshold", "0.5"]) == 0
+        assert json.loads(capsys.readouterr().out)["recall"] == 1.0
+
 
 class TestPrepareData:
     def test_synthetic_cache_roundtrip(self, tmp_path, capsys):
@@ -183,13 +210,24 @@ class TestPrepareData:
                     )
         csv_path = tmp_path / "raw.csv"
         csv_path.write_text("\n".join(rows) + "\n")
-        cache = tmp_path / "real.npz"
-        code = cli_main(
-            ["prepare-data", "--csv", str(csv_path), "--out", str(cache),
-             "--set", "window=8", "--set", "stride=4"]
-        )
-        assert code == 0
-        assert cache.exists()
+        # the CSV comes from --csv or, failing that, the config's data_path
+        for name, source in (
+            ("flag.npz", ["--csv", str(csv_path)]),
+            ("config.npz", ["--set", f"data_path={csv_path}"]),
+        ):
+            cache = tmp_path / name
+            code = cli_main(
+                ["prepare-data", "--out", str(cache), "--set", "window=8", "--set", "stride=4"]
+                + source
+            )
+            assert code == 0
+            assert cache.exists()
+
+    def test_requires_a_data_source(self, tmp_path, capsys):
+        code = cli_main(["prepare-data", "--out", str(tmp_path / "c.npz")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert all(name in err for name in ("--csv", "--synthetic", "data_path"))
 
 
 class TestSweep:
@@ -289,6 +327,20 @@ class TestExitCodes:
              "--out", str(tmp_path / "x"), "--set", "hidden_size"]
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gradcheck", "--models", "0"],
+            ["gradcheck", "--coords", "0"],
+            ["secure-demo", "--dim", "0"],
+            ["secure-demo", "--clients", "-1"],
+        ],
+        ids=lambda argv: argv[1],
+    )
+    def test_count_below_one_is_usage_error(self, capsys, argv):
+        assert cli_main(argv) == 1
+        assert f"argument {argv[1]}: must be an integer >= 1" in capsys.readouterr().err
 
     def test_missing_csv_is_runtime_error(self, tmp_path):
         code = cli_main(

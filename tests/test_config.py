@@ -42,15 +42,6 @@ class TestDefaults:
         assert cfg.clip_range == 100.0
         assert cfg.seed == 0
 
-    def test_round_config_mirrors_fields(self):
-        cfg = ExperimentConfig(lr=0.02, mu=0.5, client_epochs=3)
-        rc = cfg.round_config()
-        assert rc.lr == 0.02
-        assert rc.mu == 0.5
-        assert rc.client_epochs == 3
-        assert rc.swa.beta == cfg.beta
-        assert rc.swa.alpha == cfg.alpha
-
     def test_swa_config_mirrors_fields(self):
         sc = ExperimentConfig(beta=0.2, alpha=0.5, swa_mode="literal", trim_enabled=False).swa_config()
         assert (sc.beta, sc.alpha, sc.mode, sc.trim_enabled) == (0.2, 0.5, "literal", False)
@@ -91,6 +82,8 @@ class TestDefaults:
             {"fixed_point_bits": 1100},
             {"clip_range": 1e300},
             {"clip_range": float("inf")},
+            {"classification_threshold": 1.0},
+            {"alert_threshold": 1.2},
         ],
     )
     def test_field_validation(self, kw):

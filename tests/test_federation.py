@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedfall.aggregation import SwaConfig
+from fedfall.config import ExperimentConfig
 from fedfall.errors import (
     AggregationInfeasibleError,
     ConfigError,
@@ -17,7 +17,6 @@ from fedfall.federation import (
     ClientState,
     FeedbackEvent,
     PrivateDataset,
-    RoundConfig,
     TransportConfig,
     alert_and_feedback,
     client_scope,
@@ -65,14 +64,13 @@ def make_windows(n, seed=0, labels=None):
     return out
 
 
-def make_client(cid="A", n_windows=8, seed=0, data_seed=0, epochs=1):
+def make_client(cid="A", n_windows=8, seed=0, data_seed=0):
     return ClientState(
         client_id=cid,
         dataset=PrivateDataset(cid, make_windows(n_windows, seed=data_seed)),
         local_params=init_params(F, H, seed),
         adam=None,
         rng=np.random.default_rng(seed),
-        epochs_per_round=epochs,
     )
 
 
@@ -83,10 +81,9 @@ def small_config(**kw):
         batch_size=4,
         lr=0.01,
         mu=0.01,
-        swa=SwaConfig(),
     )
     defaults.update(kw)
-    return RoundConfig(**defaults)
+    return ExperimentConfig(**defaults)
 
 
 class TestPrivateDataset:
@@ -134,7 +131,7 @@ class TestPrivateDataset:
 
 class TestLocalTrain:
     def test_returns_update_with_counts(self):
-        client = make_client(epochs=3)
+        client = make_client()
         cfg = small_config(client_epochs=3)
         update = local_train(client, params_to_vector(client.local_params), cfg)
         assert update.client_id == "A"
@@ -153,7 +150,6 @@ class TestLocalTrain:
                 local_params=init_params(F, H, 0),
                 adam=None,
                 rng=np.random.default_rng(0),
-                epochs_per_round=1,
             )
             with caplog.at_level(logging.WARNING):
                 assert local_train(client, params_to_vector(client.local_params), small_config()) is None
@@ -200,7 +196,7 @@ class TestLocalTrain:
     def test_mu_zero_equals_plain_bce_training(self):
         """With no penalty the loop is exactly minibatch Adam on BCE."""
         cfg = small_config(mu=0.0, client_epochs=2, batch_size=4, lr=0.01)
-        client = make_client(seed=5, data_seed=7, epochs=2)
+        client = make_client(seed=5, data_seed=7)
         global_vec = params_to_vector(init_params(F, H, 99))
         update = local_train(client, global_vec, cfg)
 
@@ -212,7 +208,7 @@ class TestLocalTrain:
     def test_in_place_penalty_equals_fedprox_penalty(self):
         """The in-place proximal term is bit-identical to ``fedprox_penalty``."""
         cfg = small_config(mu=0.5, client_epochs=2, batch_size=4, lr=0.01)
-        client = make_client(seed=5, data_seed=7, epochs=2)
+        client = make_client(seed=5, data_seed=7)
         global_vec = params_to_vector(init_params(F, H, 99))
         update = local_train(client, global_vec, cfg)
 
@@ -226,7 +222,6 @@ class TestLocalTrain:
     def test_huge_mu_pins_trainable_params_to_global(self):
         cfg = small_config(mu=1e6, client_epochs=2, batch_size=4, lr=1e-4)
         client = make_client(seed=3)
-        client.epochs_per_round = 2
         global_vec = params_to_vector(client.local_params)  # start at the anchor
         update = local_train(client, global_vec, cfg)
         mask = manifest_for(F, H).trainable_mask()
@@ -298,7 +293,6 @@ def zeroed_client(cid, labels, seed=0):
         local_params=params,
         adam=None,
         rng=np.random.default_rng(seed),
-        epochs_per_round=1,
     )
 
 
@@ -557,48 +551,3 @@ class TestEarlyStop:
     def test_patience_validated(self):
         with pytest.raises(ValueError):
             early_stop_check([0.5], 0)
-
-
-class TestRoundConfig:
-    def test_reference_defaults(self):
-        cfg = RoundConfig()
-        assert cfg.global_epochs == 60
-        assert cfg.client_epochs == 30
-        assert cfg.batch_size == 32
-        assert cfg.lr == 0.001
-        assert cfg.mu == 0.01
-        assert cfg.classification_threshold == 0.3
-        assert cfg.alert_threshold == 0.4
-        assert cfg.early_stop_patience == 10
-
-    @pytest.mark.parametrize(
-        "kw",
-        [
-            {"classification_threshold": 0.0},
-            {"classification_threshold": 1.0},
-            {"alert_threshold": 1.2},
-            {"global_epochs": 0},
-            {"client_epochs": 0},
-            {"batch_size": 0},
-            {"early_stop_patience": 0},
-            {"lr": 0.0},
-            {"mu": -0.1},
-            {"batch_size": 1},
-            {"lr": float("nan")},
-            {"mu": float("nan")},
-        ],
-    )
-    def test_invalid_values_rejected(self, kw):
-        with pytest.raises(ConfigError):
-            RoundConfig(**kw)
-
-    def test_client_state_requires_positive_epochs(self):
-        with pytest.raises(ValueError):
-            ClientState(
-                client_id="A",
-                dataset=PrivateDataset("A", []),
-                local_params=init_params(F, H, 0),
-                adam=None,
-                rng=np.random.default_rng(0),
-                epochs_per_round=0,
-            )

@@ -273,12 +273,16 @@ class TestValidationSplit:
 
 class TestCentralPath:
     def test_central_ignores_federation_knobs(self, dataset):
-        # mu and aggregation settings must not matter when pooling
-        a = simulate_full(dataset, fast_config(mu=0.01), "central")
-        b = simulate_full(dataset, fast_config(mu=0.9), "central")
-        np.testing.assert_array_equal(
-            params_to_vector(a.global_params), params_to_vector(b.global_params)
-        )
+        # mu, local epochs and aggregation settings must not matter when
+        # pooling: central trains one plain epoch per round
+        a = simulate_full(dataset, fast_config(mu=0.01, client_epochs=1), "central")
+        for knobs in ({"mu": 0.9}, {"client_epochs": 3}):
+            b = simulate_full(dataset, fast_config(**knobs), "central")
+            np.testing.assert_array_equal(
+                params_to_vector(a.global_params), params_to_vector(b.global_params)
+            )
+            # the report names the config the caller passed
+            assert b.metrics.config_fingerprint == fast_config(**knobs).fingerprint()
 
     def test_central_trains_one_model_for_all_clients(self, dataset):
         result = simulate_full(dataset, fast_config(), "central")
