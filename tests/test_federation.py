@@ -551,3 +551,39 @@ class TestEarlyStop:
     def test_patience_validated(self):
         with pytest.raises(ValueError):
             early_stop_check([0.5], 0)
+
+
+class TestRoundConfig:
+    """The round protocol the federation reads off ``ExperimentConfig``."""
+
+    def test_reference_defaults(self):
+        cfg = ExperimentConfig()
+        assert cfg.global_epochs == 60
+        assert cfg.client_epochs == 30
+        assert cfg.batch_size == 32
+        assert cfg.lr == 0.001
+        assert cfg.mu == 0.01
+        assert cfg.classification_threshold == 0.3
+        assert cfg.alert_threshold == 0.4
+        assert cfg.early_stop_patience == 10
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"classification_threshold": 0.0},
+            {"classification_threshold": 1.0},
+            {"alert_threshold": 1.2},
+            {"global_epochs": 0},
+            {"client_epochs": 0},
+            {"batch_size": 0},
+            {"early_stop_patience": 0},
+            {"lr": 0.0},
+            {"mu": -0.1},
+            {"batch_size": 1},
+            {"lr": float("nan")},
+            {"mu": float("nan")},
+        ],
+    )
+    def test_invalid_values_rejected(self, kw):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**kw)
