@@ -70,6 +70,17 @@ def _count(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of --tol: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 def _add_config_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument(
@@ -250,6 +261,8 @@ def _sweep_values(spec: str) -> tuple[str, list[float]]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise ConfigError(f"--param grid must be numeric, got {grid!r}") from None
+    if not np.isfinite([start, stop, step]).all():
+        raise ConfigError(f"--param grid must be finite, got {grid!r}")
     if step <= 0 or stop < start:
         raise ConfigError(f"--param grid must satisfy start <= stop, step > 0, got {grid!r}")
     values = []
@@ -382,9 +395,9 @@ def build_parser() -> _Parser:
     _add_config_options(p)
     p.add_argument("--models", type=_count, default=20)
     p.add_argument("--coords", type=_count, default=25, help="coordinates sampled per model")
-    p.add_argument("--timesteps", type=int, default=5)
-    p.add_argument("--features", type=int, default=3)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--timesteps", type=_count, default=5)
+    p.add_argument("--features", type=_count, default=3)
+    p.add_argument("--tol", type=_tolerance, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

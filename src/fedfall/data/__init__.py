@@ -8,8 +8,6 @@ from fedfall.data.ldpa import (
     CHEST_TAG,
     FALL_ACTIVITY,
     SENSOR_LOCATIONS,
-    ColumnMap,
-    MergedRecord,
     ParseResult,
     RawRecord,
     align_and_merge,
@@ -21,12 +19,7 @@ from fedfall.data.pipeline import PrepareStats, prepare_dataset
 from fedfall.data.smote import smote_oversample
 from fedfall.data.split import DatasetSplit, split_train_test
 from fedfall.data.synthetic import make_separable_dataset, make_synthetic_dataset
-from fedfall.data.windows import (
-    SequenceWindow,
-    expected_window_count,
-    stack_windows,
-    window_segments,
-)
+from fedfall.data.windows import SequenceWindow, stack_windows, window_segments
 
 __all__ = [
     "ACTIVITIES",
@@ -35,15 +28,12 @@ __all__ = [
     "CHEST_TAG",
     "FALL_ACTIVITY",
     "SENSOR_LOCATIONS",
-    "ColumnMap",
     "DatasetSplit",
-    "MergedRecord",
     "ParseResult",
     "PrepareStats",
     "RawRecord",
     "SequenceWindow",
     "align_and_merge",
-    "expected_window_count",
     "group_by_sequence",
     "individual_of",
     "load_dataset",

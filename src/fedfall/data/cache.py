@@ -9,6 +9,7 @@ nothing after them.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,8 @@ def _window_block(windows: list[SequenceWindow]) -> bytes:
     return np.stack([w.values for w in windows]).astype("<f8").tobytes()
 
 
-def save_dataset(path, split: DatasetSplit, write_summary: bool = True) -> None:
+def save_dataset(path, split: DatasetSplit) -> None:
+    """Write the cache to ``path`` and its summary to ``path.summary.txt``."""
     path = Path(path)
     for name, group in (("train", split.train), ("test", split.test)):
         if group:
@@ -50,21 +52,23 @@ def save_dataset(path, split: DatasetSplit, write_summary: bool = True) -> None:
         fh.write(blob)
         fh.write(_window_block(split.train))
         fh.write(_window_block(split.test))
-    if write_summary:
-        Path(str(path) + ".summary.txt").write_text(summary_text(split), encoding="utf-8")
+    Path(str(path) + ".summary.txt").write_text(summary_text(split), encoding="utf-8")
 
 
 _HEADER_KEYS = (
     "window", "features", "n_train", "n_test",
     "train_labels", "test_labels", "train_origins", "test_origins",
 )
+# The header's sizes and the least value each may take.
+_HEADER_SIZES = (("window", 1), ("features", 1), ("n_train", 0), ("n_test", 0))
 
 
-def _read_block(fh, count: int, t: int, f: int, path) -> np.ndarray:
-    raw = fh.read(count * t * f * 8)
-    if len(raw) != count * t * f * 8:
+def _read_exact(fh, size: int, path) -> bytes:
+    """Read ``size`` bytes, first checking that the file still holds them,
+    so that a corrupt size in the header cannot force a huge allocation."""
+    if size > os.fstat(fh.fileno()).st_size - fh.tell():
         raise ValueError(f"{path}: truncated dataset cache")
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(count, t, f)
+    return fh.read(size)
 
 
 def _window_meta(path, name: str, i: int, label, origin) -> tuple[int, tuple[str, str, int]]:
@@ -87,14 +91,16 @@ def _window_meta(path, name: str, i: int, label, origin) -> tuple[int, tuple[str
 def load_dataset(path) -> DatasetSplit:
     """Read a cache written by ``save_dataset``; raise ValueError naming
     ``path`` on any other file, including a header that lacks a key, whose
-    label and origin lists disagree with its window counts, or that holds a
-    label other than 0/1 or an origin that is not [str, str, int]."""
+    sizes are not integers in range, whose labels and origins are not lists
+    as long as its window counts, or that holds a label other than 0/1 or an
+    origin that is not [str, str, int]."""
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
             raise ValueError(f"{path}: not a dataset cache")
         hlen = int.from_bytes(fh.read(4), "little")
+        blob = _read_exact(fh, hlen, path)
         try:
-            header = json.loads(fh.read(hlen).decode("utf-8"))
+            header = json.loads(blob.decode("utf-8"))
         except ValueError as exc:
             raise ValueError(f"{path}: unreadable cache header ({exc})") from None
         if not isinstance(header, dict):
@@ -102,17 +108,25 @@ def load_dataset(path) -> DatasetSplit:
         missing = [k for k in _HEADER_KEYS if k not in header]
         if missing:
             raise ValueError(f"{path}: cache header lacks {', '.join(missing)}")
+        for key, least in _HEADER_SIZES:
+            if type(header[key]) is not int or header[key] < least:
+                raise ValueError(
+                    f"{path}: cache header {key} is {header[key]!r}, not an integer >= {least}"
+                )
         t, f = header["window"], header["features"]
         groups = {}
         for name in ("train", "test"):
             n = header[f"n_{name}"]
             labels, origins = header[f"{name}_labels"], header[f"{name}_origins"]
+            if not (isinstance(labels, list) and isinstance(origins, list)):
+                raise ValueError(f"{path}: {name}_labels and {name}_origins must be lists")
             if len(labels) != n or len(origins) != n:
                 raise ValueError(
                     f"{path}: n_{name} = {n} but {len(labels)} labels and {len(origins)} origins"
                 )
             meta = [_window_meta(path, name, i, labels[i], origins[i]) for i in range(n)]
-            values = _read_block(fh, n, t, f, path)
+            raw = _read_exact(fh, n * t * f * 8, path)
+            values = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(n, t, f)
             groups[name] = [
                 SequenceWindow(values=values[i], label=label, origin=origin)
                 for i, (label, origin) in enumerate(meta)

@@ -6,8 +6,9 @@ reading with a sequence name (individual letter + sequence number, e.g.
 three position coordinates, and an activity label.
 
 Alignment merges the three body locations (one ankle, chest, belt) into
-9-feature records. Streams of unequal length are cut to the shortest by
-seeded random subsampling that preserves temporal order.
+one (n, 9) array of positions and an (n,) array of fall labels. Streams of
+unequal length are cut to the shortest by seeded random subsampling that
+preserves temporal order.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fedfall.errors import ConfigError, MissingSensorError
+from fedfall.errors import MissingSensorError
 
 logger = logging.getLogger(__name__)
 
@@ -59,53 +60,6 @@ class RawRecord:
     activity: str
 
 
-@dataclass(frozen=True)
-class MergedRecord:
-    """One aligned time step: ankle, chest, belt position triples."""
-
-    values: tuple[float, ...]  # 9 reals: ankle xyz, chest xyz, belt xyz
-    label: int  # 1 iff any contributing sensor reading was a fall
-
-    def __post_init__(self):
-        if len(self.values) != 9:
-            raise ValueError(f"merged record needs 9 values, got {len(self.values)}")
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label}")
-
-
-@dataclass(frozen=True)
-class ColumnMap:
-    """Zero-based column indices of the 8 fields in the CSV."""
-
-    sequence_name: int = 0
-    sensor_tag: int = 1
-    timestamp: int = 2
-    date: int = 3
-    x: int = 4
-    y: int = 5
-    z: int = 6
-    activity: int = 7
-
-    def indices(self) -> dict[str, int]:
-        return {
-            "sequence_name": self.sequence_name,
-            "sensor_tag": self.sensor_tag,
-            "timestamp": self.timestamp,
-            "date": self.date,
-            "x": self.x,
-            "y": self.y,
-            "z": self.z,
-            "activity": self.activity,
-        }
-
-    def __post_init__(self):
-        idx = self.indices()
-        if any(v < 0 for v in idx.values()):
-            raise ConfigError("column indices must be non-negative")
-        if len(set(idx.values())) != len(idx):
-            raise ConfigError("column indices must be distinct")
-
-
 @dataclass
 class ParseResult:
     records: list[RawRecord]
@@ -117,14 +71,14 @@ def individual_of(sequence_name: str) -> str:
     return sequence_name[:1].upper()
 
 
-def parse_ldpa_csv(path, column_map: ColumnMap | None = None) -> ParseResult:
+def parse_ldpa_csv(path) -> ParseResult:
     """Read raw records in file order; malformed rows are counted, not fatal.
 
-    A first row that does not parse is treated as an optional header. Rows
-    with unknown sensor tags or activity labels count as malformed.
+    Each row holds, in this order: sequence name, sensor tag, timestamp,
+    date, x, y, z, activity; columns after the eighth are ignored. A first
+    row that does not parse is treated as an optional header. Rows with
+    unknown sensor tags or activity labels count as malformed.
     """
-    cmap = column_map or ColumnMap()
-    needed = max(cmap.indices().values()) + 1
     records: list[RawRecord] = []
     malformed = 0
     with open(path, "r", encoding="utf-8") as fh:
@@ -134,24 +88,14 @@ def parse_ldpa_csv(path, column_map: ColumnMap | None = None) -> ParseResult:
                 continue
             parts = [p.strip() for p in line.split(",")]
             try:
-                if len(parts) < needed:
-                    raise ValueError(f"only {len(parts)} columns, need {needed}")
-                tag = parts[cmap.sensor_tag]
+                if len(parts) < 8:
+                    raise ValueError(f"only {len(parts)} columns, need 8")
+                seq, tag, ts, date, x, y, z, activity = parts[:8]
                 if tag not in SENSOR_LOCATIONS:
                     raise ValueError(f"unknown sensor tag {tag!r}")
-                activity = parts[cmap.activity]
                 if activity not in ACTIVITIES:
                     raise ValueError(f"unknown activity {activity!r}")
-                rec = RawRecord(
-                    sequence_name=parts[cmap.sequence_name],
-                    sensor_tag=tag,
-                    timestamp=int(parts[cmap.timestamp]),
-                    date=parts[cmap.date],
-                    x=float(parts[cmap.x]),
-                    y=float(parts[cmap.y]),
-                    z=float(parts[cmap.z]),
-                    activity=activity,
-                )
+                rec = RawRecord(seq, tag, int(ts), date, float(x), float(y), float(z), activity)
             except ValueError as err:
                 if lineno == 0:
                     continue  # optional header row
@@ -171,14 +115,19 @@ def _subsample_preserving_order(stream: list[RawRecord], length: int, rng: np.ra
     return [stream[i] for i in keep]
 
 
-def align_and_merge(records: list[RawRecord], rng: np.random.Generator) -> list[MergedRecord]:
-    """Merge one sequence's sensor streams into 9-feature records.
+def align_and_merge(
+    records: list[RawRecord], rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Merge one sequence's sensor streams into ``(values, labels)``.
+
+    ``values`` is an (n, 9) float64 array of ankle, chest and belt xyz per
+    time step; ``labels`` is the (n,) int64 array of fall labels.
 
     Uses whichever ankle stream has more records (ties go to the
     lexicographically smaller tag), requires chest and belt, cuts all three
     streams to the shortest length by order-preserving random subsampling,
-    and pairs them up positionally. A merged record is labeled 1 when any
-    of its three source readings was a fall.
+    and pairs them up positionally. A time step is labeled 1 when any of
+    its three source readings was a fall.
     """
     by_tag: dict[str, list[RawRecord]] = {}
     for rec in records:
@@ -201,13 +150,9 @@ def align_and_merge(records: list[RawRecord], rng: np.random.Generator) -> list[
     length = min(len(ankle), len(chest), len(belt))
     streams = [_subsample_preserving_order(s, length, rng) for s in (ankle, chest, belt)]
 
-    merged = []
-    for a, c, b in zip(*streams):
-        label = int(any(r.activity == FALL_ACTIVITY for r in (a, c, b)))
-        merged.append(
-            MergedRecord(values=(a.x, a.y, a.z, c.x, c.y, c.z, b.x, b.y, b.z), label=label)
-        )
-    return merged
+    values = np.hstack([[(r.x, r.y, r.z) for r in s] for s in streams], dtype=np.float64)
+    falls = np.array([[r.activity == FALL_ACTIVITY for r in s] for s in streams])
+    return values, falls.any(axis=0).astype(np.int64)
 
 
 def group_by_sequence(records: list[RawRecord]) -> dict[str, list[RawRecord]]:

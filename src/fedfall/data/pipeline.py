@@ -8,12 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fedfall.data.cache import save_dataset
-from fedfall.data.ldpa import (
-    ColumnMap,
-    align_and_merge,
-    group_by_sequence,
-    parse_ldpa_csv,
-)
+from fedfall.data.ldpa import align_and_merge, group_by_sequence, parse_ldpa_csv
 from fedfall.data.split import DatasetSplit, split_train_test
 from fedfall.data.windows import window_segments
 from fedfall.errors import MissingSensorError
@@ -35,7 +30,6 @@ def prepare_dataset(
     window: int = 20,
     stride: int = 1,
     seed: int = 0,
-    column_map: ColumnMap | None = None,
     cache_path=None,
 ) -> tuple[DatasetSplit, PrepareStats]:
     """Parse, align, window, and split; optionally write the binary cache.
@@ -44,7 +38,7 @@ def prepare_dataset(
     than failing the run. Oversampling is not applied here; it happens per
     client at training time so the test set stays untouched.
     """
-    parsed = parse_ldpa_csv(csv_path, column_map)
+    parsed = parse_ldpa_csv(csv_path)
     by_seq = group_by_sequence(parsed.records)
     root = np.random.SeedSequence(seed)
     windows_by_sequence = {}
@@ -52,13 +46,13 @@ def prepare_dataset(
     for seq_name, seq_seed in zip(sorted(by_seq), root.spawn(len(by_seq))):
         rng = np.random.default_rng(seq_seed)
         try:
-            merged = align_and_merge(by_seq[seq_name], rng)
+            values, labels = align_and_merge(by_seq[seq_name], rng)
         except MissingSensorError as err:
             logger.warning("sequence %s skipped: %s", seq_name, err)
             skipped.append(seq_name)
             continue
         windows_by_sequence[seq_name] = window_segments(
-            merged, window=window, stride=stride, sequence_name=seq_name
+            values, labels, window=window, stride=stride, sequence_name=seq_name
         )
     split = split_train_test(windows_by_sequence)
     stats = PrepareStats(

@@ -22,39 +22,26 @@ class DatasetSplit:
         return sorted(self.train_by_client)
 
 
-def split_train_test(
-    windows_by_sequence: dict[str, list[SequenceWindow]],
-    test_sequence: dict[str, str] | None = None,
-) -> DatasetSplit:
-    """Hold out one whole sequence per individual.
+def split_train_test(windows_by_sequence: dict[str, list[SequenceWindow]]) -> DatasetSplit:
+    """Hold out each individual's highest-numbered sequence for testing.
 
-    ``test_sequence`` optionally names the held-out sequence per
-    individual; the default is the highest-numbered one. Because the split
+    Every individual needs at least two sequences. Because the split
     happens at sequence level, no window can straddle it.
     """
     by_individual: dict[str, list[str]] = {}
     for seq_name in windows_by_sequence:
         by_individual.setdefault(individual_of(seq_name), []).append(seq_name)
 
-    chosen: dict[str, str] = {}
+    split = DatasetSplit(train=[], test=[])
     for ind, seqs in sorted(by_individual.items()):
         if len(seqs) < 2:
             raise ValueError(f"individual {ind!r} has {len(seqs)} sequence(s); need at least 2")
-        if test_sequence and ind in test_sequence:
-            pick = test_sequence[ind]
-            if pick not in seqs:
-                raise ValueError(f"test sequence {pick!r} not found for individual {ind!r}")
-        else:
-            pick = max(seqs)
-        chosen[ind] = pick
-
-    split = DatasetSplit(train=[], test=[])
-    for ind, seqs in sorted(by_individual.items()):
+        held_out = max(seqs)
         split.train_by_client[ind] = []
         split.test_by_client[ind] = []
         for seq_name in sorted(seqs):
             windows = windows_by_sequence[seq_name]
-            if seq_name == chosen[ind]:
+            if seq_name == held_out:
                 split.test.extend(windows)
                 split.test_by_client[ind].extend(windows)
             else:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from fedfall.data.ldpa import FALL_ACTIVITY, MergedRecord
 from fedfall.data.split import DatasetSplit, split_train_test
 from fedfall.data.windows import SequenceWindow, window_segments
 
@@ -34,8 +33,11 @@ def _synthetic_sequence(
     length: int,
     motif_len: int,
     rng: np.random.Generator,
-) -> list[MergedRecord]:
-    """Smooth noise around the client baseline with one fall transient."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Smooth noise around the client baseline with one fall transient.
+
+    Returns the (length, 9) values and the (length,) 0/1 labels.
+    """
     drift_freq = rng.uniform(0.002, 0.01, size=9)
     drift_phase = rng.uniform(0, 2 * np.pi, size=9)
     t = np.arange(length)[:, None]
@@ -45,7 +47,7 @@ def _synthetic_sequence(
         + rng.normal(0.0, 0.25, size=(length, 9))
     ) * profile["scale"]
 
-    labels = np.zeros(length, dtype=int)
+    labels = np.zeros(length, dtype=np.int64)
     pos = int(rng.integers(0, length - motif_len))
     # lean-in and recovery shoulders around a full-amplitude impact core;
     # only the impact rows carry the fall label, so every positive window
@@ -60,10 +62,7 @@ def _synthetic_sequence(
     base[pos : pos + motif_len, 8] -= 0.4 * profile["motif_amp"] * ramp
     labels[pos + core_lo : pos + core_hi] = 1
 
-    return [
-        MergedRecord(values=tuple(base[i].tolist()), label=int(labels[i]))
-        for i in range(length)
-    ]
+    return base, labels
 
 
 def make_synthetic_dataset(
@@ -92,9 +91,9 @@ def make_synthetic_dataset(
         profile = _client_profile(crng)
         for si in range(1, sequences_per_client + 1):
             seq_name = f"{cid}{si:02d}"
-            series = _synthetic_sequence(profile, sequence_length, motif_len, crng)
+            values, labels = _synthetic_sequence(profile, sequence_length, motif_len, crng)
             windows_by_sequence[seq_name] = window_segments(
-                series, window=window, stride=stride, sequence_name=seq_name
+                values, labels, window=window, stride=stride, sequence_name=seq_name
             )
     return split_train_test(windows_by_sequence)
 

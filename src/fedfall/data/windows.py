@@ -1,4 +1,9 @@
-"""Sliding-window segmentation of merged sequences."""
+"""Sliding-window segmentation of aligned sequences.
+
+A sequence is an (n, F) array of per-time-step features with an (n,)
+array of 0/1 labels, as ``align_and_merge`` and the synthetic generator
+produce them.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fedfall.data.ldpa import MergedRecord, individual_of
+from fedfall.data.ldpa import individual_of
 
 
 @dataclass(frozen=True)
@@ -33,39 +38,32 @@ class SequenceWindow:
 
 
 def window_segments(
-    series: list[MergedRecord],
+    values: np.ndarray,
+    labels: np.ndarray,
     window: int,
     stride: int,
     sequence_name: str = "",
 ) -> list[SequenceWindow]:
-    """Windows at starts 0, stride, 2*stride, ... while start+window <= len.
+    """Windows at starts 0, stride, 2*stride, ... while start+window <= n.
 
-    A window is labeled 1 when any record inside it is labeled 1.
+    ``values`` is the (n, F) sequence and ``labels`` its (n,) time-step
+    labels. A window is labeled 1 when any time step inside it is labeled 1.
     """
     if window < 1 or stride < 1:
         raise ValueError(f"window and stride must be >= 1, got {window}, {stride}")
-    n = len(series)
-    if n < window:
-        return []
-    values = np.array([rec.values for rec in series], dtype=np.float64)
-    labels = np.array([rec.label for rec in series], dtype=np.int64)
-    individual = individual_of(sequence_name) if sequence_name else ""
-    out = []
-    for start in range(0, n - window + 1, stride):
-        out.append(
-            SequenceWindow(
-                values=values[start : start + window].copy(),
-                label=int(labels[start : start + window].any()),
-                origin=(individual, sequence_name, start),
-            )
+    if values.ndim != 2:
+        raise ValueError(f"sequence values must be n x F, got shape {values.shape}")
+    if len(labels) != len(values):
+        raise ValueError(f"{len(labels)} labels for {len(values)} time steps")
+    individual = individual_of(sequence_name)
+    return [
+        SequenceWindow(
+            values=values[start : start + window].copy(),
+            label=int(labels[start : start + window].any()),
+            origin=(individual, sequence_name, start),
         )
-    return out
-
-
-def expected_window_count(length: int, window: int, stride: int) -> int:
-    if length < window:
-        return 0
-    return (length - window) // stride + 1
+        for start in range(0, len(values) - window + 1, stride)
+    ]
 
 
 def stack_windows(

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import fedfall
-from fedfall.cli import cli_main
+from fedfall.cli import _sweep_values, cli_main
+from fedfall.errors import ConfigError
 from fedfall.simulate import SCENARIOS
 from test_data_windows import CACHE_CORRUPTIONS
 
@@ -281,6 +282,13 @@ class TestSweep:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "grid", ["0:nan:0.1", "0:inf:1", "nan:1:0.1", "-inf:0:1", "0:1:nan", "0:1:inf"]
+    )
+    def test_non_finite_grid_rejected(self, grid):
+        with pytest.raises(ConfigError, match="finite"):
+            _sweep_values(f"lr={grid}")
+
 
 class TestSecureDemoAndGradcheck:
     def test_secure_demo_small_key(self, capsys):
@@ -333,6 +341,8 @@ class TestExitCodes:
         [
             ["gradcheck", "--models", "0"],
             ["gradcheck", "--coords", "0"],
+            ["gradcheck", "--timesteps", "0"],
+            ["gradcheck", "--features", "0"],
             ["secure-demo", "--dim", "0"],
             ["secure-demo", "--clients", "-1"],
         ],
@@ -341,6 +351,11 @@ class TestExitCodes:
     def test_count_below_one_is_usage_error(self, capsys, argv):
         assert cli_main(argv) == 1
         assert f"argument {argv[1]}: must be an integer >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "tiny"])
+    def test_bad_tolerance_is_usage_error(self, capsys, tol):
+        assert cli_main(["gradcheck", "--models", "1", "--tol", tol]) == 1
+        assert "argument --tol: must be a finite number > 0" in capsys.readouterr().err
 
     def test_missing_csv_is_runtime_error(self, tmp_path):
         code = cli_main(

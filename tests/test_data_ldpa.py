@@ -8,14 +8,13 @@ from fedfall.data import (
     BELT_TAG,
     CHEST_TAG,
     SENSOR_LOCATIONS,
-    ColumnMap,
     RawRecord,
     align_and_merge,
     group_by_sequence,
     individual_of,
     parse_ldpa_csv,
 )
-from fedfall.errors import ConfigError, MissingSensorError
+from fedfall.errors import MissingSensorError
 
 LEFT, RIGHT = ANKLE_TAGS
 
@@ -84,22 +83,6 @@ class TestParse:
         with pytest.raises(OSError):
             parse_ldpa_csv(tmp_path / "nope.csv")
 
-    def test_custom_column_order(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text(f"walking,{LEFT},A07,9,d,1.5,2.5,3.5\n")
-        cmap = ColumnMap(
-            activity=0, sensor_tag=1, sequence_name=2, timestamp=3, date=4, x=5, y=6, z=7
-        )
-        result = parse_ldpa_csv(path, cmap)
-        assert result.records[0].sequence_name == "A07"
-        assert result.records[0].x == 1.5
-
-    def test_bad_column_map(self):
-        with pytest.raises(ConfigError):
-            ColumnMap(x=4, y=4)
-        with pytest.raises(ConfigError):
-            ColumnMap(sequence_name=-1)
-
     def test_individual_of(self):
         assert individual_of("A01") == "A"
         assert individual_of("e05") == "E"
@@ -112,11 +95,12 @@ class TestAlignAndMerge:
             records.append(rec(tag=LEFT, ts=t, x=float(t)))
             records.append(rec(tag=CHEST_TAG, ts=t, y=10.0 + t))
             records.append(rec(tag=BELT_TAG, ts=t, z=20.0 + t))
-        merged = align_and_merge(records, np.random.default_rng(0))
-        assert len(merged) == 5
-        assert merged[3].values[0] == 3.0  # ankle x
-        assert merged[3].values[4] == 13.0  # chest y
-        assert merged[3].values[8] == 23.0  # belt z
+        values, labels = align_and_merge(records, np.random.default_rng(0))
+        assert values.shape == (5, 9) and values.dtype == np.float64
+        assert labels.shape == (5,) and labels.dtype == np.int64
+        assert values[3, 0] == 3.0  # ankle x
+        assert values[3, 4] == 13.0  # chest y
+        assert values[3, 8] == 23.0  # belt z
 
     def test_truncation_to_shortest(self):
         records = (
@@ -124,8 +108,9 @@ class TestAlignAndMerge:
             + [rec(tag=CHEST_TAG, ts=t) for t in range(12)]
             + [rec(tag=BELT_TAG, ts=t) for t in range(15)]
         )
-        merged = align_and_merge(records, np.random.default_rng(1))
-        assert len(merged) == 10
+        values, labels = align_and_merge(records, np.random.default_rng(1))
+        assert values.shape == (10, 9)
+        assert labels.shape == (10,)
 
     def test_subsampling_preserves_order(self):
         # encode the timestamp in a coordinate to observe survivor order
@@ -135,9 +120,9 @@ class TestAlignAndMerge:
             + [rec(tag=BELT_TAG, ts=t, x=float(t)) for t in range(40)]
         )
         for seed in range(10):
-            merged = align_and_merge(records, np.random.default_rng(seed))
-            chest_ts = [m.values[3] for m in merged]
-            belt_ts = [m.values[6] for m in merged]
+            values, _ = align_and_merge(records, np.random.default_rng(seed))
+            chest_ts = values[:, 3].tolist()
+            belt_ts = values[:, 6].tolist()
             assert chest_ts == sorted(chest_ts) and len(set(chest_ts)) == 10
             assert belt_ts == sorted(belt_ts) and len(set(belt_ts)) == 10
 
@@ -148,9 +133,9 @@ class TestAlignAndMerge:
             + [rec(tag=CHEST_TAG, ts=t) for t in range(8)]
             + [rec(tag=BELT_TAG, ts=t) for t in range(8)]
         )
-        merged = align_and_merge(records, np.random.default_rng(2))
-        assert len(merged) == 8
-        assert all(m.values[0] == 2.0 for m in merged)
+        values, _ = align_and_merge(records, np.random.default_rng(2))
+        assert len(values) == 8
+        assert (values[:, 0] == 2.0).all()
 
     def test_ankle_tie_breaks_lexicographically(self):
         records = (
@@ -159,9 +144,9 @@ class TestAlignAndMerge:
             + [rec(tag=CHEST_TAG, ts=t) for t in range(4)]
             + [rec(tag=BELT_TAG, ts=t) for t in range(4)]
         )
-        merged = align_and_merge(records, np.random.default_rng(3))
+        values, _ = align_and_merge(records, np.random.default_rng(3))
         winner = min(LEFT, RIGHT)
-        assert all(m.values[0] == (1.0 if winner == LEFT else 2.0) for m in merged)
+        assert (values[:, 0] == (1.0 if winner == LEFT else 2.0)).all()
 
     def test_fall_on_any_stream_labels_record(self):
         for fall_tag in (LEFT, CHEST_TAG, BELT_TAG):
@@ -170,8 +155,8 @@ class TestAlignAndMerge:
                 records.append(rec(tag=LEFT, ts=t, act="falling" if (t == 2 and fall_tag == LEFT) else "walking"))
                 records.append(rec(tag=CHEST_TAG, ts=t, act="falling" if (t == 2 and fall_tag == CHEST_TAG) else "lying"))
                 records.append(rec(tag=BELT_TAG, ts=t, act="falling" if (t == 2 and fall_tag == BELT_TAG) else "sitting"))
-            merged = align_and_merge(records, np.random.default_rng(4))
-            assert [m.label for m in merged] == [0, 0, 1, 0]
+            _, labels = align_and_merge(records, np.random.default_rng(4))
+            assert labels.tolist() == [0, 0, 1, 0]
 
     def test_missing_chest_raises(self):
         records = [rec(tag=LEFT, ts=t) for t in range(3)] + [rec(tag=BELT_TAG, ts=t) for t in range(3)]
@@ -189,8 +174,8 @@ class TestAlignAndMerge:
             + [rec(tag=CHEST_TAG, ts=t) for t in range(3)]
             + [rec(tag=BELT_TAG, ts=t) for t in range(3)]
         )
-        merged = align_and_merge(records, np.random.default_rng(7))
-        assert [m.values[0] for m in merged] == [1.0, 2.0, 3.0]
+        values, _ = align_and_merge(records, np.random.default_rng(7))
+        assert values[:, 0].tolist() == [1.0, 2.0, 3.0]
 
     def test_deterministic_for_seed(self):
         records = (
@@ -198,9 +183,10 @@ class TestAlignAndMerge:
             + [rec(tag=CHEST_TAG, ts=t, x=float(t)) for t in range(30)]
             + [rec(tag=BELT_TAG, ts=t) for t in range(10)]
         )
-        a = align_and_merge(records, np.random.default_rng(42))
-        b = align_and_merge(records, np.random.default_rng(42))
-        assert a == b
+        a_values, a_labels = align_and_merge(records, np.random.default_rng(42))
+        b_values, b_labels = align_and_merge(records, np.random.default_rng(42))
+        np.testing.assert_array_equal(a_values, b_values)
+        np.testing.assert_array_equal(a_labels, b_labels)
 
     def test_group_by_sequence(self):
         records = [rec(seq="A01"), rec(seq="B02"), rec(seq="A01", ts=2)]

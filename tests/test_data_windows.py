@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 
 from fedfall.data import (
     DatasetSplit,
-    MergedRecord,
     SequenceWindow,
-    expected_window_count,
     load_dataset,
     save_dataset,
     smote_oversample,
@@ -24,10 +22,12 @@ from fedfall.data import (
 
 
 def series(n, fall_at=()):
-    return [
-        MergedRecord(values=tuple(float(t) + 0.1 * f for f in range(9)), label=int(t in fall_at))
-        for t in range(n)
-    ]
+    """(values, labels) of an n-step, 9-feature sequence; step t holds
+    t + 0.1 * f in feature f and is labeled 1 iff t is in ``fall_at``."""
+    t = np.arange(n)
+    values = t[:, None] + 0.1 * np.arange(9)
+    labels = np.isin(t, list(fall_at)).astype(np.int64)
+    return values, labels
 
 
 def make_window(label=0, ind="A", seq="A01", start=0, seed=0, shape=(4, 3)):
@@ -37,25 +37,25 @@ def make_window(label=0, ind="A", seq="A01", start=0, seed=0, shape=(4, 3)):
 
 class TestWindowSegments:
     def test_count_formula(self):
-        ws = window_segments(series(100), window=20, stride=1, sequence_name="A01")
+        ws = window_segments(*series(100), window=20, stride=1, sequence_name="A01")
         assert len(ws) == 81
 
     def test_too_short_series(self):
-        assert window_segments(series(19), window=20, stride=1) == []
+        assert window_segments(*series(19), window=20, stride=1) == []
 
     def test_stride(self):
-        ws = window_segments(series(100), window=20, stride=2)
+        ws = window_segments(*series(100), window=20, stride=2)
         assert len(ws) == 41
         assert [w.origin[2] for w in ws[:3]] == [0, 2, 4]
 
     def test_label_any_rule(self):
-        ws = window_segments(series(30, fall_at={25}), window=10, stride=1, sequence_name="B01")
+        ws = window_segments(*series(30, fall_at={25}), window=10, stride=1, sequence_name="B01")
         for w in ws:
             start = w.origin[2]
             assert w.label == (1 if start <= 25 <= start + 9 else 0)
 
     def test_values_content(self):
-        ws = window_segments(series(25), window=5, stride=5, sequence_name="C02")
+        ws = window_segments(*series(25), window=5, stride=5, sequence_name="C02")
         assert ws[1].values.shape == (5, 9)
         assert ws[1].values[0, 0] == 5.0
         assert ws[1].origin == ("C", "C02", 5)
@@ -63,19 +63,22 @@ class TestWindowSegments:
     @given(st.integers(1, 200), st.integers(1, 30), st.integers(1, 10))
     @settings(max_examples=80, deadline=None)
     def test_count_formula_property(self, length, window, stride):
-        ws = window_segments(series(length), window=window, stride=stride)
-        assert len(ws) == expected_window_count(length, window, stride)
-        if length >= window:
-            assert len(ws) == (length - window) // stride + 1
+        ws = window_segments(*series(length), window=window, stride=stride)
+        assert len(ws) == ((length - window) // stride + 1 if length >= window else 0)
 
     def test_bad_args(self):
+        values, labels = series(10)
         with pytest.raises(ValueError):
-            window_segments(series(10), window=0, stride=1)
+            window_segments(values, labels, window=0, stride=1)
         with pytest.raises(ValueError):
-            window_segments(series(10), window=5, stride=0)
+            window_segments(values, labels, window=5, stride=0)
+        with pytest.raises(ValueError, match="n x F"):
+            window_segments(values.ravel(), labels, window=5, stride=1)
+        with pytest.raises(ValueError, match="9 labels for 10 time steps"):
+            window_segments(values, labels[:-1], window=5, stride=1)
 
     def test_stack(self):
-        ws = window_segments(series(30, fall_at={3}), window=10, stride=10)
+        ws = window_segments(*series(30, fall_at={3}), window=10, stride=10)
         batch, labels = stack_windows(ws)
         assert batch.shape == (3, 10, 9)
         assert labels.tolist() == [1.0, 0.0, 0.0]
@@ -181,16 +184,6 @@ class TestSplit:
         test_origins = {(w.origin[1], w.origin[2]) for w in split.test}
         assert not train_origins & test_origins
 
-    def test_explicit_test_sequence(self):
-        split = split_train_test(self.make_sequences(), test_sequence={"A": "A02"})
-        test_seqs = {w.origin[1] for w in split.test}
-        assert "A02" in test_seqs and "A05" not in test_seqs
-        assert {s for s in test_seqs if s.startswith("B")} == {"B05"}
-
-    def test_unknown_test_sequence(self):
-        with pytest.raises(ValueError):
-            split_train_test(self.make_sequences(), test_sequence={"A": "A99"})
-
     def test_single_sequence_individual_rejected(self):
         seqs = self.make_sequences("AB")
         seqs["Z01"] = [make_window(ind="Z", seq="Z01")]
@@ -239,6 +232,14 @@ CACHE_CORRUPTIONS = {
     "test_origin_start_not_int": lambda data: _with_header(
         data, lambda h: dict(h, test_origins=[h["test_origins"][0][:2] + ["0"]] + h["test_origins"][1:])
     ),
+    "window_a_string": lambda data: _with_header(data, lambda h: dict(h, window=str(h["window"]))),
+    "window_fractional": lambda data: _with_header(data, lambda h: dict(h, window=2.5)),
+    "window_zero": lambda data: _with_header(data, lambda h: dict(h, window=0)),
+    "features_a_float": lambda data: _with_header(data, lambda h: dict(h, features=float(h["features"]))),
+    "n_test_negative": lambda data: _with_header(data, lambda h: dict(h, n_test=-1)),
+    "block_larger_than_file": lambda data: _with_header(data, lambda h: dict(h, window=10**12)),
+    "train_labels_not_a_list": lambda data: _with_header(data, lambda h: dict(h, train_labels=5)),
+    "header_longer_than_file": lambda data: data[:7] + (2**32 - 1).to_bytes(4, "little") + data[11:],
 }
 
 
