@@ -125,23 +125,19 @@ def _sorted_stack(vectors: list[np.ndarray]) -> np.ndarray:
     return np.sort(stack, axis=0, kind="stable")
 
 
-def trimmed_mean(vectors: list[np.ndarray], beta: float, m: int | None = None) -> np.ndarray:
+def trimmed_mean(vectors: list[np.ndarray], beta: float) -> np.ndarray:
     """Coordinate-wise trimmed mean across client vectors.
 
     For each coordinate the n values are sorted ascending, the m smallest
-    and m largest dropped, and the rest averaged. ``m`` defaults to
-    ``trim_count(n, beta)``; passing it explicitly (e.g. m=0) exists for
-    cross-checks against plain means.
+    and m largest dropped, and the rest averaged, with m =
+    ``trim_count(n, beta)``.
     """
     if not vectors:
         raise ValueError("no vectors to aggregate")
     dim = np.asarray(vectors[0]).shape[0]
     rows = [_validate_vector(v, f"vector {i}", dim=dim) for i, v in enumerate(vectors)]
     n = len(rows)
-    if m is None:
-        m = trim_count(n, beta)
-    elif n - 2 * m < 1:
-        raise AggregationInfeasibleError(n=n, beta=beta, m=m)
+    m = trim_count(n, beta)
     srt = _sorted_stack(rows)
     # ascending left-to-right accumulation per coordinate, one row at a time
     return _ordered_mean([srt[i] for i in range(m, n - m)])

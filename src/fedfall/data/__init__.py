@@ -18,7 +18,7 @@ from fedfall.data.ldpa import (
 from fedfall.data.pipeline import PrepareStats, prepare_dataset
 from fedfall.data.smote import smote_oversample
 from fedfall.data.split import DatasetSplit, split_train_test
-from fedfall.data.synthetic import make_separable_dataset, make_synthetic_dataset
+from fedfall.data.synthetic import make_synthetic_dataset
 from fedfall.data.windows import SequenceWindow, stack_windows, window_segments
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "group_by_sequence",
     "individual_of",
     "load_dataset",
-    "make_separable_dataset",
     "make_synthetic_dataset",
     "parse_ldpa_csv",
     "prepare_dataset",

@@ -19,9 +19,9 @@ logger = logging.getLogger(__name__)
 
 def smote_oversample(
     windows: list[SequenceWindow],
-    target_minority_fraction: float = 0.25,
-    k: int = 5,
-    rng: np.random.Generator | None = None,
+    target_minority_fraction: float,
+    k: int,
+    rng: np.random.Generator,
 ) -> list[SequenceWindow]:
     """Append synthetic minority windows until minority/total >= target.
 
@@ -33,7 +33,6 @@ def smote_oversample(
         raise ValueError(f"target fraction must be in (0,1), got {target_minority_fraction}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    rng = rng or np.random.default_rng(0)
 
     n = len(windows)
     pos = [w for w in windows if w.label == 1]

@@ -64,10 +64,6 @@ def client_scope(client_id: str):
         _ACTIVE_CLIENT.reset(token)
 
 
-def current_scope() -> str | None:
-    return _ACTIVE_CLIENT.get()
-
-
 class PrivateDataset:
     """A client's windows, readable only inside that client's scope.
 
@@ -145,8 +141,8 @@ def local_train(
     round skips (``_skipped``).
 
     Forward and backward run on a float32 shadow of the weights; each step
-    upcasts the gradient, applies the proximal term (``fedprox_penalty``,
-    computed in place) and Adam to the float64 master, and refreshes the
+    upcasts the gradient, applies the proximal term mu*||w - w_global||^2
+    (computed in place) and Adam to the float64 master, and refreshes the
     shadow from it.
     """
     if _skipped(client):
@@ -186,14 +182,14 @@ def local_train(
                 np.copyto(grads, model_backward(cache, dprobs, shadow).vec)
                 penalty = 0.0
                 if config.mu != 0.0:
-                    # fedprox_penalty's arithmetic, without its two allocations
+                    # mu*||d||^2 and its gradient 2*mu*d, with d = w - w_global
                     for lo, hi in slices:
                         d = diff[: hi - lo]
                         np.subtract(vec[lo:hi], global_params[lo:hi], out=d)
                         penalty += config.mu * float(d @ d)
                         d *= 2.0 * config.mu
                         grads[lo:hi] += d
-                adam_step(client.adam, vec, grads, config.lr)
+                adam_step(client.adam, vec, grads)
                 commit_batchnorm_stats(params, cache)
                 np.copyto(shadow.vec, vec)
                 batch_losses.append(data_loss + penalty)

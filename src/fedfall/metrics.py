@@ -68,20 +68,6 @@ class MetricsReport:
             "seed": self.seed,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetricsReport":
-        return cls(
-            accuracy=d["accuracy"],
-            precision=d["precision"],
-            recall=d["recall"],
-            f1=d["f1"],
-            degenerate=tuple(d.get("degenerate", ())),
-            per_client=dict(d.get("per_client", {})),
-            scenario=d.get("scenario", ""),
-            config_fingerprint=d.get("config_fingerprint", ""),
-            seed=d.get("seed", 0),
-        )
-
 
 def compute_metrics(counts: ConfusionCounts) -> MetricsReport:
     """Accuracy, precision, recall, F1 from confusion counts.

@@ -8,7 +8,7 @@ same layout, and ``adam_step`` updates the float64 vector in place.
 """
 
 from fedfall.nn.gradcheck import GradCheckReport, finite_difference_grad, gradient_check
-from fedfall.nn.losses import bce_loss, fedprox_penalty
+from fedfall.nn.losses import bce_loss
 from fedfall.nn.model import (
     BN_EPS,
     BN_MOMENTUM,
@@ -47,7 +47,6 @@ __all__ = [
     "adam_step",
     "bce_loss",
     "commit_batchnorm_stats",
-    "fedprox_penalty",
     "finite_difference_grad",
     "gradient_check",
     "init_params",

@@ -1,4 +1,4 @@
-"""Training objective: clamped binary cross-entropy plus a proximal penalty."""
+"""Training objective: clamped binary cross-entropy."""
 
 from __future__ import annotations
 
@@ -31,16 +31,3 @@ def bce_loss(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     grad = np.where((probs > CLAMP) & (probs < 1.0 - CLAMP), grad, 0.0)
     return loss, grad
 
-
-def fedprox_penalty(local: np.ndarray, anchor: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
-    """mu*||w - w_anchor||^2 and its gradient 2*mu*(w - w_anchor).
-
-    Operates on flat parameter vectors; the caller restricts both to the
-    trainable coordinates.
-    """
-    local = np.asarray(local, dtype=np.float64)
-    anchor = np.asarray(anchor, dtype=np.float64)
-    if local.shape != anchor.shape:
-        raise ShapeMismatchError(f"local {local.shape} vs anchor {anchor.shape}")
-    diff = local - anchor
-    return mu * float(diff @ diff), 2.0 * mu * diff

@@ -27,13 +27,10 @@ class AdamState:
         self.v = np.zeros(self.dim)
 
 
-def adam_step(
-    state: AdamState, weights: np.ndarray, grads: np.ndarray, lr: float | None = None
-) -> np.ndarray:
+def adam_step(state: AdamState, weights: np.ndarray, grads: np.ndarray) -> np.ndarray:
     """One bias-corrected Adam update of ``weights`` in place; returns ``weights``.
 
-    ``lr`` overrides the rate stored on the state for this step. Every check
-    runs before the state or the weights change.
+    Every check runs before the state or the weights change.
     """
     grads = np.asarray(grads, dtype=np.float64)
     if not isinstance(weights, np.ndarray) or weights.dtype != np.float64:
@@ -44,9 +41,8 @@ def adam_step(
         )
     if not np.all(np.isfinite(grads)):
         raise NumericalFailureError("non-finite gradient", layer="adam")
-    rate = state.lr if lr is None else lr
-    if not rate > 0:
-        raise ValueError(f"learning rate must be positive, got {rate}")
+    if not state.lr > 0:
+        raise ValueError(f"learning rate must be positive, got {state.lr}")
     state.t += 1
     # In-place steps in the operation order of m/(1-b1^t) * rate / (sqrt(v/(1-b2^t)) + eps),
     # so the result is bit-identical to evaluating that expression.
@@ -60,7 +56,7 @@ def adam_step(
     np.sqrt(denom, out=denom)
     denom += state.eps
     step = state.m / (1.0 - state.beta1**state.t)
-    step *= rate
+    step *= state.lr
     step /= denom
     weights -= step
     return weights

@@ -59,9 +59,6 @@ class ParamManifest:
         object.__setattr__(self, "trainable_slices", tuple(runs))
         object.__setattr__(self, "_offsets", offsets)
 
-    def offsets(self) -> dict[str, tuple[int, int]]:
-        return dict(self._offsets)
-
     def trainable_mask(self) -> np.ndarray:
         mask = np.zeros(self.dim, dtype=bool)
         for lo, hi in self.trainable_slices:

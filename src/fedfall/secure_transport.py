@@ -27,8 +27,8 @@ the lowest bits, so it stays below n and never wraps; the last plaintext
 of a vector may hold fewer. Decryption unpacks the slots and subtracts
 addends * offset, which gives back exactly the sum of the codes.
 
-Key sizes here are deliberately small (256-bit test keys, 1024-bit demo
-keys) and the primality test is probabilistic; nothing in this module is
+Key sizes here are deliberately small (1024 bits by default in the
+config) and the primality test is probabilistic; nothing in this module is
 claimed production-secure. It exists to demonstrate that the transport
 layer is semantically transparent to aggregation up to quantization error.
 """
@@ -52,15 +52,12 @@ logger = logging.getLogger(__name__)
 # by 4^-40 = 2^-80, comfortably past the 2^-64 requirement.
 MILLER_RABIN_ROUNDS = 40
 
-TEST_KEY_BITS = 256
-DEMO_KEY_BITS = 1024
-
 # Headroom bits above each slot's largest code: room for sums of up to
 # 2**CARRY_BITS encrypted vectors.
 CARRY_BITS = 8
 
 
-def _is_probable_prime(n: int, rng: random.Random, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
+def _is_probable_prime(n: int, rng: random.Random) -> bool:
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -71,7 +68,7 @@ def _is_probable_prime(n: int, rng: random.Random, rounds: int = MILLER_RABIN_RO
     while d % 2 == 0:
         d //= 2
         r += 1
-    for _ in range(rounds):
+    for _ in range(MILLER_RABIN_ROUNDS):
         a = rng.randrange(2, n - 1)
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -118,7 +115,7 @@ class HeKeyPair:
         return p2, q2, hp, hq, pow(p, -1, q)
 
 
-def keygen(bits: int = DEMO_KEY_BITS, seed: int = 0) -> HeKeyPair:
+def keygen(bits: int, seed: int) -> HeKeyPair:
     """Deterministic key generation from a seed.
 
     ``bits`` is the size of the modulus n; each prime gets bits/2.
@@ -295,7 +292,7 @@ def encrypt_vector(
     params: np.ndarray,
     key: HeKeyPair,
     codec: FixedPointCodec,
-    rng: random.Random | None = None,
+    rng: random.Random,
 ) -> EncryptedVector:
     """Quantize a flat parameter vector, pack it into slots and encrypt it.
 
@@ -303,7 +300,6 @@ def encrypt_vector(
     result and logged. Raises ValueError when one slot of ``codec`` does
     not fit below the key's modulus.
     """
-    rng = rng or random.Random()
     params = np.asarray(params, dtype=np.float64)
     if params.ndim != 1:
         raise ShapeMismatchError(f"expected a flat vector, got shape {params.shape}")
@@ -369,7 +365,7 @@ def secure_mean_demo(
     updates: list[np.ndarray],
     key: HeKeyPair,
     codec: FixedPointCodec,
-    rng: random.Random | None = None,
+    rng: random.Random,
 ) -> np.ndarray:
     """Equal-weight mean computed on ciphertexts, decrypted once.
 
@@ -384,7 +380,6 @@ def secure_mean_demo(
     """
     if not 1 <= len(updates) <= 1 << CARRY_BITS:
         raise ValueError(f"{len(updates)} updates; one sum holds 1 to {1 << CARRY_BITS}")
-    rng = rng or random.Random()
     encrypted = [encrypt_vector(u, key, codec, rng) for u in updates]
     total = encrypted[0]
     for e in encrypted[1:]:

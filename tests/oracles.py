@@ -2,14 +2,17 @@
 
 Everything here is deliberately written in plain Python floats and loops,
 with no numpy vectorization, so it cannot share bugs with the package code
-it is checking. The one exception is ``masked_sigmoid``, the package's
+it is checking. The two exceptions are ``masked_sigmoid``, the package's
 earlier numpy sigmoid, kept as the reference for the tanh form that
-replaced it.
+replaced it, and ``fedprox_penalty``, which ``local_train``'s in-place
+proximal term must match bit for bit.
 """
 
 import math
 
 import numpy as np
+
+from fedfall.errors import ShapeMismatchError
 
 
 def scalar_sigmoid(x):
@@ -128,3 +131,17 @@ def scalar_trimmed_mean(columns_as_rows, m):
             acc += v
         out.append(acc / len(kept))
     return out
+
+
+def fedprox_penalty(local, anchor, mu):
+    """mu*||w - w_anchor||^2 and its gradient 2*mu*(w - w_anchor).
+
+    Operates on flat parameter vectors; the caller restricts both to the
+    trainable coordinates.
+    """
+    local = np.asarray(local, dtype=np.float64)
+    anchor = np.asarray(anchor, dtype=np.float64)
+    if local.shape != anchor.shape:
+        raise ShapeMismatchError(f"local {local.shape} vs anchor {anchor.shape}")
+    diff = local - anchor
+    return mu * float(diff @ diff), 2.0 * mu * diff

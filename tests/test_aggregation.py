@@ -107,7 +107,7 @@ class TestTrimmedMean:
         out = trimmed_mean(vecs, beta=0.49)  # m = floor(2.45) = 2, one survivor
         np.testing.assert_array_equal(out, np.median(np.stack(vecs), axis=0))
         vecs7 = [rng.normal(size=4) for _ in range(7)]
-        out7 = trimmed_mean(vecs7, beta=0.0, m=3)
+        out7 = trimmed_mean(vecs7, beta=0.45)  # m = floor(3.15) = 3, one survivor
         np.testing.assert_array_equal(out7, np.median(np.stack(vecs7), axis=0))
 
     def test_bit_for_bit_against_scalar_oracle(self):
@@ -283,14 +283,14 @@ class TestFedavg:
         rows = rng.integers(-50, 50, size=(6, 9)).astype(float)
         updates = [up(f"c{i}", rows[i], count=4) for i in range(6)]
         avg = fedavg(updates)
-        untrimmed = trimmed_mean(list(rows), beta=0.0, m=0)
+        untrimmed = scalar_trimmed_mean(rows.tolist(), 0)
         np.testing.assert_array_equal(avg, untrimmed)
 
     def test_equal_weights_match_untrimmed_mean_on_floats(self):
         rng = np.random.default_rng(9)
         rows = rng.normal(size=(5, 30))
         updates = [up(f"c{i}", rows[i], count=7) for i in range(5)]
-        np.testing.assert_allclose(fedavg(updates), trimmed_mean(list(rows), beta=0.0, m=0), rtol=1e-12)
+        np.testing.assert_allclose(fedavg(updates), scalar_trimmed_mean(rows.tolist(), 0), rtol=1e-12)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(10)

@@ -422,7 +422,6 @@ def _overrides(module: str, cls: str, name: str) -> bool:
     return any(name in vars(base) for base in bases)
 
 
-@pytest.mark.xfail(strict=True, reason="src/ still defines code that only tests call")
 def test_src_defines_nothing_only_tests_use():
     """Every top-level function, class and method in src/fedfall is named
     somewhere in src/ outside its own definition. Imports and ``__all__``

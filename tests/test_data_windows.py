@@ -89,7 +89,7 @@ class TestSmote:
         ws = [make_window(label=1, seed=i) for i in range(25)] + [
             make_window(label=0, seed=100 + i) for i in range(75)
         ]
-        out = smote_oversample(ws, target_minority_fraction=0.25, k=3)
+        out = smote_oversample(ws, target_minority_fraction=0.25, k=3, rng=np.random.default_rng(0))
         assert len(out) == 100
 
     def test_reaches_target_fraction(self):
@@ -127,7 +127,7 @@ class TestSmote:
 
     def test_too_few_minority_skips(self):
         ws = [make_window(label=1, seed=1)] + [make_window(label=0, seed=100 + i) for i in range(50)]
-        out = smote_oversample(ws, target_minority_fraction=0.25, k=5)
+        out = smote_oversample(ws, target_minority_fraction=0.25, k=5, rng=np.random.default_rng(0))
         assert out == ws
 
     def test_label_zero_minority_supported(self):
@@ -150,9 +150,9 @@ class TestSmote:
 
     def test_bad_target(self):
         with pytest.raises(ValueError):
-            smote_oversample([], target_minority_fraction=0.0)
+            smote_oversample([], target_minority_fraction=0.0, k=5, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            smote_oversample([], target_minority_fraction=1.0)
+            smote_oversample([], target_minority_fraction=1.0, k=5, rng=np.random.default_rng(0))
 
 
 class TestSplit:
@@ -328,7 +328,8 @@ class TestSynthetic:
         assert not np.array_equal(a.train[17].values, c.train[17].values)
 
     def test_separable_dataset(self):
-        from fedfall.data import make_separable_dataset, stack_windows
+        from fedfall.data import stack_windows
+        from separable import make_separable_dataset
 
         split = make_separable_dataset(seed=0)
         batch, labels = stack_windows(split.train)

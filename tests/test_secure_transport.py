@@ -10,7 +10,6 @@ import pytest
 from fedfall.errors import ShapeMismatchError
 from fedfall.secure_transport import (
     CARRY_BITS,
-    TEST_KEY_BITS,
     EncryptedVector,
     FixedPointCodec,
     _is_probable_prime,
@@ -25,6 +24,7 @@ from fedfall.secure_transport import (
     slot_layout,
 )
 
+TEST_KEY_BITS = 256
 KEY = keygen(TEST_KEY_BITS, seed=1234)
 CODEC = FixedPointCodec(scale_bits=20, clip_range=100.0)
 
@@ -366,7 +366,7 @@ class TestSecureMean:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            secure_mean_demo([], KEY, CODEC)
+            secure_mean_demo([], KEY, CODEC, random.Random(0))
 
     def test_more_updates_than_carry_bits_hold_rejected(self):
         updates = [np.zeros(2)] * ((1 << CARRY_BITS) + 1)

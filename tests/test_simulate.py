@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fedfall.config import ExperimentConfig
-from fedfall.data.synthetic import make_separable_dataset
 from fedfall.data.windows import SequenceWindow
 from fedfall.errors import ConfigError
 from fedfall.nn import model_forward, params_to_vector
@@ -15,6 +14,8 @@ from fedfall.simulate import (
     simulate_full,
     stratified_validation_split,
 )
+
+from separable import make_separable_dataset
 
 
 def fast_config(**kw):
