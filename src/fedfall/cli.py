@@ -227,6 +227,16 @@ def _load_predictions(path: str, need_threshold: bool) -> dict:
             isinstance(entry.get(key), list) for key in ("probabilities", "labels")
         ):
             raise ValueError(f"{path}: client {cid!r} lacks probabilities and labels lists")
+        probs, labels = entry["probabilities"], entry["labels"]
+        if len(probs) != len(labels):
+            raise ValueError(
+                f"{path}: client {cid!r} has {len(probs)} probabilities for {len(labels)} labels"
+            )
+        # json gives bools for true/false and floats for NaN/Infinity; all are refused
+        if not all(type(p) in (int, float) and 0.0 <= p <= 1.0 for p in probs):
+            raise ValueError(f"{path}: client {cid!r} has a probability outside [0, 1]")
+        if not all(type(label) is int and label in (0, 1) for label in labels):
+            raise ValueError(f"{path}: client {cid!r} has a label other than 0 or 1")
     return saved
 
 

@@ -40,6 +40,18 @@ PREDICTION_CORRUPTIONS = {
     "client_not_an_object": '{"threshold": 0.3, "clients": {"A": [0.5]}}',
     "no_probabilities": '{"threshold": 0.3, "clients": {"A": {"labels": [1]}}}',
     "labels_not_a_list": '{"threshold": 0.3, "clients": {"A": {"probabilities": [0.5], "labels": 1}}}',
+    "probability_a_string": '{"threshold": 0.3, "clients": {"A": {"probabilities": ["a"], "labels": [1]}}}',
+    "probability_null": '{"threshold": 0.3, "clients": {"A": {"probabilities": [null], "labels": [1]}}}',
+    "probability_nan": '{"threshold": 0.3, "clients": {"A": {"probabilities": [NaN], "labels": [1]}}}',
+    "probability_infinite": '{"threshold": 0.3, "clients": {"A": {"probabilities": [Infinity], "labels": [1]}}}',
+    "probability_above_one": '{"threshold": 0.3, "clients": {"A": {"probabilities": [1.5], "labels": [1]}}}',
+    "probability_negative": '{"threshold": 0.3, "clients": {"A": {"probabilities": [-0.1], "labels": [1]}}}',
+    "probability_a_bool": '{"threshold": 0.3, "clients": {"A": {"probabilities": [true], "labels": [1]}}}',
+    "label_seven": '{"threshold": 0.3, "clients": {"A": {"probabilities": [0.5], "labels": [7]}}}',
+    "label_a_string": '{"threshold": 0.3, "clients": {"A": {"probabilities": [0.5], "labels": ["x"]}}}',
+    "label_a_float": '{"threshold": 0.3, "clients": {"A": {"probabilities": [0.5], "labels": [1.0]}}}',
+    "label_a_bool": '{"threshold": 0.3, "clients": {"A": {"probabilities": [0.5], "labels": [true]}}}',
+    "lengths_differ": '{"threshold": 0.3, "clients": {"A": {"probabilities": [0.5, 0.5], "labels": [1]}}}',
 }
 
 
@@ -165,7 +177,10 @@ class TestEvaluate:
         bad = tmp_path / "predictions.json"
         bad.write_text(PREDICTION_CORRUPTIONS[kind])
         assert cli_main(["evaluate", "--predictions", str(bad)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ")
+        if '"A": {' in PREDICTION_CORRUPTIONS[kind]:
+            assert "client 'A'" in err
 
     def test_threshold_flag_stands_in_for_a_missing_one(self, tmp_path, capsys):
         saved = tmp_path / "predictions.json"
