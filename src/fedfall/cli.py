@@ -310,7 +310,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_secure_demo(args) -> int:
     config = _resolve_config(args)
-    bits = args.key_bits or config.he_key_bits
+    bits = args.key_bits if args.key_bits is not None else config.he_key_bits
     rng = np.random.default_rng(config.seed)
     updates = [rng.uniform(-1.0, 1.0, size=args.dim) for _ in range(args.clients)]
     started = time.perf_counter()

@@ -370,6 +370,10 @@ class TestExitCodes:
         assert cli_main(argv) == 1
         assert f"argument {argv[1]}: must be an integer >= 1" in capsys.readouterr().err
 
+    def test_zero_key_bits_is_validation_error(self, capsys):
+        assert cli_main(["secure-demo", "--dim", "1", "--key-bits", "0"]) == 1
+        assert "error: key size must be at least 128 bits" in capsys.readouterr().err
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "tiny"])
     def test_bad_tolerance_is_usage_error(self, capsys, tol):
         assert cli_main(["gradcheck", "--models", "1", "--tol", tol]) == 1
