@@ -1,6 +1,6 @@
 """Finite-difference validation of the analytic gradients.
 
-Central differences with a configurable step are compared coordinate-wise
+Central differences with a step of ``EPS`` are compared coordinate-wise
 against the backward pass. This is the oracle that lets the hand-written
 backpropagation be trusted; it runs fast enough on small models to live in
 the regular test suite and behind a CLI subcommand.
@@ -17,22 +17,19 @@ from fedfall.nn.losses import bce_loss
 from fedfall.nn.model import model_backward, model_forward
 from fedfall.nn.params import ModelParams, manifest_for, params_to_vector, vector_to_params
 
-DEFAULT_EPS = 1e-5
+EPS = 1e-5
 
 
 def finite_difference_grad(
-    f: Callable[[np.ndarray], float],
-    x: np.ndarray,
-    indices: np.ndarray,
-    eps: float = DEFAULT_EPS,
+    f: Callable[[np.ndarray], float], x: np.ndarray, indices: np.ndarray
 ) -> np.ndarray:
     """Central differences of ``f`` at ``x`` along the given coordinates."""
     x = np.asarray(x, dtype=np.float64)
     out = np.empty(len(indices))
     for k, idx in enumerate(indices):
         step = np.zeros_like(x)
-        step[idx] = eps
-        out[k] = (f(x + step) - f(x - step)) / (2.0 * eps)
+        step[idx] = EPS
+        out[k] = (f(x + step) - f(x - step)) / (2.0 * EPS)
     return out
 
 

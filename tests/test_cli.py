@@ -453,7 +453,7 @@ def test_src_defines_nothing_only_tests_use():
         for path in sorted(root.rglob("*.py"))
     }
     used = sum((_referenced_names(tree) for tree in trees.values()), Counter())
-    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    kinds = (ast.FunctionDef, ast.ClassDef)
     unused = []
     for module, tree in trees.items():
         for node in tree.body:
