@@ -182,7 +182,8 @@ def local_train(
                 np.copyto(grads, model_backward(cache, dprobs, shadow).vec)
                 penalty = 0.0
                 if config.mu != 0.0:
-                    # mu*||d||^2 and its gradient 2*mu*d, with d = w - w_global
+                    # mu*||d||^2 and its gradient 2*mu*d (d = w - w_global), in
+                    # the operation order of the penalty oracle in tests/oracles.py
                     for lo, hi in slices:
                         d = diff[: hi - lo]
                         np.subtract(vec[lo:hi], global_params[lo:hi], out=d)
