@@ -44,7 +44,7 @@ def adam_step(state: AdamState, weights: np.ndarray, grads: np.ndarray) -> np.nd
     if not state.lr > 0:
         raise ValueError(f"learning rate must be positive, got {state.lr}")
     state.t += 1
-    # In-place steps in the operation order of m/(1-b1^t) * rate / (sqrt(v/(1-b2^t)) + eps),
+    # In-place steps in the operation order of m/(1-b1^t) * lr / (sqrt(v/(1-b2^t)) + eps),
     # so the result is bit-identical to evaluating that expression.
     state.m *= state.beta1
     state.m += (1.0 - state.beta1) * grads

@@ -179,7 +179,7 @@ class TestEvaluate:
         assert cli_main(["evaluate", "--predictions", str(bad)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ")
-        if '"A": {' in PREDICTION_CORRUPTIONS[kind]:
+        if '"A"' in PREDICTION_CORRUPTIONS[kind]:
             assert "client 'A'" in err
 
     def test_threshold_flag_stands_in_for_a_missing_one(self, tmp_path, capsys):
