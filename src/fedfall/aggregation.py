@@ -7,7 +7,8 @@ Two strategies over flat parameter vectors:
   trimmed mean across clients, then exponential-moving-average fusion into
   the previous global model.
 
-The composed rule has two interpretations controlled by ``SwaConfig.mode``:
+The composed rule has two interpretations, chosen by the config's
+``swa_mode``:
 
 * ``delta`` (default): the unit of aggregation is the client's movement
   w_i - w_g. Normalized deltas are trimmed and the fused delta is added to
@@ -27,9 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from fedfall.config import MODES, ExperimentConfig
 from fedfall.errors import AggregationInfeasibleError, ShapeMismatchError
-
-MODES = ("delta", "literal")
 
 
 @dataclass(frozen=True)
@@ -46,28 +46,6 @@ class ClientUpdate:
             raise ValueError(f"epochs_trained must be >= 1, got {self.epochs_trained}")
         if self.sample_count < 0:
             raise ValueError(f"sample_count must be >= 0, got {self.sample_count}")
-
-
-@dataclass(frozen=True)
-class SwaConfig:
-    """Knobs of the robust aggregation rule.
-
-    ``trim_enabled=False`` bypasses the trimming stage entirely (plain mean
-    of normalized updates); the trim-count rule itself never yields m=0.
-    """
-
-    beta: float = 0.1
-    alpha: float = 0.1
-    mode: str = "delta"
-    trim_enabled: bool = True
-
-    def __post_init__(self):
-        if not 0.0 <= self.beta < 0.5:
-            raise ValueError(f"beta must be in [0, 0.5), got {self.beta}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
 def _validate_vector(vec: np.ndarray, what: str, dim: int | None = None) -> np.ndarray:
@@ -161,18 +139,25 @@ def ema_fuse(global_params: np.ndarray, aggregated: np.ndarray, alpha: float, mo
     return (1.0 - alpha) * g + alpha * a
 
 
-def swa_aggregate(global_params: np.ndarray, updates: list[ClientUpdate], config: SwaConfig) -> np.ndarray:
-    """normalize -> trim -> fuse, with one consistent mode throughout."""
+def swa_aggregate(
+    global_params: np.ndarray, updates: list[ClientUpdate], config: ExperimentConfig
+) -> np.ndarray:
+    """normalize -> trim -> fuse, with the config's ``swa_mode`` throughout.
+
+    Reads ``beta``, ``alpha``, ``swa_mode`` and ``trim_enabled``.
+    ``trim_enabled=False`` bypasses the trimming stage entirely (plain mean
+    of normalized updates); the trim-count rule itself never yields m=0.
+    """
     if not updates:
         raise ValueError("no updates to aggregate")
     g = _validate_vector(global_params, "global_params")
     ordered = sorted(updates, key=lambda u: u.client_id)
-    normalized = [fednova_normalize(u, g, config.mode) for u in ordered]
+    normalized = [fednova_normalize(u, g, config.swa_mode) for u in ordered]
     if config.trim_enabled:
         mid = trimmed_mean(normalized, config.beta)
     else:
         mid = _ordered_mean(normalized)
-    return ema_fuse(g, mid, config.alpha, config.mode)
+    return ema_fuse(g, mid, config.alpha, config.swa_mode)
 
 
 def fedavg(updates: list[ClientUpdate]) -> np.ndarray:

@@ -222,6 +222,11 @@ def _load_predictions(path: str, need_threshold: bool) -> dict:
         raise ValueError(f"{path}: not an object with a clients object")
     if need_threshold and not isinstance(saved.get("threshold"), (int, float)):
         raise ValueError(f"{path}: no numeric threshold; pass --threshold")
+    for key in ("scenario", "config_fingerprint"):
+        if key in saved and not isinstance(saved[key], str):
+            raise ValueError(f"{path}: {key} is not a string")
+    if "seed" in saved and not (type(saved["seed"]) is int and saved["seed"] >= 0):
+        raise ValueError(f"{path}: seed is not an integer >= 0")
     for cid, entry in saved["clients"].items():
         if not isinstance(entry, dict) or not all(
             isinstance(entry.get(key), list) for key in ("probabilities", "labels")

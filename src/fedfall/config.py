@@ -16,11 +16,13 @@ import hashlib
 import os
 from dataclasses import dataclass
 
-from fedfall.aggregation import SwaConfig
 from fedfall.errors import ConfigError
 from fedfall.secure_transport import FixedPointCodec, min_modulus_bits, slot_layout
 
 ENV_SEED = "FEDFALL_SEED"
+
+# The two readings of the aggregation rule (see ``fedfall.aggregation``).
+MODES = ("delta", "literal")
 
 # Output location does not alter results, so it stays out of the fingerprint.
 _NON_EFFECTIVE_FIELDS = frozenset({"output_dir"})
@@ -83,6 +85,9 @@ class ExperimentConfig:
             value = getattr(self, name)
             need(value >= 1, f"{name} must be >= 1, got {value}")
         need(self.mu >= 0, f"mu must be >= 0, got {self.mu}")
+        need(0.0 <= self.beta < 0.5, f"beta must be in [0, 0.5), got {self.beta}")
+        need(0.0 < self.alpha <= 1.0, f"alpha must be in (0, 1], got {self.alpha}")
+        need(self.swa_mode in MODES, f"swa_mode must be one of {MODES}, got {self.swa_mode!r}")
         for name in ("classification_threshold", "alert_threshold"):
             value = getattr(self, name)
             need(0.0 < value < 1.0, f"{name} must be in (0,1), got {value}")
@@ -97,24 +102,12 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"he_key_bits/fixed_point_bits/clip_range: {exc}") from None
         need(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
-        try:
-            self.swa_config()
-        except ValueError as exc:
-            raise ConfigError(f"swa config: {exc}") from None
-
-    def swa_config(self) -> SwaConfig:
-        return SwaConfig(
-            beta=self.beta, alpha=self.alpha, mode=self.swa_mode, trim_enabled=self.trim_enabled
-        )
 
     def replace(self, **changes) -> "ExperimentConfig":
         unknown = set(changes) - {f.name for f in dataclasses.fields(self)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return dataclasses.replace(self, **changes)
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
     def fingerprint(self) -> str:
         parts = []

@@ -27,9 +27,9 @@ class PrepareStats:
 
 def prepare_dataset(
     csv_path,
-    window: int = 20,
-    stride: int = 1,
-    seed: int = 0,
+    window: int,
+    stride: int,
+    seed: int,
     cache_path=None,
 ) -> tuple[DatasetSplit, PrepareStats]:
     """Parse, align, window, and split; optionally write the binary cache.

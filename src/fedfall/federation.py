@@ -433,7 +433,7 @@ def run_round(
     if strategy == "fedavg":
         new_global = fedavg(updates)
     else:
-        new_global = swa_aggregate(global_params, updates, config.swa_config())
+        new_global = swa_aggregate(global_params, updates, config)
     return RoundResult(global_params=new_global, entries=entries)
 
 

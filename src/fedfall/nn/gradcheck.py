@@ -37,7 +37,6 @@ def finite_difference_grad(
 class GradCheckReport:
     n_checked: int
     max_rel_err: float
-    tol: float
     failures: list[tuple[int, float, float, float]] = field(default_factory=list)
     # failures entries: (coordinate, analytic, numeric, rel_err)
 
@@ -92,4 +91,4 @@ def gradient_check(
         max_err = max(max_err, err)
         if err >= tol:
             failures.append((int(idx), float(analytic[idx]), float(num), float(err)))
-    return GradCheckReport(n_checked=len(picked), max_rel_err=max_err, tol=tol, failures=failures)
+    return GradCheckReport(n_checked=len(picked), max_rel_err=max_err, failures=failures)

@@ -22,7 +22,7 @@ and only the recurrent GEMM runs per step (Appleyard et al., 2016).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,7 +88,6 @@ class ForwardCache:
     mode: str
     layer1: _LstmTrace
     layer2: _LstmTrace
-    bn_mean: np.ndarray
     bn_var: np.ndarray
     bn_std: np.ndarray
     bn_xhat: np.ndarray
@@ -97,23 +96,7 @@ class ForwardCache:
     new_running_var: np.ndarray
     fc_a1: np.ndarray
     fc_relu: np.ndarray
-    fc_a2: np.ndarray
     probs: np.ndarray
-    batch_size: int = field(init=False)
-
-    def __post_init__(self):
-        self.batch_size = self.probs.shape[0]
-
-
-def _as_batch_array(batch, dtype) -> np.ndarray:
-    """The batch as a ``dtype`` array, cast once (no copy when it already is)."""
-    if isinstance(batch, np.ndarray):
-        x = np.asarray(batch, dtype=dtype)
-    else:
-        x = np.stack([w.values for w in batch], dtype=dtype)
-    if x.ndim != 3:
-        raise ShapeMismatchError(f"batch must be (B, T, F), got shape {x.shape}")
-    return x
 
 
 def _check_finite(arr: np.ndarray, layer: str) -> None:
@@ -162,14 +145,15 @@ def _lstm_forward(layer: LstmLayer, inputs: np.ndarray, train: bool) -> _LstmTra
     return _LstmTrace(h=h, inputs=inputs, c=c, gates=gates, tc=tc)
 
 
-def model_forward(params: ModelParams, batch, mode: str = "train") -> tuple[np.ndarray, ForwardCache]:
+def model_forward(
+    params: ModelParams, batch: np.ndarray, mode: str = "train"
+) -> tuple[np.ndarray, ForwardCache]:
     """Run the classifier over a batch of windows.
 
-    ``batch`` is either a (B, T, F) array or a list of SequenceWindow-like
-    objects with a ``values`` attribute; it is cast once to the dtype of
-    ``params.vec``, in which the whole pass runs. Returns per-window fall
-    probabilities in that dtype and the cache required by
-    :func:`model_backward`.
+    ``batch`` is a (B, T, F) array; it is cast once to the dtype of
+    ``params.vec`` (no copy when it already has it), in which the whole
+    pass runs. Returns per-window fall probabilities in that dtype and the
+    cache required by :func:`model_backward`.
 
     In ``train`` mode batch normalization uses batch statistics and the cache
     carries refreshed running statistics (the caller decides when to commit
@@ -178,7 +162,9 @@ def model_forward(params: ModelParams, batch, mode: str = "train") -> tuple[np.n
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    x = _as_batch_array(batch, params.vec.dtype)
+    x = np.asarray(batch, dtype=params.vec.dtype)
+    if x.ndim != 3:
+        raise ShapeMismatchError(f"batch must be (B, T, F), got shape {x.shape}")
     if x.shape[2] != params.input_size:
         raise ShapeMismatchError(
             f"batch has {x.shape[2]} features, model expects {params.input_size}"
@@ -219,7 +205,6 @@ def model_forward(params: ModelParams, batch, mode: str = "train") -> tuple[np.n
         mode=mode,
         layer1=l1,
         layer2=l2,
-        bn_mean=mean,
         bn_var=var,
         bn_std=std,
         bn_xhat=xhat,
@@ -228,7 +213,6 @@ def model_forward(params: ModelParams, batch, mode: str = "train") -> tuple[np.n
         new_running_var=new_rv,
         fc_a1=a1,
         fc_relu=relu,
-        fc_a2=a2,
         probs=probs,
     )
     return probs, cache

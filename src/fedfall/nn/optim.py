@@ -8,16 +8,18 @@ import numpy as np
 
 from fedfall.errors import NumericalFailureError, ShapeMismatchError
 
+# Moment decay rates and denominator guard (Kingma & Ba's defaults).
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
     """First/second moment accumulators plus the step counter."""
 
     dim: int
-    lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    lr: float
     t: int = 0
     m: np.ndarray = field(init=False)
     v: np.ndarray = field(init=False)
@@ -46,16 +48,16 @@ def adam_step(state: AdamState, weights: np.ndarray, grads: np.ndarray) -> np.nd
     state.t += 1
     # In-place steps in the operation order of m/(1-b1^t) * lr / (sqrt(v/(1-b2^t)) + eps),
     # so the result is bit-identical to evaluating that expression.
-    state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * grads
+    state.m *= BETA1
+    state.m += (1.0 - BETA1) * grads
     sq = np.square(grads)
-    sq *= 1.0 - state.beta2
-    state.v *= state.beta2
+    sq *= 1.0 - BETA2
+    state.v *= BETA2
     state.v += sq
-    denom = np.divide(state.v, 1.0 - state.beta2**state.t, out=sq)
+    denom = np.divide(state.v, 1.0 - BETA2**state.t, out=sq)
     np.sqrt(denom, out=denom)
-    denom += state.eps
-    step = state.m / (1.0 - state.beta1**state.t)
+    denom += EPS
+    step = state.m / (1.0 - BETA1**state.t)
     step *= state.lr
     step /= denom
     weights -= step

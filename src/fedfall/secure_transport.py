@@ -91,15 +91,12 @@ def _random_prime(bits: int, rng: random.Random) -> int:
 
 @dataclass(frozen=True)
 class HeKeyPair:
-    """Public modulus/generator plus the private primes and exponents."""
+    """Public modulus/generator plus the private primes."""
 
     n: int
     g: int
     p: int
     q: int
-    lam: int
-    mu: int
-    key_bits: int
 
     @property
     def n_squared(self) -> int:
@@ -129,9 +126,7 @@ def keygen(bits: int, seed: int) -> HeKeyPair:
     while q == p:
         q = _random_prime(half, rng)
     n = p * q
-    lam = (p - 1) * (q - 1)
-    mu = pow(lam, -1, n)
-    return HeKeyPair(n=n, g=n + 1, p=p, q=q, lam=lam, mu=mu, key_bits=bits)
+    return HeKeyPair(n=n, g=n + 1, p=p, q=q)
 
 
 def min_modulus_bits(bits: int) -> int:
@@ -170,8 +165,8 @@ class FixedPointCodec:
     Round-trip error within range is at most 2^-(scale_bits+1).
     """
 
-    scale_bits: int = 20
-    clip_range: float = 100.0
+    scale_bits: int
+    clip_range: float
 
     def __post_init__(self):
         if self.scale_bits < 1 or not 0 < self.clip_range < math.inf:

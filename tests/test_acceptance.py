@@ -15,7 +15,6 @@ import pytest
 
 from fedfall.aggregation import (
     ClientUpdate,
-    SwaConfig,
     fedavg,
     swa_aggregate,
     trim_count,
@@ -141,7 +140,7 @@ def test_swa_robustness_against_scaled_client():
             for i, u in enumerate(updates)
         ]
         swa_loss = _pooled_test_loss(
-            swa_aggregate(global_vec, corrupted, SwaConfig()), split
+            swa_aggregate(global_vec, corrupted, ExperimentConfig()), split
         )
         avg_loss = _pooled_test_loss(fedavg(corrupted), split)
         if swa_loss < avg_loss:
@@ -175,7 +174,7 @@ def test_degeneracy_collapse_to_fedavg():
         )
         updates.append(local_train(client, global_vec, config))  # equal epoch counts
     assert len({u.sample_count for u in updates}) == 1  # equal sample counts
-    gap = np.max(np.abs(swa_aggregate(global_vec, updates, config.swa_config()) - fedavg(updates)))
+    gap = np.max(np.abs(swa_aggregate(global_vec, updates, config) - fedavg(updates)))
     ok = gap <= 1e-12
     _report("degeneracy-collapse", ok, f"L_inf gap {gap:.3e}")
     assert gap <= 1e-12
@@ -186,7 +185,7 @@ def test_he_demonstration_matches_plaintext():
     rng = np.random.default_rng(0)
     updates = [rng.uniform(-1.0, 1.0, size=1000) for _ in range(5)]
     key = keygen(256, seed=0)
-    codec = FixedPointCodec()
+    codec = FixedPointCodec(scale_bits=20, clip_range=100.0)
     secure = secure_mean_demo(updates, key, codec, _random.Random(1))
     plain = np.mean(np.stack(updates), axis=0)
     gap = float(np.max(np.abs(secure - plain)))

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from fedfall.aggregation import (
     ClientUpdate,
-    SwaConfig,
     ema_fuse,
     fedavg,
     fednova_normalize,
@@ -15,6 +14,7 @@ from fedfall.aggregation import (
     trim_count,
     trimmed_mean,
 )
+from fedfall.config import ExperimentConfig
 from fedfall.errors import AggregationInfeasibleError, ShapeMismatchError
 
 from oracles import scalar_trimmed_mean
@@ -196,7 +196,7 @@ class TestSwaAggregate:
     def test_identical_to_global_is_fixed_point(self):
         g = np.array([1.0, -2.0, 0.5])
         updates = [up(f"c{i}", g.copy(), epochs=3) for i in range(5)]
-        out = swa_aggregate(g, updates, SwaConfig())
+        out = swa_aggregate(g, updates, ExperimentConfig())
         np.testing.assert_array_equal(out, g)
 
     def test_adversary_equivalent_to_removal(self):
@@ -207,7 +207,7 @@ class TestSwaAggregate:
         honest = sorted(rng.normal(size=4).tolist())
         adv = 1000.0 * (max(honest) + 1.0)
         updates = [up(f"c{i}", [v]) for i, v in enumerate(honest)] + [up("c9", [adv])]
-        cfg = SwaConfig(beta=0.1, alpha=0.1, mode="delta")
+        cfg = ExperimentConfig(beta=0.1, alpha=0.1, swa_mode="delta")
         out = swa_aggregate(g, updates, cfg)
         # oracle: drop adversary, drop the single lowest honest value,
         # average the rest, then fuse
@@ -221,7 +221,7 @@ class TestSwaAggregate:
         honest = sorted(rng.normal(size=4).tolist())
         adv = -1000.0 * (abs(min(honest)) + 1.0)
         updates = [up(f"c{i}", [v]) for i, v in enumerate(honest)] + [up("c9", [adv])]
-        out = swa_aggregate(g, updates, SwaConfig())
+        out = swa_aggregate(g, updates, ExperimentConfig())
         retained = honest[:-1]
         expected = 0.1 * (sum(retained) / len(retained))
         assert out[0] == pytest.approx(expected, rel=1e-12)
@@ -230,14 +230,14 @@ class TestSwaAggregate:
         # e_i=2 in literal mode halves the weights before fusion
         g = np.array([0.0])
         updates = [up(f"c{i}", [4.0], epochs=2) for i in range(3)]
-        out = swa_aggregate(g, updates, SwaConfig(mode="literal", alpha=1.0))
+        out = swa_aggregate(g, updates, ExperimentConfig(swa_mode="literal", alpha=1.0))
         assert out[0] == pytest.approx(2.0, abs=1e-15)
 
     def test_trim_disabled_uses_all_updates(self):
         g = np.zeros(1)
         updates = [up(f"c{i}", [float(v)]) for i, v in enumerate([1.0, 2.0, 30.0])]
-        with_trim = swa_aggregate(g, updates, SwaConfig(alpha=1.0))
-        without = swa_aggregate(g, updates, SwaConfig(alpha=1.0, trim_enabled=False))
+        with_trim = swa_aggregate(g, updates, ExperimentConfig(alpha=1.0))
+        without = swa_aggregate(g, updates, ExperimentConfig(alpha=1.0, trim_enabled=False))
         assert with_trim[0] == pytest.approx(2.0, abs=1e-15)  # median survives
         assert without[0] == pytest.approx(11.0, abs=1e-15)
 
@@ -247,15 +247,16 @@ class TestSwaAggregate:
         rng = np.random.default_rng(7)
         updates = [up(f"c{i}", rng.normal(size=20), epochs=1, count=13) for i in range(4)]
         g = rng.normal(size=20)
-        swa = swa_aggregate(g, updates, SwaConfig(alpha=1.0, mode="literal", trim_enabled=False))
+        cfg = ExperimentConfig(alpha=1.0, swa_mode="literal", trim_enabled=False)
+        swa = swa_aggregate(g, updates, cfg)
         avg = fedavg(updates)
         assert np.max(np.abs(swa - avg)) < 1e-12
 
     def test_mode_flows_through(self):
         g = np.ones(2)
         updates = [up(f"c{i}", [3.0, 3.0], epochs=1) for i in range(3)]
-        delta = swa_aggregate(g, updates, SwaConfig(mode="delta"))
-        literal = swa_aggregate(g, updates, SwaConfig(mode="literal"))
+        delta = swa_aggregate(g, updates, ExperimentConfig(swa_mode="delta"))
+        literal = swa_aggregate(g, updates, ExperimentConfig(swa_mode="literal"))
         # delta: 1 + 0.1*(3-1) = 1.2; literal: 0.9*1 + 0.1*3 = 1.2
         np.testing.assert_allclose(delta, 1.2, atol=1e-15)
         np.testing.assert_allclose(literal, 1.2, atol=1e-15)

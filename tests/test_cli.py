@@ -29,6 +29,8 @@ FAST = [
 ]
 
 
+_VALID_CLIENTS = '"clients": {"B": {"probabilities": [0.5], "labels": [1]}}'
+
 # predictions.json files that evaluate must reject, by what is wrong
 PREDICTION_CORRUPTIONS = {
     "not_json": "not json",
@@ -52,6 +54,12 @@ PREDICTION_CORRUPTIONS = {
     "label_a_float": '{"threshold": 0.3, "clients": {"A": {"probabilities": [0.5], "labels": [1.0]}}}',
     "label_a_bool": '{"threshold": 0.3, "clients": {"A": {"probabilities": [0.5], "labels": [true]}}}',
     "lengths_differ": '{"threshold": 0.3, "clients": {"A": {"probabilities": [0.5, 0.5], "labels": [1]}}}',
+    # provenance fields beside one valid client
+    "seed_a_string": '{"seed": "x", "threshold": 0.3, ' + _VALID_CLIENTS + "}",
+    "seed_negative": '{"seed": -1, "threshold": 0.3, ' + _VALID_CLIENTS + "}",
+    "seed_a_bool": '{"seed": true, "threshold": 0.3, ' + _VALID_CLIENTS + "}",
+    "scenario_not_a_string": '{"scenario": 5, "threshold": 0.3, ' + _VALID_CLIENTS + "}",
+    "fingerprint_not_a_string": '{"config_fingerprint": null, "threshold": 0.3, ' + _VALID_CLIENTS + "}",
 }
 
 
@@ -425,12 +433,15 @@ def test_cli_loads_every_module():
 _UNREFERENCED_ALLOWED = frozenset({"save_params", "load_params"})
 
 
-def _referenced_names(node: ast.AST) -> Counter:
-    return Counter(
-        sub.id if isinstance(sub, ast.Name) else sub.attr
-        for sub in ast.walk(node)
-        if isinstance(sub, (ast.Name, ast.Attribute))
-    )
+def _references(node: ast.AST) -> dict:
+    """How often each name is used under ``node``: as a bare name, as an attribute."""
+    refs = {ast.Name: Counter(), ast.Attribute: Counter()}
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            refs[ast.Name][sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            refs[ast.Attribute][sub.attr] += 1
+    return refs
 
 
 def _overrides(module: str, cls: str, name: str) -> bool:
@@ -443,8 +454,11 @@ def _overrides(module: str, cls: str, name: str) -> bool:
 
 def test_src_defines_nothing_only_tests_use():
     """Every top-level function, class and method in src/fedfall is named
-    somewhere in src/ outside its own definition. Imports and ``__all__``
-    strings are not references, so ``__init__`` re-exports do not count."""
+    somewhere in src/ outside its own definition. A method counts only as an
+    attribute (``x.name``), so a local of the same name does not hide it; a
+    module-level definition counts as a bare name or an attribute. Imports
+    and ``__all__`` strings are not references, so ``__init__`` re-exports
+    do not count."""
     root = Path(fedfall.__file__).parent
     trees = {
         ".".join(("fedfall",) + path.relative_to(root).with_suffix("").parts).removesuffix(
@@ -452,7 +466,10 @@ def test_src_defines_nothing_only_tests_use():
         ): ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(root.rglob("*.py"))
     }
-    used = sum((_referenced_names(tree) for tree in trees.values()), Counter())
+    used = {kind: Counter() for kind in (ast.Name, ast.Attribute)}
+    for tree in trees.values():
+        for kind, counts in _references(tree).items():
+            used[kind] += counts
     kinds = (ast.FunctionDef, ast.ClassDef)
     unused = []
     for module, tree in trees.items():
@@ -463,7 +480,9 @@ def test_src_defines_nothing_only_tests_use():
             if isinstance(node, ast.ClassDef):
                 defs += [(sub, node.name) for sub in node.body if isinstance(sub, kinds)]
             for d, cls in defs:
-                if used[d.name] > _referenced_names(d)[d.name]:
+                own = _references(d)
+                counted = (ast.Attribute,) if cls else (ast.Name, ast.Attribute)
+                if any(used[k][d.name] > own[k][d.name] for k in counted):
                     continue
                 if d.name in fedfall.__all__ or d.name in _UNREFERENCED_ALLOWED:
                     continue

@@ -42,10 +42,6 @@ class TestDefaults:
         assert cfg.clip_range == 100.0
         assert cfg.seed == 0
 
-    def test_swa_config_mirrors_fields(self):
-        sc = ExperimentConfig(beta=0.2, alpha=0.5, swa_mode="literal", trim_enabled=False).swa_config()
-        assert (sc.beta, sc.alpha, sc.mode, sc.trim_enabled) == (0.2, 0.5, "literal", False)
-
     @pytest.mark.parametrize(
         "kw",
         [
@@ -84,6 +80,9 @@ class TestDefaults:
             {"clip_range": float("inf")},
             {"classification_threshold": 1.0},
             {"alert_threshold": 1.2},
+            {"beta": -0.1},
+            {"beta": float("nan")},
+            {"alpha": float("nan")},
         ],
     )
     def test_field_validation(self, kw):

@@ -409,7 +409,9 @@ class TestRunRound:
             small_config(), strategy="swa",
         )
         transport = TransportConfig(
-            key=keygen(256, seed=11), codec=FixedPointCodec(), rng=_random.Random(3)
+            key=keygen(256, seed=11),
+            codec=FixedPointCodec(scale_bits=20, clip_range=100.0),
+            rng=_random.Random(3),
         )
         secured = run_round(
             g, [make_client(c, seed=i, data_seed=i) for i, c in enumerate("ABC")],

@@ -163,12 +163,12 @@ class TestAdam:
             )
 
     def test_dim_mismatch(self):
-        state = AdamState(dim=4)
+        state = AdamState(dim=4, lr=0.001)
         with pytest.raises(ShapeMismatchError):
             adam_step(state, np.zeros(4), np.zeros(5))
 
     def test_zero_gradients_leave_weights_unchanged(self):
-        state = AdamState(dim=3)
+        state = AdamState(dim=3, lr=0.001)
         w = np.array([1.0, -2.0, 0.5])
         out = adam_step(state, w, np.zeros(3))
         assert out is w  # updated in place
@@ -177,7 +177,7 @@ class TestAdam:
 
     @staticmethod
     def _stepped_state():
-        state = AdamState(dim=2)
+        state = AdamState(dim=2, lr=0.001)
         adam_step(state, np.zeros(2), np.array([0.5, -1.0]))
         return state, (state.t, state.m.copy(), state.v.copy())
 
@@ -215,7 +215,7 @@ class TestAdam:
         self._assert_unchanged(state, (0, np.zeros(2), np.zeros(2)), w)
 
     def test_non_float64_weights_rejected(self):
-        state = AdamState(dim=2)
+        state = AdamState(dim=2, lr=0.001)
         with pytest.raises(TypeError):
             adam_step(state, [0.0, 0.0], np.ones(2))
         assert state.t == 0
