@@ -59,7 +59,7 @@ def _validate_vector(vec: np.ndarray, what: str, dim: int | None = None) -> np.n
     return vec
 
 
-def fednova_normalize(update: ClientUpdate, global_params: np.ndarray, mode: str = "delta") -> np.ndarray:
+def fednova_normalize(update: ClientUpdate, global_params: np.ndarray, mode: str) -> np.ndarray:
     """Scale one client's contribution by its local epoch count.
 
     delta mode: (w_i - w_g) / e_i; literal mode: w_i / e_i.
@@ -121,7 +121,7 @@ def trimmed_mean(vectors: list[np.ndarray], beta: float) -> np.ndarray:
     return _ordered_mean([srt[i] for i in range(m, n - m)])
 
 
-def ema_fuse(global_params: np.ndarray, aggregated: np.ndarray, alpha: float, mode: str = "delta") -> np.ndarray:
+def ema_fuse(global_params: np.ndarray, aggregated: np.ndarray, alpha: float, mode: str) -> np.ndarray:
     """Fold the aggregated update into the previous global model.
 
     literal mode: (1 - alpha) * w_g + alpha * aggregated (a convex blend of

@@ -11,11 +11,14 @@ Raw windows never leave a client: ``PrivateDataset`` raises when touched
 outside its owner's execution scope and counts every access, so tests can
 audit the boundary. Only ClientUpdate objects cross to the server.
 
-A round trains its clients in parallel where the platform can fork: the
-calling process trains one share of them and forked children train the
-rest, each against the same frozen global vector. A client's training reads
-only that client's state, so the results do not depend on the number of
-processes, and the server side of the round runs in client order as before.
+Per-client work runs in parallel where the platform can fork, through one
+client map, ``map_clients``: the calling process runs one share of the
+clients and forked children run the rest. A round trains through it, each
+client against the same frozen global vector, and ``fedfall.simulate``
+screens monitor windows and scores validation and test windows through it,
+on the same shares. A client's job reads only that client's state and the
+shared models, so the results do not depend on the number of processes, and
+the server side of the round runs in client order as before.
 """
 
 from __future__ import annotations
@@ -241,60 +244,62 @@ class _Trained:
         return self.update
 
 
-def _train_share(
-    clients: list[ClientState], global_params: np.ndarray, config: ExperimentConfig
-) -> list:
-    """Run ``local_train`` on a working copy of each client, in order.
+def _train_one(
+    client: ClientState, global_params: np.ndarray, config: ExperimentConfig
+) -> _Trained:
+    """Run ``local_train`` on a working copy of ``client``, which is left
+    unchanged."""
+    work = replace(
+        client,
+        dataset=copy.copy(client.dataset),
+        adam=copy.deepcopy(client.adam),
+        rng=copy.deepcopy(client.rng),
+    )
+    work.dataset.access_log = dict(client.dataset.access_log)
+    update = local_train(work, global_params, config)
+    return _Trained(
+        update, work.local_params, work.adam, work.rng,
+        work.last_train_log, work.dataset.access_log,
+    )
 
-    Returns a ``_Trained`` per client, or ends with the exception of the
-    first client that raised. The clients themselves are left unchanged.
-    """
+
+def _run_share(fn, jobs: list, args: tuple) -> list:
+    """``fn(job, *args)`` for each job in order, ending with the exception
+    of the first job that raised."""
     outcomes: list = []
-    for client in clients:
-        work = replace(
-            client,
-            dataset=copy.copy(client.dataset),
-            adam=copy.deepcopy(client.adam),
-            rng=copy.deepcopy(client.rng),
-        )
-        work.dataset.access_log = dict(client.dataset.access_log)
+    for _, job in jobs:
         try:
-            update = local_train(work, global_params, config)
-        except Exception as exc:  # run_round re-raises it once every share is in
+            outcomes.append(fn(job, *args))
+        except Exception as exc:  # map_clients re-raises it once every share is in
             outcomes.append(exc)
             break
-        outcomes.append(
-            _Trained(
-                update, work.local_params, work.adam, work.rng,
-                work.last_train_log, work.dataset.access_log,
-            )
-        )
     return outcomes
 
 
-def _train_in_child(conn, clients, global_params, config) -> None:
-    """A forked child's whole life: train its share and send the outcomes."""
+def _run_in_child(conn, fn, jobs: list, args: tuple) -> None:
+    """A forked child's whole life: run its share and send the outcomes."""
     with conn:
-        for outcome in _train_share(clients, global_params, config):
+        for (client_id, _), outcome in zip(jobs, _run_share(fn, jobs, args)):
             if isinstance(outcome, Exception) and hasattr(outcome, "add_note"):
                 # the traceback does not survive pickling; its text does
                 outcome.add_note(
-                    "raised in a training worker:\n" + "".join(traceback.format_exception(outcome))
+                    f"raised in the worker process for client {client_id!r}:\n"
+                    + "".join(traceback.format_exception(outcome))
                 )
             conn.send(outcome)
 
 
-def _receive(child, conn, share: list[ClientState]) -> list:
-    """A child's outcomes, as ``_train_share`` returned them."""
+def _receive(child, conn, jobs: list) -> list:
+    """A child's outcomes, as ``_run_share`` returned them."""
     received: list = []
-    for client in share:
+    for client_id, _ in jobs:
         try:
             outcome = conn.recv()
         except EOFError:
             child.join()
             outcome = RuntimeError(
-                f"training worker exited with code {child.exitcode} "
-                f"before reporting client {client.client_id!r}"
+                f"worker exited with code {child.exitcode} "
+                f"before reporting client {client_id!r}"
             )
         received.append(outcome)
         if isinstance(outcome, Exception):
@@ -303,8 +308,8 @@ def _receive(child, conn, share: list[ClientState]) -> list:
 
 
 def _worker_count(jobs: int) -> int:
-    """Processes to train ``jobs`` clients in: one per usable core, at most
-    one per client. Only the calling process where it cannot fork, or runs
+    """Processes to run ``jobs`` client jobs in: one per usable core, at most
+    one per job. Only the calling process where it cannot fork, or runs
     other threads, which a forked child would inherit in an unknown state."""
     if jobs < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
@@ -315,19 +320,23 @@ def _worker_count(jobs: int) -> int:
     return min(cores, jobs)
 
 
-def _train_clients(
-    clients: list[ClientState], global_params: np.ndarray, config: ExperimentConfig
-) -> list[_Trained]:
-    """Train every client, one ``_Trained`` each, in client order.
+def map_clients(fn, jobs: list[tuple[str, object]], *args) -> list:
+    """``[fn(job, *args) for client_id, job in jobs]``, over the usable cores.
 
-    With W = ``_worker_count`` processes, client i goes to share i mod W.
-    This process trains share 0; a forked child trains each other share
-    and pipes its outcomes back. When clients raise, the lowest-index one's
-    exception is raised, after every child has exited, and no client has
-    changed.
+    With W = ``_worker_count`` processes, job i goes to share i mod W. This
+    process runs share 0; a forked child runs each other share, reading the
+    jobs and ``args`` from its copy of this process's memory, and pipes its
+    results back. Results come back in job order. When jobs raise, the
+    lowest-index one's exception is raised, after every child has exited;
+    ``client_id`` names the job in a worker's traceback note and in the
+    error for a worker that died.
+
+    ``fn`` must give a result that does not depend on the process it runs
+    in, and must change nothing this process reads afterwards: a child's
+    changes stay in the child.
     """
-    workers = _worker_count(len(clients))
-    shares = [clients[k::workers] for k in range(workers)]
+    workers = _worker_count(len(jobs))
+    shares = [jobs[k::workers] for k in range(workers)]
     children = []
     done = False
     try:
@@ -338,14 +347,12 @@ def _train_clients(
             for share in shares[1:]:
                 recv, send = ctx.Pipe(duplex=False)
                 child = ctx.Process(
-                    target=_train_in_child,
-                    args=(send, share, global_params, config),
-                    daemon=True,
+                    target=_run_in_child, args=(send, fn, share, args), daemon=True
                 )
                 child.start()
                 send.close()
                 children.append((child, recv))
-        outcomes = [_train_share(shares[0], global_params, config)]
+        outcomes = [_run_share(fn, shares[0], args)]
         for (child, recv), share in zip(children, shares[1:]):
             outcomes.append(_receive(child, recv, share))
         done = True
@@ -364,7 +371,7 @@ def _train_clients(
     for i in sorted(by_index):
         if isinstance(by_index[i], Exception):
             raise by_index[i]
-    return [by_index[i] for i in range(len(clients))]
+    return [by_index[i] for i in range(len(jobs))]
 
 
 @dataclass
@@ -386,9 +393,9 @@ def run_round(
 
     Every client trains against the same incoming global vector; the new
     global depends only on this round's updates and the incoming global.
-    Clients train in parallel (``_train_clients``); when one raises, the
-    round raises before any client's state changes. ``update_transform``
-    intercepts each ClientUpdate before transport
+    Clients train in parallel (``map_clients``), each on a working copy;
+    when one raises, the round raises before any client's state changes.
+    ``update_transform`` intercepts each ClientUpdate before transport
     (used to inject adversarial corruption in experiments); ``transport``
     encrypts each update and has the server decrypt before aggregation.
     """
@@ -397,8 +404,11 @@ def run_round(
     global_params = np.asarray(global_params, dtype=np.float64)
     skipped = [_skipped(client) for client in clients]
     trained = iter(
-        _train_clients(
-            [c for c, skip in zip(clients, skipped) if not skip], global_params, config
+        map_clients(
+            _train_one,
+            [(c.client_id, c) for c, skip in zip(clients, skipped) if not skip],
+            global_params,
+            config,
         )
     )
     updates: list[ClientUpdate] = []

@@ -24,6 +24,12 @@ the step is shared: feedback, validation, the loss curve, best-round
 tracking, early stopping and test scoring, and every report comes from
 ``metrics.report_from_probabilities``.
 
+Feedback screening, validation and test scoring run their forwards over the
+same per-client shares as training (``federation.map_clients``), so they too
+use every usable core. Each client's forwards see the same batches as in a
+serial loop, and monitor draws, alerts and oracle queries stay in the calling
+process in client order, so the results do not depend on the worker count.
+
 Every random choice flows from one seed through spawned generator
 streams, so a scenario rerun with the same config is bit-identical.
 """
@@ -50,6 +56,7 @@ from fedfall.federation import (
     ensemble_predict,
     local_train,
     make_label_oracle,
+    map_clients,
     run_round,
     TransportConfig,
 )
@@ -120,22 +127,40 @@ def _probabilities(
     client_models: dict[str, ModelParams] | None,
 ) -> dict[str, np.ndarray]:
     """Per-client float64 fall probabilities: the two-model ensemble when
-    client models are given, the global model alone otherwise. The passes
-    run in float32, and each model is cast once per call."""
-    global_model = global_model.astype(COMPUTE_DTYPE)
-    out: dict[str, np.ndarray] = {}
-    for cid in sorted(windows_by_client):
-        windows = windows_by_client[cid]
-        if not windows:
-            out[cid] = np.zeros(0)
-            continue
-        batch, _ = stack_windows(windows, dtype=COMPUTE_DTYPE)
-        if client_models is None:
-            out[cid] = model_forward(global_model, batch, mode="eval")[0].astype(np.float64)
-        else:
-            local_model = client_models[cid].astype(COMPUTE_DTYPE)
-            out[cid] = ensemble_predict(global_model, local_model, batch)
-    return out
+    client models are given, the global model alone otherwise.
+
+    Clients are scored over the same shares as training (``map_clients``),
+    each in one forward over all of its windows, as in a serial loop. The
+    passes run in float32; the global model is cast once per call and each
+    client model once, in the process that scores that client."""
+    cids = sorted(windows_by_client)
+    jobs = [
+        (cid, (windows_by_client[cid], None if client_models is None else client_models[cid]))
+        for cid in cids
+    ]
+    return dict(zip(cids, map_clients(_score, jobs, global_model.astype(COMPUTE_DTYPE))))
+
+
+def _score(job, global_model: ModelParams) -> np.ndarray:
+    windows, client_model = job
+    if not windows:
+        return np.zeros(0)
+    batch, _ = stack_windows(windows, dtype=COMPUTE_DTYPE)
+    if client_model is None:
+        return model_forward(global_model, batch, mode="eval")[0].astype(np.float64)
+    return ensemble_predict(global_model, client_model.astype(COMPUTE_DTYPE), batch)
+
+
+def _screen(job, global_model: ModelParams) -> list[float]:
+    """The ensemble probability of each monitor window, one batch-1 forward
+    pair per window, as a live monitor scores a window when it arrives."""
+    windows, client_model = job
+    client_model = client_model.astype(COMPUTE_DTYPE)
+    probs = []
+    for window in windows:
+        batch, _ = stack_windows([window], dtype=COMPUTE_DTYPE)
+        probs.append(float(ensemble_predict(global_model, client_model, batch)[0]))
+    return probs
 
 
 def _make_monitor_window(
@@ -282,37 +307,46 @@ def simulate_full(
         global_model = vector_to_params(global_vec, input_size, config.hidden_size)
         client_models = {c.client_id: c.local_params for c in clients} if ensemble else None
 
+        monitored: list = []  # (client, its monitor windows)
+        screen_probs: list = []
         if feedback_on:
-            # The models do not change while a round is screened, so each is
-            # cast to the compute dtype once, not once per monitor window.
-            global_screen = global_model.astype(COMPUTE_DTYPE)
+            # The windows are drawn here, each client's from its own stream,
+            # and only the forwards are mapped, so the draws do not depend on
+            # the worker count.
             for c in clients:
                 raw = dataset.train_by_client[c.client_id]
                 if not raw:
                     continue
-                local_screen = c.local_params.astype(COMPUTE_DTYPE)
                 rng = monitor_rngs[c.client_id]
-                alerts = 0
-                for _ in range(config.monitor_windows_per_round):
-                    base = raw[int(rng.integers(0, len(raw)))]
-                    window = _make_monitor_window(base, c.client_id, r, rng)
-                    batch, _ = stack_windows([window], dtype=COMPUTE_DTYPE)
-                    prob = float(ensemble_predict(global_screen, local_screen, batch)[0])
-                    event = alert_and_feedback(c, window, prob, oracle, config, r)
-                    if event is not None:
-                        feedback_events.append(event)
-                        alerts += 1
-                round_log.append(
-                    {
-                        "round": r,
-                        "client": c.client_id,
-                        "event": "feedback",
-                        "alerts": alerts,
-                        "dataset_size": len(c.dataset),
-                    }
-                )
-
+                windows = [
+                    _make_monitor_window(raw[int(rng.integers(0, len(raw)))], c.client_id, r, rng)
+                    for _ in range(config.monitor_windows_per_round)
+                ]
+                monitored.append((c, windows))
+            screen_probs = map_clients(
+                _screen,
+                [(c.client_id, (windows, c.local_params)) for c, windows in monitored],
+                global_model.astype(COMPUTE_DTYPE),
+            )
+        # Validation is scored before any alert changes a client, so a
+        # failing forward leaves every client as the round left it.
         val_probs = _probabilities(val_by_client, global_model, client_models)
+        for (c, windows), probs in zip(monitored, screen_probs):
+            alerts = 0
+            for window, prob in zip(windows, probs):
+                event = alert_and_feedback(c, window, prob, oracle, config, r)
+                if event is not None:
+                    feedback_events.append(event)
+                    alerts += 1
+            round_log.append(
+                {
+                    "round": r,
+                    "client": c.client_id,
+                    "event": "feedback",
+                    "alerts": alerts,
+                    "dataset_size": len(c.dataset),
+                }
+            )
         val_metrics = report_from_probabilities(val_probs, val_labels, threshold)
         score = val_metrics.recall + val_metrics.f1
         history.append(score)

@@ -45,7 +45,7 @@ class TestFednovaNormalize:
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeMismatchError):
-            fednova_normalize(up("a", [1.0, 2.0]), np.zeros(3))
+            fednova_normalize(up("a", [1.0, 2.0]), np.zeros(3), mode="delta")
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
@@ -185,11 +185,11 @@ class TestEmaFuse:
 
     def test_alpha_zero_rejected(self):
         with pytest.raises(ValueError):
-            ema_fuse(np.zeros(1), np.zeros(1), alpha=0.0)
+            ema_fuse(np.zeros(1), np.zeros(1), alpha=0.0, mode="delta")
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeMismatchError):
-            ema_fuse(np.zeros(2), np.zeros(3), alpha=0.5)
+            ema_fuse(np.zeros(2), np.zeros(3), alpha=0.5, mode="delta")
 
 
 class TestSwaAggregate:

@@ -1,9 +1,10 @@
-"""Client-parallel rounds: forked training workers give the serial loop's
-results byte for byte, report failures as the serial loop would, and leave
-no process behind.
+"""Client-parallel work: forked workers train, screen and score clients
+with the serial loop's results byte for byte, report failures as the serial
+loop would, and leave no process behind.
 
 Each path is forced by replacing ``fedfall.federation._worker_count``: one
-process runs the serial loop, three split five clients into uneven shares.
+process runs the serial loop, two or three split five clients into uneven
+shares.
 """
 
 import logging
@@ -16,6 +17,7 @@ import pytest
 import fedfall.federation as federation
 from fedfall.cli import _write_run_outputs
 from fedfall.config import ExperimentConfig
+from fedfall.data.split import DatasetSplit
 from fedfall.data.synthetic import make_synthetic_dataset
 from fedfall.errors import NumericalFailureError
 from fedfall.federation import local_train, run_round
@@ -26,10 +28,11 @@ from test_federation import make_client, small_config
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
-    reason="training workers are forked",
+    reason="client workers are forked",
 )
 
 SERIAL = lambda jobs: 1  # noqa: E731
+PAIR = lambda jobs: min(jobs, 2)  # noqa: E731
 PARALLEL = lambda jobs: min(jobs, 3)  # noqa: E731
 
 
@@ -57,10 +60,35 @@ def config(**kw):
     return ExperimentConfig(**values)
 
 
-RUNS = [(scenario, {}) for scenario in SCENARIOS] + [
-    ("fl_fedavg", dict(encrypt_transport=True, he_key_bits=256)),
-    ("epfl_swa", dict(feedback_enabled=True, monitor_windows_per_round=6)),
-]
+def without_training_windows(dataset, cid):
+    """``dataset`` with client ``cid``'s training windows removed."""
+    train_by_client = {**dataset.train_by_client, cid: []}
+    return DatasetSplit(
+        train=[w for c in dataset.clients for w in train_by_client[c]],
+        test=dataset.test,
+        train_by_client=train_by_client,
+        test_by_client=dataset.test_by_client,
+    )
+
+
+FEEDBACK = dict(feedback_enabled=True, monitor_windows_per_round=6)
+# id -> (scenario, config overrides, client left with no training windows)
+RUNS = {scenario: (scenario, {}, None) for scenario in SCENARIOS}
+RUNS.update(
+    {
+        "fl_fedavg-encrypt_transport-he_key_bits": (
+            "fl_fedavg", dict(encrypt_transport=True, he_key_bits=256), None
+        ),
+        "epfl_swa-feedback_enabled-monitor_windows_per_round": ("epfl_swa", FEEDBACK, None),
+        # a noisy oracle shows any reordering of alerts or oracle queries
+        "epfl_swa-feedback-noisy_oracle": ("epfl_swa", dict(FEEDBACK, feedback_noise_p=0.3), None),
+        "epfl_swa-feedback-no_monitor_windows": (
+            "epfl_swa", dict(FEEDBACK, monitor_windows_per_round=0), None
+        ),
+        # B is not trained or screened, so the other shares shift
+        "epfl_swa-feedback-client_without_training_windows": ("epfl_swa", FEEDBACK, "B"),
+    }
+)
 
 
 def artifacts(dataset, cfg, scenario, out_dir):
@@ -75,23 +103,32 @@ def artifacts(dataset, cfg, scenario, out_dir):
     return files, b"".join(v.tobytes() for v in vectors), result
 
 
-@pytest.mark.parametrize(
-    "scenario, overrides", RUNS, ids=[s + "".join(f"-{k}" for k in o) for s, o in RUNS]
-)
-def test_parallel_artifacts_equal_serial(dataset, scenario, overrides, tmp_path, monkeypatch):
+@pytest.mark.parametrize("scenario, overrides, emptied", RUNS.values(), ids=list(RUNS))
+def test_parallel_artifacts_equal_serial(
+    dataset, scenario, overrides, emptied, tmp_path, monkeypatch
+):
     cfg = config(**overrides)
+    if emptied is not None:
+        dataset = without_training_windows(dataset, emptied)
     monkeypatch.setattr(federation, "_worker_count", SERIAL)
     serial_files, serial_vectors, serial = artifacts(dataset, cfg, scenario, tmp_path / "serial")
-    monkeypatch.setattr(federation, "_worker_count", PARALLEL)
-    files, vectors, result = artifacts(dataset, cfg, scenario, tmp_path / "parallel")
-    assert files == serial_files
-    assert vectors == serial_vectors
-    assert multiprocessing.active_children() == []
     assert serial.rounds_run == cfg.global_epochs
+    for workers, count in ((2, PAIR), (3, PARALLEL)):
+        monkeypatch.setattr(federation, "_worker_count", count)
+        files, vectors, result = artifacts(dataset, cfg, scenario, tmp_path / f"w{workers}")
+        assert files == serial_files, f"{workers} workers"
+        assert vectors == serial_vectors, f"{workers} workers"
+        assert multiprocessing.active_children() == []
     if overrides.get("encrypt_transport"):
         assert all(e["encrypted"] for e in result.round_log if "loss" in e)
     if overrides.get("feedback_enabled"):
-        assert result.feedback_events
+        feedback = [e for e in result.round_log if e.get("event") == "feedback"]
+        assert len(feedback) == cfg.global_epochs * (4 if emptied else 5)
+        assert all(e["client"] != emptied for e in feedback)
+        if cfg.monitor_windows_per_round:
+            assert result.feedback_events
+        else:
+            assert not result.feedback_events
 
 
 def five_clients():
@@ -224,3 +261,103 @@ def test_no_fork_while_other_threads_run():
         release.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+def stamp_batch1_eval_forwards(monkeypatch, log):
+    """Append the pid of every batch-1 eval forward to the file ``log``,
+    from whichever process makes it."""
+    real = federation.model_forward
+
+    def stamped(params, batch, mode="train"):
+        if mode == "eval" and len(batch) == 1:
+            with open(log, "a", encoding="utf-8") as f:
+                f.write(f"{os.getpid()}\n")
+        return real(params, batch, mode=mode)
+
+    monkeypatch.setattr(federation, "model_forward", stamped)
+
+
+@pytest.mark.parametrize(
+    "workers, count", [(1, SERIAL), (2, PAIR), (3, PARALLEL)], ids=["w1", "w2", "w3"]
+)
+def test_screening_forwards_stay_batch_one_and_in_the_calling_process(
+    dataset, workers, count, tmp_path, monkeypatch
+):
+    log = tmp_path / "pids"
+    stamp_batch1_eval_forwards(monkeypatch, log)
+    monkeypatch.setattr(federation, "_worker_count", count)
+    cfg = config(**FEEDBACK)
+    simulate_full(dataset, cfg, "epfl_swa")
+    pids = [int(line) for line in log.read_text(encoding="utf-8").split()]
+    per_client = 2 * cfg.monitor_windows_per_round * cfg.global_epochs  # two forwards a window
+    assert len(pids) == 5 * per_client
+    # this process screens share 0: clients 0, W, 2W, ...
+    assert pids.count(os.getpid()) == len(range(0, 5, workers)) * per_client
+    assert bool(set(pids) - {os.getpid()}) == (workers > 1)
+
+
+def fail_in_children(monkeypatch, phase, fail):
+    """Call ``fail`` in every eval forward of ``phase`` made outside this
+    process: batch-1 forwards screen, bulk ones validate."""
+    caller = os.getpid()
+    real = federation.model_forward
+
+    def failing(params, batch, mode="train"):
+        if mode == "eval" and (len(batch) == 1) == (phase == "screening"):
+            if os.getpid() != caller:
+                fail()
+        return real(params, batch, mode=mode)
+
+    monkeypatch.setattr(federation, "model_forward", failing)
+
+
+def record_appends(monkeypatch):
+    """The owner of every ``PrivateDataset`` that gains a window."""
+    owners = []
+    real = federation.PrivateDataset.append
+
+    def recording(self, window):
+        owners.append(self.owner)
+        real(self, window)
+
+    monkeypatch.setattr(federation.PrivateDataset, "append", recording)
+    return owners
+
+
+def diverge():
+    raise NumericalFailureError("eval forward diverged", layer="eval")
+
+
+PHASES = pytest.mark.parametrize("phase", ["screening", "validation"])
+PARALLEL_COUNTS = pytest.mark.parametrize("count", [PAIR, PARALLEL], ids=["w2", "w3"])
+
+
+@PHASES
+@PARALLEL_COUNTS
+def test_forward_failure_in_a_worker_raises_lowest_index_client(
+    dataset, monkeypatch, phase, count
+):
+    fail_in_children(monkeypatch, phase, diverge)
+    appended = record_appends(monkeypatch)
+    monkeypatch.setattr(federation, "_worker_count", count)
+    with pytest.raises(NumericalFailureError, match="eval forward diverged") as info:
+        simulate_full(dataset, config(**FEEDBACK), "epfl_swa")
+    if hasattr(info.value, "add_note"):
+        # every child's first client fails; B, client 1, has the lowest index
+        (note,) = info.value.__notes__
+        assert note.startswith("raised in the worker process for client 'B':\nTraceback")
+        assert "in failing" in note
+    assert multiprocessing.active_children() == []
+    assert appended == []
+
+
+@PHASES
+@PARALLEL_COUNTS
+def test_worker_that_dies_mid_forward_is_reported(dataset, monkeypatch, phase, count):
+    fail_in_children(monkeypatch, phase, lambda: os._exit(3))
+    appended = record_appends(monkeypatch)
+    monkeypatch.setattr(federation, "_worker_count", count)
+    with pytest.raises(RuntimeError, match="exited with code 3 before reporting client 'B'"):
+        simulate_full(dataset, config(**FEEDBACK), "epfl_swa")
+    assert multiprocessing.active_children() == []
+    assert appended == []
