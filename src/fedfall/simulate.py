@@ -79,6 +79,13 @@ _SCENARIO_OVERRIDES = {"central": {"mu": 0.0, "client_epochs": 1}, "fl_fedavg": 
 
 VALIDATION_FRACTION = 0.15
 
+# Bulk scoring below this many window-coordinates (windows times model
+# coordinates, over every model run) stays in the calling process: there a
+# fork costs more than it saves. On a 2-core host a scoring fork added about
+# 10 ms, mostly page faults as both processes first touch the shared
+# windows; forked scoring lost at 1.1 million and won from 12 million.
+MAPPED_SCORING_WORK = 4_000_000
+
 
 @dataclass
 class SimulationResult:
@@ -130,15 +137,21 @@ def _probabilities(
     client models are given, the global model alone otherwise.
 
     Clients are scored over the same shares as training (``map_clients``),
-    each in one forward over all of its windows, as in a serial loop. The
-    passes run in float32; the global model is cast once per call and each
-    client model once, in the process that scores that client."""
+    unless the work is below ``MAPPED_SCORING_WORK``. Each client's windows
+    go through one forward per model, as in a serial loop. The passes run
+    in float32; the global model is cast once per call and each client
+    model once, in the process that scores that client."""
     cids = sorted(windows_by_client)
     jobs = [
         (cid, (windows_by_client[cid], None if client_models is None else client_models[cid]))
         for cid in cids
     ]
-    return dict(zip(cids, map_clients(_score, jobs, global_model.astype(COMPUTE_DTYPE))))
+    global_model = global_model.astype(COMPUTE_DTYPE)
+    runs = 1 if client_models is None else 2
+    work = runs * global_model.vec.size * sum(len(w) for w in windows_by_client.values())
+    if work < MAPPED_SCORING_WORK:
+        return {cid: _score(job, global_model) for cid, job in jobs}
+    return dict(zip(cids, map_clients(_score, jobs, global_model)))
 
 
 def _score(job, global_model: ModelParams) -> np.ndarray:

@@ -15,6 +15,7 @@ import threading
 import pytest
 
 import fedfall.federation as federation
+import fedfall.simulate as simulate
 from fedfall.cli import _write_run_outputs
 from fedfall.config import ExperimentConfig
 from fedfall.data.split import DatasetSplit
@@ -110,6 +111,7 @@ def test_parallel_artifacts_equal_serial(
     cfg = config(**overrides)
     if emptied is not None:
         dataset = without_training_windows(dataset, emptied)
+    monkeypatch.setattr(simulate, "MAPPED_SCORING_WORK", 0)  # these runs score little
     monkeypatch.setattr(federation, "_worker_count", SERIAL)
     serial_files, serial_vectors, serial = artifacts(dataset, cfg, scenario, tmp_path / "serial")
     assert serial.rounds_run == cfg.global_epochs
@@ -263,18 +265,19 @@ def test_no_fork_while_other_threads_run():
     assert not thread.is_alive()
 
 
-def stamp_batch1_eval_forwards(monkeypatch, log):
-    """Append the pid of every batch-1 eval forward to the file ``log``,
-    from whichever process makes it."""
+def stamp_eval_forwards(monkeypatch, log, single):
+    """Append the pid of every batch-1 (``single``) or bulk eval forward to
+    the file ``log``, from whichever process makes it."""
     real = federation.model_forward
 
     def stamped(params, batch, mode="train"):
-        if mode == "eval" and len(batch) == 1:
+        if mode == "eval" and (len(batch) == 1) == single:
             with open(log, "a", encoding="utf-8") as f:
                 f.write(f"{os.getpid()}\n")
         return real(params, batch, mode=mode)
 
     monkeypatch.setattr(federation, "model_forward", stamped)
+    monkeypatch.setattr(simulate, "model_forward", stamped)
 
 
 @pytest.mark.parametrize(
@@ -284,7 +287,7 @@ def test_screening_forwards_stay_batch_one_and_in_the_calling_process(
     dataset, workers, count, tmp_path, monkeypatch
 ):
     log = tmp_path / "pids"
-    stamp_batch1_eval_forwards(monkeypatch, log)
+    stamp_eval_forwards(monkeypatch, log, single=True)
     monkeypatch.setattr(federation, "_worker_count", count)
     cfg = config(**FEEDBACK)
     simulate_full(dataset, cfg, "epfl_swa")
@@ -294,6 +297,24 @@ def test_screening_forwards_stay_batch_one_and_in_the_calling_process(
     # this process screens share 0: clients 0, W, 2W, ...
     assert pids.count(os.getpid()) == len(range(0, 5, workers)) * per_client
     assert bool(set(pids) - {os.getpid()}) == (workers > 1)
+
+
+@pytest.mark.parametrize("threshold, mapped", [(None, False), (0, True)], ids=["small", "mapped"])
+def test_scoring_is_mapped_only_above_the_work_threshold(
+    dataset, threshold, mapped, tmp_path, monkeypatch
+):
+    log = tmp_path / "pids"
+    stamp_eval_forwards(monkeypatch, log, single=False)
+    if threshold is not None:
+        monkeypatch.setattr(simulate, "MAPPED_SCORING_WORK", threshold)
+    monkeypatch.setattr(federation, "_worker_count", PARALLEL)
+    cfg = config()
+    for scenario in ("pfl_swa", "epfl_swa"):  # the global model alone, then the ensemble
+        simulate_full(dataset, cfg, scenario)
+    pids = [int(line) for line in log.read_text(encoding="utf-8").split()]
+    scored = (cfg.global_epochs + 1) * 5  # every client, each round and once for the test
+    assert len(pids) == scored * 3  # one forward per client under pfl_swa, two under epfl_swa
+    assert (pids.count(os.getpid()) < len(pids)) == mapped
 
 
 def fail_in_children(monkeypatch, phase, fail):
@@ -338,6 +359,7 @@ def test_forward_failure_in_a_worker_raises_lowest_index_client(
     dataset, monkeypatch, phase, count
 ):
     fail_in_children(monkeypatch, phase, diverge)
+    monkeypatch.setattr(simulate, "MAPPED_SCORING_WORK", 0)
     appended = record_appends(monkeypatch)
     monkeypatch.setattr(federation, "_worker_count", count)
     with pytest.raises(NumericalFailureError, match="eval forward diverged") as info:
@@ -355,6 +377,7 @@ def test_forward_failure_in_a_worker_raises_lowest_index_client(
 @PARALLEL_COUNTS
 def test_worker_that_dies_mid_forward_is_reported(dataset, monkeypatch, phase, count):
     fail_in_children(monkeypatch, phase, lambda: os._exit(3))
+    monkeypatch.setattr(simulate, "MAPPED_SCORING_WORK", 0)
     appended = record_appends(monkeypatch)
     monkeypatch.setattr(federation, "_worker_count", count)
     with pytest.raises(RuntimeError, match="exited with code 3 before reporting client 'B'"):
