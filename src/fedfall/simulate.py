@@ -26,9 +26,11 @@ tracking, early stopping and test scoring, and every report comes from
 
 Feedback screening, validation and test scoring run their forwards over the
 same per-client shares as training (``federation.map_clients``), so they too
-use every usable core. Each client's forwards see the same batches as in a
-serial loop, and monitor draws, alerts and oracle queries stay in the calling
-process in client order, so the results do not depend on the worker count.
+use every usable core; bulk scoring too small to repay a fork stays in the
+calling process (``MAPPED_SCORING_WORK``). Each client's forwards see the
+same batches as in a serial loop, and monitor draws, alerts and oracle
+queries stay in the calling process in client order, so the results do not
+depend on the worker count.
 
 Every random choice flows from one seed through spawned generator
 streams, so a scenario rerun with the same config is bit-identical.
@@ -80,10 +82,10 @@ _SCENARIO_OVERRIDES = {"central": {"mu": 0.0, "client_epochs": 1}, "fl_fedavg": 
 VALIDATION_FRACTION = 0.15
 
 # Bulk scoring below this many window-coordinates (windows times model
-# coordinates, over every model run) stays in the calling process: there a
+# coordinates, over every model run) stays in the calling process, where a
 # fork costs more than it saves. On a 2-core host a scoring fork added about
-# 10 ms, mostly page faults as both processes first touch the shared
-# windows; forked scoring lost at 1.1 million and won from 12 million.
+# 10 ms: scoring 0.1 to 0.2 million (hidden 1) ran slower forked, and 15 to
+# 25 million (a hidden-16 ensemble) ran faster.
 MAPPED_SCORING_WORK = 4_000_000
 
 

@@ -319,7 +319,9 @@ def test_scoring_is_mapped_only_above_the_work_threshold(
 
 def fail_in_children(monkeypatch, phase, fail):
     """Call ``fail`` in every eval forward of ``phase`` made outside this
-    process: batch-1 forwards screen, bulk ones validate."""
+    process: batch-1 forwards screen, bulk ones validate. Scoring is mapped
+    at any size."""
+    monkeypatch.setattr(simulate, "MAPPED_SCORING_WORK", 0)
     caller = os.getpid()
     real = federation.model_forward
 
@@ -359,7 +361,6 @@ def test_forward_failure_in_a_worker_raises_lowest_index_client(
     dataset, monkeypatch, phase, count
 ):
     fail_in_children(monkeypatch, phase, diverge)
-    monkeypatch.setattr(simulate, "MAPPED_SCORING_WORK", 0)
     appended = record_appends(monkeypatch)
     monkeypatch.setattr(federation, "_worker_count", count)
     with pytest.raises(NumericalFailureError, match="eval forward diverged") as info:
@@ -377,7 +378,6 @@ def test_forward_failure_in_a_worker_raises_lowest_index_client(
 @PARALLEL_COUNTS
 def test_worker_that_dies_mid_forward_is_reported(dataset, monkeypatch, phase, count):
     fail_in_children(monkeypatch, phase, lambda: os._exit(3))
-    monkeypatch.setattr(simulate, "MAPPED_SCORING_WORK", 0)
     appended = record_appends(monkeypatch)
     monkeypatch.setattr(federation, "_worker_count", count)
     with pytest.raises(RuntimeError, match="exited with code 3 before reporting client 'B'"):
