@@ -3,9 +3,9 @@
 Two strategies over flat parameter vectors:
 
 * ``fedavg`` — sample-count-weighted mean of client weights.
-* ``swa_aggregate`` — epoch normalization of each update, coordinate-wise
-  trimmed mean across clients, then exponential-moving-average fusion into
-  the previous global model.
+* ``swa_aggregate`` — one pass of three stages: epoch normalization of each
+  update, coordinate-wise trimmed mean across clients, then
+  exponential-moving-average fusion into the previous global model.
 
 The composed rule has two interpretations, chosen by the config's
 ``swa_mode``:
@@ -19,8 +19,7 @@ The composed rule has two interpretations, chosen by the config's
 
 Trimmed means are computed by accumulating the retained values of each
 coordinate in ascending order, one addition at a time, so results are
-bit-for-bit reproducible against a scalar reference.
-"""
+bit-for-bit reproducible against a scalar reference."""
 
 from __future__ import annotations
 
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fedfall.config import MODES, ExperimentConfig
+from fedfall.config import ExperimentConfig
 from fedfall.errors import AggregationInfeasibleError, ShapeMismatchError
 
 
@@ -59,20 +58,6 @@ def _validate_vector(vec: np.ndarray, what: str, dim: int | None = None) -> np.n
     return vec
 
 
-def fednova_normalize(update: ClientUpdate, global_params: np.ndarray, mode: str) -> np.ndarray:
-    """Scale one client's contribution by its local epoch count.
-
-    delta mode: (w_i - w_g) / e_i; literal mode: w_i / e_i.
-    """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    g = _validate_vector(global_params, "global_params")
-    w = _validate_vector(update.params, f"update {update.client_id!r}", dim=g.shape[0])
-    if mode == "delta":
-        return (w - g) / update.epochs_trained
-    return w / update.epochs_trained
-
-
 def trim_count(n: int, beta: float) -> int:
     """How many values to drop from each tail when trimming n values.
 
@@ -97,12 +82,6 @@ def _ordered_mean(rows: list[np.ndarray]) -> np.ndarray:
     return acc / len(rows)
 
 
-def _sorted_stack(vectors: list[np.ndarray]) -> np.ndarray:
-    stack = np.stack(vectors)
-    # stable sort keeps the incoming (client) order among tied values
-    return np.sort(stack, axis=0, kind="stable")
-
-
 def trimmed_mean(vectors: list[np.ndarray], beta: float) -> np.ndarray:
     """Coordinate-wise trimmed mean across client vectors.
 
@@ -116,27 +95,10 @@ def trimmed_mean(vectors: list[np.ndarray], beta: float) -> np.ndarray:
     rows = [_validate_vector(v, f"vector {i}", dim=dim) for i, v in enumerate(vectors)]
     n = len(rows)
     m = trim_count(n, beta)
-    srt = _sorted_stack(rows)
+    # stable sort keeps the incoming (client) order among tied values
+    srt = np.sort(np.stack(rows), axis=0, kind="stable")
     # ascending left-to-right accumulation per coordinate, one row at a time
     return _ordered_mean([srt[i] for i in range(m, n - m)])
-
-
-def ema_fuse(global_params: np.ndarray, aggregated: np.ndarray, alpha: float, mode: str) -> np.ndarray:
-    """Fold the aggregated update into the previous global model.
-
-    literal mode: (1 - alpha) * w_g + alpha * aggregated (a convex blend of
-    weights); delta mode: w_g + alpha * aggregated (the aggregate is a
-    normalized delta).
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    g = _validate_vector(global_params, "global_params")
-    a = _validate_vector(aggregated, "aggregated", dim=g.shape[0])
-    if mode == "delta":
-        return g + alpha * a
-    return (1.0 - alpha) * g + alpha * a
 
 
 def swa_aggregate(
@@ -144,20 +106,31 @@ def swa_aggregate(
 ) -> np.ndarray:
     """normalize -> trim -> fuse, with the config's ``swa_mode`` throughout.
 
-    Reads ``beta``, ``alpha``, ``swa_mode`` and ``trim_enabled``.
-    ``trim_enabled=False`` bypasses the trimming stage entirely (plain mean
-    of normalized updates); the trim-count rule itself never yields m=0.
+    Each update is scaled by its local epoch count e_i: (w_i - w_g) / e_i in
+    delta mode, w_i / e_i in literal mode. The scaled updates are trimmed
+    (``trimmed_mean`` with the config's ``beta``) and fused with ``alpha``:
+    w_g + alpha * a in delta mode, (1 - alpha) * w_g + alpha * a in literal
+    mode. ``trim_enabled=False`` bypasses the trimming stage entirely (plain
+    mean of normalized updates); the trim-count rule itself never yields m=0.
+    The global vector and each update are validated once; ``ExperimentConfig``
+    has already validated the mode and ``alpha``.
     """
     if not updates:
         raise ValueError("no updates to aggregate")
     g = _validate_vector(global_params, "global_params")
-    ordered = sorted(updates, key=lambda u: u.client_id)
-    normalized = [fednova_normalize(u, g, config.swa_mode) for u in ordered]
-    if config.trim_enabled:
-        mid = trimmed_mean(normalized, config.beta)
-    else:
-        mid = _ordered_mean(normalized)
-    return ema_fuse(g, mid, config.alpha, config.swa_mode)
+    delta = config.swa_mode == "delta"
+    normalized = []
+    for u in sorted(updates, key=lambda u: u.client_id):
+        w = _validate_vector(u.params, f"update {u.client_id!r}", dim=g.shape[0])
+        normalized.append((w - g if delta else w) / u.epochs_trained)
+    # finite rows can still sum past the float range
+    mid = _validate_vector(
+        trimmed_mean(normalized, config.beta) if config.trim_enabled else _ordered_mean(normalized),
+        "aggregated",
+    )
+    if delta:
+        return g + config.alpha * mid
+    return (1.0 - config.alpha) * g + config.alpha * mid
 
 
 def fedavg(updates: list[ClientUpdate]) -> np.ndarray:

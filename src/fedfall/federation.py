@@ -461,40 +461,30 @@ def ensemble_predict(
     return (pg.astype(np.float64) + pi) / 2.0
 
 
-def make_label_oracle(noise_p: float, rng: np.random.Generator):
-    """Ground-truth lookup with labels flipped at probability ``noise_p``.
-
-    Stands in for the human confirming or dismissing an alert.
-    """
-    if not 0.0 <= noise_p <= 1.0:
-        raise ValueError(f"noise_p must be in [0,1], got {noise_p}")
-
-    def oracle(window: SequenceWindow) -> int:
-        truth = int(window.label)
-        if noise_p > 0.0 and rng.uniform() < noise_p:
-            return 1 - truth
-        return truth
-
-    return oracle
-
-
 def alert_and_feedback(
     client: ClientState,
     window: SequenceWindow,
     ensemble_prob: float,
-    label_oracle,
+    oracle_rng: np.random.Generator,
     config: ExperimentConfig,
     round_index: int,
 ) -> FeedbackEvent | None:
     """Fire an alert when the ensemble probability exceeds theta.
 
-    A fired alert queries the oracle for the confirmed label and appends
-    the window, so labeled, to the client's own dataset (size +1 exactly).
-    Below-threshold probabilities change nothing and return None.
+    A fired alert is confirmed by a label oracle standing in for the human
+    who confirms or dismisses it: the window's true label, flipped at
+    probability ``config.feedback_noise_p``. The flip draws one uniform from
+    ``oracle_rng`` per alert, and none when the noise is zero. The window,
+    so labeled, is appended to the client's own dataset (size +1 exactly).
+    Below-threshold probabilities change nothing, draw nothing and return
+    None.
     """
     if not ensemble_prob > config.alert_threshold:
         return None
-    response = int(label_oracle(window))
+    response = int(window.label)
+    noise_p = config.feedback_noise_p
+    if noise_p > 0.0 and oracle_rng.uniform() < noise_p:
+        response = 1 - response
     confirmed = SequenceWindow(
         values=window.values.copy(),
         label=response,

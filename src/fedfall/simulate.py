@@ -29,7 +29,7 @@ same per-client shares as training (``federation.map_clients``), so they too
 use every usable core; bulk scoring too small to repay a fork stays in the
 calling process (``MAPPED_SCORING_WORK``). Each client's forwards see the
 same batches as in a serial loop, and monitor draws, alerts and oracle
-queries stay in the calling process in client order, so the results do not
+draws stay in the calling process in client order, so the results do not
 depend on the worker count.
 
 Every random choice flows from one seed through spawned generator
@@ -57,7 +57,6 @@ from fedfall.federation import (
     early_stop_check,
     ensemble_predict,
     local_train,
-    make_label_oracle,
     map_clients,
     run_round,
     TransportConfig,
@@ -264,11 +263,11 @@ def simulate_full(
         transport = TransportConfig(key=key, codec=codec, rng=_random.Random(int(ss_transport.generate_state(1)[0])))
 
     feedback_on = ensemble and config.feedback_enabled
-    oracle = None
+    oracle_rng = None
     monitor_rngs: dict[str, np.random.Generator] = {}
     if feedback_on:
         fb_streams = ss_feedback.spawn(len(client_ids) + 1)
-        oracle = make_label_oracle(config.feedback_noise_p, np.random.default_rng(fb_streams[-1]))
+        oracle_rng = np.random.default_rng(fb_streams[-1])
         monitor_rngs = {
             cid: np.random.default_rng(fb_streams[i]) for i, cid in enumerate(client_ids)
         }
@@ -278,12 +277,9 @@ def simulate_full(
     round_log: list = []
     loss_curve: list = []
     feedback_events: list[FeedbackEvent] = []
-    history: list[float] = []
-    best_score = -np.inf
-    best_round = -1
+    history: list[float] = []  # one validation score per round run
     best_global = global_vec.copy()
     best_locals = {c.client_id: params_to_vector(c.local_params) for c in local_clients}
-    rounds_run = 0
 
     for r in range(config.global_epochs):
         if central:
@@ -317,7 +313,6 @@ def simulate_full(
             global_vec = result.global_params
             entries = result.entries
         round_log.extend(entries)
-        rounds_run = r + 1
 
         global_model = vector_to_params(global_vec, input_size, config.hidden_size)
         client_models = {c.client_id: c.local_params for c in clients} if ensemble else None
@@ -349,7 +344,7 @@ def simulate_full(
         for (c, windows), probs in zip(monitored, screen_probs):
             alerts = 0
             for window, prob in zip(windows, probs):
-                event = alert_and_feedback(c, window, prob, oracle, config, r)
+                event = alert_and_feedback(c, window, prob, oracle_rng, config, r)
                 if event is not None:
                     feedback_events.append(event)
                     alerts += 1
@@ -384,13 +379,13 @@ def simulate_full(
                 "val_f1": val_metrics.f1,
             }
         )
-        if score > best_score:
-            best_score = score
-            best_round = r
+        # argmax keeps the earliest of tied scores: only a strict improvement moves it
+        best = int(np.argmax(history))
+        if best == r:
             best_global = global_vec.copy()
             best_locals = {c.client_id: params_to_vector(c.local_params) for c in local_clients}
         if early_stop_check(history, config.early_stop_patience):
-            round_log.append({"round": r, "event": "early_stop", "best_round": best_round})
+            round_log.append({"round": r, "event": "early_stop", "best_round": best})
             break
 
     global_model = vector_to_params(best_global, input_size, config.hidden_size)
@@ -410,8 +405,8 @@ def simulate_full(
         round_log=round_log,
         loss_curve=loss_curve,
         feedback_events=feedback_events,
-        rounds_run=rounds_run,
-        best_round=best_round,
+        rounds_run=len(history),
+        best_round=int(np.argmax(history)),
         global_params=global_model,
         client_params=client_models,
         test_probabilities=test_probs,

@@ -133,6 +133,37 @@ def scalar_trimmed_mean(columns_as_rows, m):
     return out
 
 
+
+def scalar_swa(global_params, updates, m, alpha, mode):
+    """swa_aggregate in plain floats: normalize, trim, fuse.
+
+    ``updates`` holds (client_id, params, epochs) and is taken in client-id
+    order. Each update becomes (w - g) / e in ``delta`` mode and w / e in
+    ``literal`` mode. ``m`` values are trimmed from each tail with
+    ``scalar_trimmed_mean``; ``m=None`` means no trimming, a plain mean
+    accumulated in client order. The result is fused as g + alpha * a
+    (delta) or (1 - alpha) * g + alpha * a (literal).
+    """
+    rows = []
+    for _, params, epochs in sorted(updates, key=lambda u: u[0]):
+        if mode == "delta":
+            rows.append([(w - g) / epochs for w, g in zip(params, global_params)])
+        else:
+            rows.append([w / epochs for w in params])
+    if m is None:
+        agg = []
+        for j in range(len(global_params)):
+            acc = 0.0
+            for row in rows:
+                acc += row[j]
+            agg.append(acc / len(rows))
+    else:
+        agg = scalar_trimmed_mean(rows, m)
+    if mode == "delta":
+        return [g + alpha * a for g, a in zip(global_params, agg)]
+    return [(1.0 - alpha) * g + alpha * a for g, a in zip(global_params, agg)]
+
+
 def fedprox_penalty(local, anchor, mu):
     """mu*||w - w_anchor||^2 and its gradient 2*mu*(w - w_anchor).
 

@@ -7,36 +7,43 @@ from hypothesis import strategies as st
 
 from fedfall.aggregation import (
     ClientUpdate,
-    ema_fuse,
     fedavg,
-    fednova_normalize,
     swa_aggregate,
     trim_count,
     trimmed_mean,
 )
 from fedfall.config import ExperimentConfig
-from fedfall.errors import AggregationInfeasibleError, ShapeMismatchError
+from fedfall.errors import AggregationInfeasibleError, ConfigError, ShapeMismatchError
 
-from oracles import scalar_trimmed_mean
+from oracles import scalar_swa, scalar_trimmed_mean
 
 
 def up(cid, params, epochs=1, count=10):
     return ClientUpdate(client_id=cid, params=np.asarray(params, dtype=float), epochs_trained=epochs, sample_count=count)
 
 
+def untrimmed(mode, alpha=1.0):
+    """A config without the trimming stage. With one update the plain mean
+    is that update normalized, and ``alpha=1`` passes it through fusion
+    unchanged, so a test sees one stage alone."""
+    return ExperimentConfig(swa_mode=mode, alpha=alpha, trim_enabled=False)
+
+
 class TestFednovaNormalize:
+    """swa_aggregate's first stage: each update scaled by its epoch count."""
+
     def test_delta_at_global_is_zero(self):
         g = np.array([1.0, -2.0, 3.0])
-        out = fednova_normalize(up("a", g.copy(), epochs=7), g, mode="delta")
-        np.testing.assert_array_equal(out, 0.0)
+        out = swa_aggregate(g, [up("a", g.copy(), epochs=7)], untrimmed("delta"))
+        np.testing.assert_array_equal(out, g)
 
     def test_delta_divides_movement(self):
         g = np.zeros(2)
-        out = fednova_normalize(up("a", [2.0, 4.0], epochs=2), g, mode="delta")
+        out = swa_aggregate(g, [up("a", [2.0, 4.0], epochs=2)], untrimmed("delta"))
         np.testing.assert_array_equal(out, [1.0, 2.0])
 
     def test_literal_divides_weights(self):
-        out = fednova_normalize(up("a", [2.0, 4.0], epochs=2), np.array([9.0, 9.0]), mode="literal")
+        out = swa_aggregate(np.array([9.0, 9.0]), [up("a", [2.0, 4.0], epochs=2)], untrimmed("literal"))
         np.testing.assert_array_equal(out, [1.0, 2.0])
 
     def test_zero_epochs_rejected_at_construction(self):
@@ -45,11 +52,12 @@ class TestFednovaNormalize:
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeMismatchError):
-            fednova_normalize(up("a", [1.0, 2.0]), np.zeros(3), mode="delta")
+            swa_aggregate(np.zeros(3), [up("a", [1.0, 2.0])], untrimmed("delta"))
 
     def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            fednova_normalize(up("a", [1.0]), np.zeros(1), mode="avg")
+        # the mode is checked once, where the config is built
+        with pytest.raises(ConfigError):
+            ExperimentConfig(swa_mode="avg")
 
 
 class TestTrimCount:
@@ -159,18 +167,22 @@ class TestTrimmedMean:
 
 
 class TestEmaFuse:
+    """swa_aggregate's last stage: the aggregate folded into the global model."""
+
     def test_alpha_one_literal_returns_aggregate(self):
         g = np.array([5.0, -5.0])
         agg = np.array([1.0, 2.0])
-        np.testing.assert_array_equal(ema_fuse(g, agg, alpha=1.0, mode="literal"), agg)
+        out = swa_aggregate(g, [up("a", agg)], untrimmed("literal", 1.0))
+        np.testing.assert_array_equal(out, agg)
 
     def test_pinned_arithmetic(self):
-        out = ema_fuse(np.array([0.0]), np.array([10.0]), alpha=0.1, mode="literal")
+        out = swa_aggregate(np.array([0.0]), [up("a", [10.0])], untrimmed("literal", 0.1))
         assert out[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_delta_zero_is_fixed_point(self):
         g = np.array([3.0, -1.0, 0.5])
-        np.testing.assert_array_equal(ema_fuse(g, np.zeros(3), alpha=0.1, mode="delta"), g)
+        out = swa_aggregate(g, [up("a", g.copy())], untrimmed("delta", 0.1))
+        np.testing.assert_array_equal(out, g)
 
     @given(st.integers(0, 2**30), st.floats(min_value=0.01, max_value=1.0))
     @settings(max_examples=50, deadline=None)
@@ -178,18 +190,21 @@ class TestEmaFuse:
         rng = np.random.default_rng(seed)
         g = rng.normal(size=5)
         agg = rng.normal(size=5)
-        out = ema_fuse(g, agg, alpha=alpha, mode="literal")
+        out = swa_aggregate(g, [up("a", agg)], untrimmed("literal", alpha))
         lo = np.minimum(g, agg)
         hi = np.maximum(g, agg)
         assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)
 
     def test_alpha_zero_rejected(self):
-        with pytest.raises(ValueError):
-            ema_fuse(np.zeros(1), np.zeros(1), alpha=0.0, mode="delta")
+        # alpha is checked once, where the config is built
+        with pytest.raises(ConfigError):
+            ExperimentConfig(alpha=0.0)
 
     def test_length_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
-            ema_fuse(np.zeros(2), np.zeros(3), alpha=0.5, mode="delta")
+        # the aggregate always has the global's length; what fusion still
+        # needs is a flat global vector
+        with pytest.raises(ShapeMismatchError, match="flat"):
+            swa_aggregate(np.zeros((2, 1)), [up("a", np.zeros(2))], untrimmed("delta", 0.5))
 
 
 class TestSwaAggregate:
@@ -251,6 +266,54 @@ class TestSwaAggregate:
         swa = swa_aggregate(g, updates, cfg)
         avg = fedavg(updates)
         assert np.max(np.abs(swa - avg)) < 1e-12
+
+    def test_wrong_length_update_rejected(self):
+        g = np.zeros(3)
+        updates = [up("a", np.zeros(3)), up("b", np.zeros(2)), up("c", np.zeros(3))]
+        with pytest.raises(ShapeMismatchError, match="'b'"):
+            swa_aggregate(g, updates, ExperimentConfig())
+
+    def test_nonfinite_update_rejected(self):
+        g = np.zeros(2)
+        updates = [up("a", [0.0, 1.0]), up("b", [np.nan, 1.0]), up("c", [0.0, 1.0])]
+        with pytest.raises(ValueError, match="'b'"):
+            swa_aggregate(g, updates, ExperimentConfig())
+
+    @pytest.mark.parametrize("trim", [True, False])
+    def test_overflowing_normalized_delta_rejected(self, trim):
+        # each update is finite, but w - g overflows to inf
+        g = np.array([-1.7e308])
+        updates = [up(f"c{i}", [1.7e308]) for i in range(3)]
+        with np.errstate(over="ignore"), pytest.raises(ValueError):
+            swa_aggregate(g, updates, ExperimentConfig(trim_enabled=trim))
+
+    @pytest.mark.parametrize("trim", [True, False])
+    @pytest.mark.parametrize("mode", ["delta", "literal"])
+    def test_bit_for_bit_against_scalar_oracle(self, mode, trim):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            n = int(rng.integers(3, 13))
+            d = int(rng.integers(1, 21))
+            cfg = ExperimentConfig(
+                swa_mode=mode,
+                trim_enabled=trim,
+                alpha=float(rng.uniform(0.01, 1.0)),
+                beta=float(rng.uniform(0.0, 0.5)),
+            )
+            g = rng.normal(size=d) * rng.uniform(0.01, 100)
+            rows = g + rng.normal(size=(n, d)) * rng.uniform(0.01, 100)
+            epochs = rng.integers(1, 6, size=n)
+            # ids sort differently from their creation order past c9
+            updates = [up(f"c{i}", rows[i], epochs=int(epochs[i])) for i in rng.permutation(n)]
+            out = swa_aggregate(g, updates, cfg)
+            expected = scalar_swa(
+                g.tolist(),
+                [(u.client_id, u.params.tolist(), u.epochs_trained) for u in updates],
+                trim_count(n, cfg.beta) if trim else None,
+                cfg.alpha,
+                mode,
+            )
+            assert out.tolist() == expected  # exact, not approximate
 
     def test_mode_flows_through(self):
         g = np.ones(2)

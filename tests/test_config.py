@@ -83,6 +83,7 @@ class TestDefaults:
             {"beta": -0.1},
             {"beta": float("nan")},
             {"alpha": float("nan")},
+            {"feedback_noise_p": -0.1},
         ],
     )
     def test_field_validation(self, kw):

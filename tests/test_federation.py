@@ -23,7 +23,6 @@ from fedfall.federation import (
     early_stop_check,
     ensemble_predict,
     local_train,
-    make_label_oracle,
     run_round,
 )
 from fedfall.metrics import classify
@@ -484,17 +483,17 @@ class TestEnsembleAndClassify:
 class TestAlertAndFeedback:
     def test_below_threshold_changes_nothing(self):
         client = make_client()
-        oracle = make_label_oracle(0.0, np.random.default_rng(0))
+        rng = np.random.default_rng(0)
         window = make_windows(1, seed=9)[0]
-        event = alert_and_feedback(client, window, 0.39, oracle, small_config(), 2)
+        event = alert_and_feedback(client, window, 0.39, rng, small_config(), 2)
         assert event is None
         assert len(client.dataset) == 8
 
     def test_alert_appends_truth_labeled_window(self):
         client = make_client()
-        oracle = make_label_oracle(0.0, np.random.default_rng(0))
+        rng = np.random.default_rng(0)
         window = make_windows(1, seed=9, labels=[1])[0]
-        event = alert_and_feedback(client, window, 0.41, oracle, small_config(), 2)
+        event = alert_and_feedback(client, window, 0.41, rng, small_config(), 2)
         assert isinstance(event, FeedbackEvent)
         assert event.response == 1
         assert event.alert_probability == 0.41
@@ -507,34 +506,45 @@ class TestAlertAndFeedback:
         np.testing.assert_array_equal(added.values, window.values)
 
     def test_full_noise_always_flips(self):
-        oracle = make_label_oracle(1.0, np.random.default_rng(0))
+        client = make_client()
+        rng = np.random.default_rng(0)
+        cfg = small_config(feedback_noise_p=1.0)
         for label in (0, 1):
             window = make_windows(1, labels=[label])[0]
-            assert oracle(window) == 1 - label
+            event = alert_and_feedback(client, window, 0.9, rng, cfg, 0)
+            assert event.response == 1 - label
+            with client_scope("A"):
+                assert client.dataset.windows()[-1].label == 1 - label
 
     def test_dataset_grows_by_alert_count(self):
         client = make_client()
-        oracle = make_label_oracle(0.0, np.random.default_rng(0))
+        rng = np.random.default_rng(0)
         windows = make_windows(6, seed=4)
         probs = [0.39, 0.41, 0.9, 0.4, 0.45, 0.1]  # 0.4 is not > theta
         fired = 0
         for w, p in zip(windows, probs):
-            if alert_and_feedback(client, w, p, oracle, small_config(), 0) is not None:
+            if alert_and_feedback(client, w, p, rng, small_config(), 0) is not None:
                 fired += 1
         assert fired == 3
         assert len(client.dataset) == 8 + 3
 
+    def test_draws_one_uniform_per_alert_under_noise(self):
+        client = make_client()
+        window = make_windows(1, labels=[0])[0]
+        rng = np.random.default_rng(3)
+        ref = np.random.default_rng(3)
+        noisy = small_config(feedback_noise_p=0.5)
+        alert_and_feedback(client, window, 0.9, rng, small_config(), 0)  # no noise: no draw
+        alert_and_feedback(client, window, 0.1, rng, noisy, 0)  # no alert: no draw
+        event = alert_and_feedback(client, window, 0.9, rng, noisy, 0)
+        assert event.response == int(ref.uniform() < 0.5)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_append_happens_in_owner_scope(self):
         client = make_client()
-        oracle = make_label_oracle(0.0, np.random.default_rng(0))
-        alert_and_feedback(client, make_windows(1)[0], 0.9, oracle, small_config(), 0)
+        rng = np.random.default_rng(0)
+        alert_and_feedback(client, make_windows(1)[0], 0.9, rng, small_config(), 0)
         assert set(client.dataset.access_log) == {"A"}
-
-    def test_noise_probability_validated(self):
-        with pytest.raises(ValueError):
-            make_label_oracle(-0.1, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            make_label_oracle(1.5, np.random.default_rng(0))
 
 
 class TestEarlyStop:

@@ -1,9 +1,12 @@
 """Scenario orchestration: determinism, inference modes, feedback growth."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fedfall.config import ExperimentConfig
+from fedfall.data.synthetic import make_synthetic_dataset
 from fedfall.data.windows import SequenceWindow
 from fedfall.errors import ConfigError
 from fedfall.nn import model_forward, params_to_vector
@@ -183,6 +186,49 @@ class TestBestRoundSnapshots:
         for cid, vec in best_locals.items():
             np.testing.assert_array_equal(test_locals[cid], vec)
             np.testing.assert_array_equal(params_to_vector(result.client_params[cid]), vec)
+
+    def test_best_round_is_first_maximum_of_validation_scores(self):
+        cfg = ExperimentConfig(
+            hidden_size=4, global_epochs=8, early_stop_patience=2, lr=0.05, stride=8, seed=7
+        )
+        split = make_synthetic_dataset(seed=cfg.seed, window=cfg.window, stride=cfg.stride)
+        result = simulate_full(split, cfg, "central")
+        scores = [e["score"] for e in result.round_log if e.get("event") == "validation"]
+        stops = [e for e in result.round_log if e.get("event") == "early_stop"]
+        assert len(stops) == 1 and result.rounds_run == len(scores) < cfg.global_epochs
+        assert result.best_round == scores.index(max(scores))
+        assert stops[0]["best_round"] == result.best_round
+
+    def test_tied_best_score_keeps_earliest_round(self, dataset, monkeypatch):
+        import fedfall.simulate as sim
+
+        scripted = iter([0.2, 0.6, 0.6, 0.5])  # rounds 1 and 2 tie at the best
+        real_report = sim.report_from_probabilities
+        seen = []
+        real_probabilities = sim._probabilities
+
+        def scripted_report(probs, labels, threshold, *rest):
+            report = real_report(probs, labels, threshold, *rest)
+            if rest:  # the test scoring call
+                return report
+            return dataclasses.replace(report, recall=next(scripted), f1=0.0)
+
+        def recording(windows_by_client, global_model, client_models):
+            seen.append(params_to_vector(global_model))
+            return real_probabilities(windows_by_client, global_model, client_models)
+
+        monkeypatch.setattr(sim, "report_from_probabilities", scripted_report)
+        monkeypatch.setattr(sim, "_probabilities", recording)
+        result = simulate_full(
+            dataset, fast_config(global_epochs=6, early_stop_patience=2, lr=0.05), "central"
+        )
+        assert result.rounds_run == 4
+        assert result.best_round == 1
+        assert [e for e in result.round_log if e.get("event") == "early_stop"] == [
+            {"round": 3, "event": "early_stop", "best_round": 1}
+        ]
+        assert not np.array_equal(seen[2], seen[1]), "the tied round must train"
+        np.testing.assert_array_equal(params_to_vector(result.global_params), seen[1])
 
 
 class TestFeedbackLoop:
