@@ -47,13 +47,15 @@ class ClientUpdate:
             raise ValueError(f"sample_count must be >= 0, got {self.sample_count}")
 
 
-def _validate_vector(vec: np.ndarray, what: str, dim: int | None = None) -> np.ndarray:
+def _validate_vector(
+    vec: np.ndarray, what: str, dim: int | None = None, finite: bool = True
+) -> np.ndarray:
     vec = np.asarray(vec, dtype=np.float64)
     if vec.ndim != 1:
         raise ShapeMismatchError(f"{what} must be a flat vector, got shape {vec.shape}")
     if dim is not None and vec.shape[0] != dim:
         raise ShapeMismatchError(f"{what} has length {vec.shape[0]}, expected {dim}")
-    if not np.all(np.isfinite(vec)):
+    if finite and not np.all(np.isfinite(vec)):
         raise ValueError(f"{what} contains non-finite values")
     return vec
 
@@ -112,8 +114,11 @@ def swa_aggregate(
     w_g + alpha * a in delta mode, (1 - alpha) * w_g + alpha * a in literal
     mode. ``trim_enabled=False`` bypasses the trimming stage entirely (plain
     mean of normalized updates); the trim-count rule itself never yields m=0.
-    The global vector and each update are validated once; ``ExperimentConfig``
-    has already validated the mode and ``alpha``.
+    The global vector is validated once, and each update's finiteness once,
+    after normalization, so the error names the client both for a
+    non-finite update and for a finite one whose normalized delta
+    overflows; ``ExperimentConfig`` has already validated the mode and
+    ``alpha``.
     """
     if not updates:
         raise ValueError("no updates to aggregate")
@@ -121,8 +126,9 @@ def swa_aggregate(
     delta = config.swa_mode == "delta"
     normalized = []
     for u in sorted(updates, key=lambda u: u.client_id):
-        w = _validate_vector(u.params, f"update {u.client_id!r}", dim=g.shape[0])
-        normalized.append((w - g if delta else w) / u.epochs_trained)
+        w = _validate_vector(u.params, f"update {u.client_id!r}", dim=g.shape[0], finite=False)
+        row = (w - g if delta else w) / u.epochs_trained
+        normalized.append(_validate_vector(row, f"normalized update {u.client_id!r}"))
     # finite rows can still sum past the float range
     mid = _validate_vector(
         trimmed_mean(normalized, config.beta) if config.trim_enabled else _ordered_mean(normalized),
@@ -146,4 +152,5 @@ def fedavg(updates: list[ClientUpdate]) -> np.ndarray:
     for u in ordered:
         w = _validate_vector(u.params, f"update {u.client_id!r}", dim=dim)
         acc = acc + u.sample_count * w
-    return acc / total
+    # finite weights can still sum past the float range once weighted
+    return _validate_vector(acc / total, "aggregated")

@@ -8,14 +8,23 @@ mean), or decrypt individual updates first when the aggregation rule needs
 sorting (trimming cannot run on ciphertexts under a purely additive
 scheme).
 
-The scheme is the classic n+1-generator construction: n = p*q, encryption
-c = (1 + m*n) * r^n mod n^2, decryption m = L(c^lambda mod n^2) * mu mod n
-with L(x) = (x-1)/n, lambda = (p-1)(q-1), mu = lambda^-1 mod n. Additive
-homomorphism is ciphertext multiplication mod n^2. ``decrypt`` computes the
-same m by the Chinese remainder theorem (Paillier, EUROCRYPT 1999): it
-exponentiates by p-1 mod p^2 and by q-1 mod q^2, half-size exponents on
-quarter-size moduli, and recombines mod n with constants computed once per
-key.
+The scheme is the n+1-generator construction: n = p*q, decryption
+m = L(c^lambda mod n^2) * mu mod n with L(x) = (x-1)/n, lambda = (p-1)(q-1),
+mu = lambda^-1 mod n. Additive homomorphism is ciphertext multiplication
+mod n^2. ``decrypt`` computes the same m by the Chinese remainder theorem
+(Paillier, EUROCRYPT 1999): it exponentiates by p-1 mod p^2 and by q-1
+mod q^2, half-size exponents on quarter-size moduli, and recombines mod n
+with constants computed once per key.
+
+Encryption replaces Paillier's random n-th residue r^n by the short-exponent
+variant of Damgard, Jurik and Nielsen (Int. J. Inf. Secur. 2010): the key
+carries the public n-th residue hs = (-y^2 mod n)^n mod n^2, and
+c = (1 + m*n) * hs^a mod n^2 for a fresh EXPONENT_BITS-bit (256-bit)
+exponent a. hs^a comes from a table of hs^(d * 16^i), one row per 4-bit
+window i of a and one column per digit d, built once per key from public
+material: at most 64 multiplications mod n^2 per ciphertext instead of an
+exponentiation by n itself. hs^lambda = 1 mod n^2, so decryption is
+unchanged.
 
 Slot layout (after BatchCrypt, Zhang et al., USENIX ATC 2020). A codec
 integer m lies in [-offset, offset], where offset is the code of
@@ -29,8 +38,11 @@ addends * offset, which gives back exactly the sum of the codes.
 
 Key sizes here are deliberately small (1024 bits by default in the
 config) and the primality test is probabilistic; nothing in this module is
-claimed production-secure. It exists to demonstrate that the transport
-layer is semantically transparent to aggregation up to quantization error.
+claimed production-secure. The short exponent adds a hardness assumption
+to Paillier's decisional composite residuosity: that hs^a for a random
+256-bit a cannot be told from a uniformly random element of the subgroup
+hs generates. The module exists to demonstrate that the transport layer is
+semantically transparent to aggregation up to quantization error.
 """
 
 from __future__ import annotations
@@ -55,6 +67,25 @@ MILLER_RABIN_ROUNDS = 40
 # Headroom bits above each slot's largest code: room for sums of up to
 # 2**CARRY_BITS encrypted vectors.
 CARRY_BITS = 8
+
+# Bits of the encryption exponent a, read from the fixed-base table in
+# WINDOW_BITS-bit windows.
+EXPONENT_BITS = 256
+WINDOW_BITS = 4
+
+
+def _odd_prime_product(limit: int) -> int:
+    """The product of the odd primes below ``limit``, by Eratosthenes' sieve."""
+    prime = bytearray([1]) * limit
+    for k in range(3, math.isqrt(limit) + 1, 2):
+        if prime[k]:
+            prime[k * k :: 2 * k] = bytes(len(range(k * k, limit, 2 * k)))
+    return math.prod(k for k in range(3, limit, 2) if prime[k])
+
+
+# One gcd with this product stands for trial division of a prime candidate
+# by every odd prime below 4096.
+_SIEVE = _odd_prime_product(4096)
 
 
 def _is_probable_prime(n: int, rng: random.Random) -> bool:
@@ -83,24 +114,55 @@ def _is_probable_prime(n: int, rng: random.Random) -> bool:
 
 
 def _random_prime(bits: int, rng: random.Random) -> int:
+    """A probable prime of ``bits`` bits; ``bits`` > 12, so no sieve prime
+    is itself a candidate."""
     while True:
         cand = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-        if _is_probable_prime(cand, rng):
+        if math.gcd(cand, _SIEVE) == 1 and _is_probable_prime(cand, rng):
             return cand
 
 
 @dataclass(frozen=True)
 class HeKeyPair:
-    """Public modulus/generator plus the private primes."""
+    """Public modulus, generator and encryption base plus the private primes."""
 
     n: int
     g: int
+    hs: int
     p: int
     q: int
 
     @property
     def n_squared(self) -> int:
         return self.n * self.n
+
+    @cached_property
+    def _hs_table(self) -> tuple[tuple[int, ...], ...]:
+        """hs^(d * 16^i) mod n^2 at [i][d], one row per window of the exponent."""
+        n2 = self.n_squared
+        rows = []
+        base = self.hs
+        for _ in range(EXPONENT_BITS // WINDOW_BITS):
+            row = [1, base]
+            for _ in range(2, 1 << WINDOW_BITS):
+                row.append(row[-1] * base % n2)
+            rows.append(tuple(row))
+            base = row[-1] * base % n2
+        return tuple(rows)
+
+    def hs_power(self, a: int) -> int:
+        """hs^a mod n^2 for 0 <= a < 2^EXPONENT_BITS, one product per window."""
+        if not 0 <= a < 1 << EXPONENT_BITS:
+            raise ValueError(f"exponent outside [0, 2^{EXPONENT_BITS})")
+        n2 = self.n_squared
+        mask = (1 << WINDOW_BITS) - 1
+        acc = 1
+        for row in self._hs_table:
+            digit = a & mask
+            if digit:
+                acc = acc * row[digit] % n2
+            a >>= WINDOW_BITS
+        return acc
 
     @cached_property
     def _crt(self) -> tuple[int, int, int, int, int]:
@@ -126,7 +188,12 @@ def keygen(bits: int, seed: int) -> HeKeyPair:
     while q == p:
         q = _random_prime(half, rng)
     n = p * q
-    return HeKeyPair(n=n, g=n + 1, p=p, q=q)
+    while True:
+        y = rng.randrange(1, n)
+        if math.gcd(y, n) == 1:
+            break
+    hs = pow(-y * y % n, n, n * n)
+    return HeKeyPair(n=n, g=n + 1, hs=hs, p=p, q=q)
 
 
 def min_modulus_bits(bits: int) -> int:
@@ -136,15 +203,10 @@ def min_modulus_bits(bits: int) -> int:
 
 
 def encrypt(m: int, key: HeKeyPair, rng: random.Random) -> int:
-    """Encrypt one plaintext residue mod n, reading only the public n."""
+    """Encrypt one plaintext residue mod n, reading only the public n and hs."""
     m %= key.n
-    n, n2 = key.n, key.n_squared
-    while True:
-        r = rng.randrange(1, n)
-        if math.gcd(r, n) == 1:
-            break
     # (n+1)^m = 1 + m*n (mod n^2), so the generator power needs no pow()
-    return ((1 + m * n) % n2) * pow(r, n, n2) % n2
+    return (1 + m * key.n) * key.hs_power(rng.getrandbits(EXPONENT_BITS)) % key.n_squared
 
 
 def decrypt(c: int, key: HeKeyPair) -> int:

@@ -288,6 +288,16 @@ class TestSwaAggregate:
             swa_aggregate(g, updates, ExperimentConfig(trim_enabled=trim))
 
     @pytest.mark.parametrize("trim", [True, False])
+    def test_overflow_names_the_client(self, trim):
+        # only B's normalized delta, 1.7e308 - (-1.7e308), leaves the float range
+        g = np.array([-1.7e308])
+        updates = [up("A", [1.0]), up("B", [1.7e308]), up("C", [2.0])]
+        with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="^normalized update 'B' contains non-finite values$"
+        ):
+            swa_aggregate(g, updates, ExperimentConfig(trim_enabled=trim))
+
+    @pytest.mark.parametrize("trim", [True, False])
     @pytest.mark.parametrize("mode", ["delta", "literal"])
     def test_bit_for_bit_against_scalar_oracle(self, mode, trim):
         rng = np.random.default_rng(11)
@@ -366,3 +376,9 @@ class TestFedavg:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             fedavg([])
+
+    def test_weighted_overflow_rejected(self):
+        # A's weighted row, 3 * 1e308, is past the float range
+        updates = [up("A", [1e308], count=3), up("B", [1.0], count=1)]
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            fedavg(updates)

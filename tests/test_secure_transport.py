@@ -1,15 +1,20 @@
 """Homomorphic transport: primitives, codec, slot layout, vectors, secure mean."""
 
+import dataclasses
 import logging
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import fedfall.secure_transport
 from fedfall.errors import ShapeMismatchError
 from fedfall.secure_transport import (
     CARRY_BITS,
+    EXPONENT_BITS,
     EncryptedVector,
     FixedPointCodec,
     _is_probable_prime,
@@ -78,6 +83,57 @@ class TestKeygen:
         rng = random.Random(9)
         c = encrypt(-5, KEY, rng)
         assert decrypt(c, KEY) == KEY.n - 5
+
+
+class TestFixedBaseEncryption:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, (1 << EXPONENT_BITS) - 1))
+    @example(0)
+    @example((1 << EXPONENT_BITS) - 1)
+    def test_table_power_equals_pow(self, a):
+        assert KEY.hs_power(a) == pow(KEY.hs, a, KEY.n_squared)
+
+    @pytest.mark.parametrize("a", [-1, 1 << EXPONENT_BITS])
+    def test_exponent_out_of_range_rejected(self, a):
+        with pytest.raises(ValueError, match="exponent"):
+            KEY.hs_power(a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, KEY.n - 1), st.integers(0, 2**32))
+    @example(0, 0)
+    @example(KEY.n - 1, 0)
+    def test_round_trip(self, m, seed):
+        assert decrypt(encrypt(m, KEY, random.Random(seed)), KEY) == m
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_hs_is_an_nth_residue(self, seed):
+        # hs^lambda = 1 mod n^2 is what lets decryption ignore the randomness
+        key = keygen(128, seed=seed)
+        assert pow(key.hs, (key.p - 1) * (key.q - 1), key.n_squared) == 1
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, KEY.n - 1), st.integers(0, 2**32), st.integers(2, 2**64), st.integers(2, 2**64))
+    def test_encrypt_reads_only_public_material(self, m, seed, p, q):
+        other = dataclasses.replace(KEY, p=p, q=q)
+        assert encrypt(m, other, random.Random(seed)) == encrypt(m, KEY, random.Random(seed))
+
+    def test_no_exponentiation_by_n(self, monkeypatch):
+        # a revert to Paillier's r^n would exponentiate by n for each ciphertext
+        key = keygen(512, seed=3)
+        exponents = []
+
+        def counting_pow(base, exp, mod=None):
+            exponents.append(exp)
+            return pow(base, exp, mod)
+
+        monkeypatch.setattr(fedfall.secure_transport, "pow", counting_pow, raising=False)
+        vec = np.linspace(-1.0, 1.0, 2 * slot_layout(CODEC, key.n.bit_length()).per + 1)
+        enc = encrypt_vector(vec, key, CODEC, random.Random(0))
+        assert len(enc.ciphertexts) == 3
+        assert all(e.bit_length() < key.n.bit_length() for e in exponents)
+        monkeypatch.undo()
+        assert np.max(np.abs(decrypt_vector(enc, key, CODEC) - vec)) <= 2.0**-21
 
 
 class TestCrtDecrypt:
