@@ -1,8 +1,9 @@
 """Command-line experiment runner.
 
 Subcommands: prepare-data, train, evaluate, sweep, secure-demo, gradcheck.
-Exit codes: 0 success, 1 validation error (bad flags, bad config, bad
-input data), 2 runtime failure.
+Exit codes: 0 success; 1 for bad flags or any ``ValueError`` (every
+validation error in ``fedfall.errors`` subclasses it: bad config, bad input
+data); 2 for any other package error or an ``OSError``.
 
 Every run writes self-describing artifacts into its output directory:
 ``metrics.json`` (final report), ``round_log.jsonl`` (one structured
@@ -27,25 +28,11 @@ from fedfall.config import FIELD_TYPES, ExperimentConfig, config_to_text, load_c
 from fedfall.data.cache import load_dataset, save_dataset
 from fedfall.data.pipeline import prepare_dataset
 from fedfall.data.synthetic import make_synthetic_dataset
-from fedfall.errors import (
-    AggregationInfeasibleError,
-    ConfigError,
-    FedfallError,
-    MissingSensorError,
-    ShapeMismatchError,
-)
-from fedfall.metrics import MetricsReport, report_from_probabilities
+from fedfall.errors import ConfigError, FedfallError
+from fedfall.metrics import report_from_probabilities
 from fedfall.nn import gradient_check, init_params
 from fedfall.secure_transport import FixedPointCodec, keygen, secure_mean_demo
 from fedfall.simulate import SCENARIOS, SimulationResult, simulate_full
-
-_VALIDATION_ERRORS = (
-    ConfigError,
-    ValueError,
-    ShapeMismatchError,
-    AggregationInfeasibleError,
-    MissingSensorError,
-)
 
 
 class _UsageError(Exception):
@@ -59,26 +46,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
-def _count(text: str) -> int:
-    """argparse type of a count flag: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
+def _bounded(convert, accept, rule: str):
+    """An argparse type: ``convert`` the text and keep it if ``accept`` holds."""
+
+    def parse(text: str):
+        try:
+            if accept(value := convert(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+
+    return parse
 
 
-def _tolerance(text: str) -> float:
-    """argparse type of --tol: a finite number > 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = 0.0
-    if not 0.0 < value < float("inf"):
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
-    return value
+_count = _bounded(int, lambda v: v >= 1, "an integer >= 1")
+_tolerance = _bounded(float, lambda v: 0.0 < v < float("inf"), "a finite number > 0")
 
 
 def _add_config_options(p: argparse.ArgumentParser) -> None:
@@ -94,6 +77,15 @@ def _add_config_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help="override the config seed")
 
 
+def _add_run_options(p: argparse.ArgumentParser, out_help: str) -> None:
+    """The options of a command that runs a scenario: config, data source, output."""
+    _add_config_options(p)
+    p.add_argument("--scenario", required=True, choices=SCENARIOS)
+    p.add_argument("--data", help="dataset cache from prepare-data")
+    p.add_argument("--synthetic", action="store_true", help="use the synthetic corpus")
+    p.add_argument("--out", help=out_help)
+
+
 def _resolve_config(args) -> ExperimentConfig:
     overrides: dict = {}
     for item in args.overrides:
@@ -107,14 +99,20 @@ def _resolve_config(args) -> ExperimentConfig:
 
 
 def _load_split(args, config: ExperimentConfig):
-    if getattr(args, "synthetic", False):
+    if args.synthetic:
         return make_synthetic_dataset(
             seed=config.seed, window=config.window, stride=config.stride
         )
-    data = getattr(args, "data", None) or config.cache_path
+    data = args.data or config.cache_path
     if not data:
         raise ConfigError("no dataset: pass --data CACHE or --synthetic")
     return load_dataset(data)
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(
+        json.dumps(payload, indent=1, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8"
+    )
 
 
 def _write_run_outputs(
@@ -127,9 +125,7 @@ def _write_run_outputs(
         "best_round": result.best_round,
         "feedback_events": len(result.feedback_events),
     }
-    (out_dir / "metrics.json").write_text(
-        json.dumps(report, indent=1, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8"
-    )
+    _write_json(out_dir / "metrics.json", report)
     with open(out_dir / "round_log.jsonl", "w", encoding="utf-8") as fh:
         for entry in result.round_log:
             fh.write(json.dumps(entry, sort_keys=True, allow_nan=False) + "\n")
@@ -152,15 +148,17 @@ def _write_run_outputs(
             for cid in sorted(result.test_probabilities)
         },
     }
-    (out_dir / "predictions.json").write_text(
-        json.dumps(predictions, indent=1, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8"
-    )
+    _write_json(out_dir / "predictions.json", predictions)
     (out_dir / "config.cfg").write_text(config_to_text(config), encoding="utf-8")
 
 
-def _print_metrics(metrics: MetricsReport, rounds_run: int) -> None:
+def _run(split, config: ExperimentConfig, scenario: str, out_dir: Path) -> None:
+    """Run one scenario, write its artifacts into ``out_dir`` and print its metrics."""
+    result = simulate_full(split, config, scenario)
+    _write_run_outputs(result, config, out_dir)
+    metrics = result.metrics
     print(
-        f"scenario={metrics.scenario} seed={metrics.seed} rounds={rounds_run} "
+        f"scenario={metrics.scenario} seed={metrics.seed} rounds={result.rounds_run} "
         f"accuracy={metrics.accuracy:.4f} precision={metrics.precision:.4f} "
         f"recall={metrics.recall:.4f} f1={metrics.f1:.4f}"
     )
@@ -174,9 +172,7 @@ def cmd_prepare_data(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     if args.synthetic:
-        split = make_synthetic_dataset(
-            seed=config.seed, window=config.window, stride=config.stride
-        )
+        split = _load_split(args, config)
         save_dataset(out, split)
         print(f"synthetic dataset: {len(split.train)} train / {len(split.test)} test windows")
     else:
@@ -202,11 +198,8 @@ def cmd_prepare_data(args) -> int:
 
 def cmd_train(args) -> int:
     config = _resolve_config(args)
-    split = _load_split(args, config)
-    result = simulate_full(split, config, args.scenario)
     out_dir = Path(args.out or config.output_dir)
-    _write_run_outputs(result, config, out_dir)
-    _print_metrics(result.metrics, result.rounds_run)
+    _run(_load_split(args, config), config, args.scenario, out_dir)
     print(f"artifacts in {out_dir}")
     return 0
 
@@ -305,10 +298,7 @@ def cmd_sweep(args) -> int:
         if FIELD_TYPES[name] == "int" and typed != value:
             raise ConfigError(f"{name} is integer-valued; grid produced {value}")
         run_config = config.replace(**{name: typed})
-        result = simulate_full(split, run_config, args.scenario)
-        out_dir = base_out / f"{name}={typed:g}"
-        _write_run_outputs(result, run_config, out_dir)
-        _print_metrics(result.metrics, result.rounds_run)
+        _run(split, run_config, args.scenario, base_out / f"{name}={typed:g}")
     print(f"{len(values)} runs in {base_out}")
     return 0
 
@@ -377,11 +367,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_prepare_data)
 
     p = sub.add_parser("train", help="run one scenario end to end")
-    _add_config_options(p)
-    p.add_argument("--scenario", required=True, choices=SCENARIOS)
-    p.add_argument("--data", help="dataset cache from prepare-data")
-    p.add_argument("--synthetic", action="store_true", help="train on the synthetic corpus")
-    p.add_argument("--out", help="output directory (default: config output_dir)")
+    _add_run_options(p, "output directory (default: config output_dir)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="recompute metrics from saved predictions")
@@ -391,12 +377,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("sweep", help="run a scenario across a parameter grid")
-    _add_config_options(p)
-    p.add_argument("--scenario", required=True, choices=SCENARIOS)
+    _add_run_options(p, "parent directory for per-value runs")
     p.add_argument("--param", required=True, metavar="NAME=START:STOP:STEP")
-    p.add_argument("--data", help="dataset cache from prepare-data")
-    p.add_argument("--synthetic", action="store_true")
-    p.add_argument("--out", help="parent directory for per-value runs")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("secure-demo", help="encrypted aggregation demonstration")
@@ -429,13 +411,10 @@ def cli_main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _VALIDATION_ERRORS as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FedfallError as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FedfallError, OSError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
 

@@ -134,11 +134,15 @@ def load_dataset(path) -> DatasetSplit:
         if fh.read(1):
             raise ValueError(f"{path}: bytes after the test block")
 
+    # as in split_train_test, every individual gets both lists, even an empty one
     split = DatasetSplit(train=groups["train"], test=groups["test"])
-    for w in split.train:
-        split.train_by_client.setdefault(w.individual, []).append(w)
-    for w in split.test:
-        split.test_by_client.setdefault(w.individual, []).append(w)
+    for group, own, other in (
+        (split.train, split.train_by_client, split.test_by_client),
+        (split.test, split.test_by_client, split.train_by_client),
+    ):
+        for w in group:
+            own.setdefault(w.individual, []).append(w)
+            other.setdefault(w.individual, [])
     return split
 
 

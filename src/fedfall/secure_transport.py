@@ -10,11 +10,14 @@ scheme).
 
 The scheme is the n+1-generator construction: n = p*q, decryption
 m = L(c^lambda mod n^2) * mu mod n with L(x) = (x-1)/n, lambda = (p-1)(q-1),
-mu = lambda^-1 mod n. Additive homomorphism is ciphertext multiplication
-mod n^2. ``decrypt`` computes the same m by the Chinese remainder theorem
-(Paillier, EUROCRYPT 1999): it exponentiates by p-1 mod p^2 and by q-1
-mod q^2, half-size exponents on quarter-size moduli, and recombines mod n
-with constants computed once per key.
+mu = lambda^-1 mod n. The generator g = n + 1 is implicit, so no key
+stores it: encryption uses (n+1)^m = 1 + m*n mod n^2. Additive homomorphism
+is ciphertext multiplication mod n^2. ``decrypt`` computes the same m by the Chinese
+remainder theorem (Paillier, EUROCRYPT 1999): it exponentiates by p-1 mod
+p^2 and by q-1 mod q^2, half-size exponents on quarter-size moduli, and
+recombines mod n with constants computed once per key. With g = n + 1,
+L_p(g^(p-1) mod p^2) = (p-1)*q = -q mod p, so the constant hp is
+(-q)^-1 mod p, and hq is (-p)^-1 mod q.
 
 Encryption replaces Paillier's random n-th residue r^n by the short-exponent
 variant of Damgard, Jurik and Nielsen (Int. J. Inf. Secur. 2010): the key
@@ -124,10 +127,9 @@ def _random_prime(bits: int, rng: random.Random) -> int:
 
 @dataclass(frozen=True)
 class HeKeyPair:
-    """Public modulus, generator and encryption base plus the private primes."""
+    """Public modulus and encryption base plus the private primes."""
 
     n: int
-    g: int
     hs: int
     p: int
     q: int
@@ -168,10 +170,7 @@ class HeKeyPair:
     def _crt(self) -> tuple[int, int, int, int, int]:
         """p^2, q^2, hp, hq and p^-1 mod q, the constants of CRT decryption."""
         p, q = self.p, self.q
-        p2, q2 = p * p, q * q
-        hp = pow((pow(self.g, p - 1, p2) - 1) // p, -1, p)
-        hq = pow((pow(self.g, q - 1, q2) - 1) // q, -1, q)
-        return p2, q2, hp, hq, pow(p, -1, q)
+        return p * p, q * q, pow(-q, -1, p), pow(-p, -1, q), pow(p, -1, q)
 
 
 def keygen(bits: int, seed: int) -> HeKeyPair:
@@ -193,7 +192,7 @@ def keygen(bits: int, seed: int) -> HeKeyPair:
         if math.gcd(y, n) == 1:
             break
     hs = pow(-y * y % n, n, n * n)
-    return HeKeyPair(n=n, g=n + 1, hs=hs, p=p, q=q)
+    return HeKeyPair(n=n, hs=hs, p=p, q=q)
 
 
 def min_modulus_bits(bits: int) -> int:
@@ -300,15 +299,15 @@ class EncryptedVector:
     """Packed ciphertexts plus enough metadata to unpack them and refuse mixing.
 
     ``modulus`` is the public n, carried so ciphertext addition can run
-    without the private key. ``length`` is the coordinate count, which
-    ``len()`` reports; ``addends`` is how many encrypted vectors were
-    summed into this one.
+    without the private key. ``codec`` encoded the coordinates and, with
+    the modulus, fixes the slot layout. ``length`` is the coordinate
+    count, which ``len()`` reports; ``addends`` is how many encrypted
+    vectors were summed into this one.
     """
 
     ciphertexts: tuple[int, ...]
     modulus: int
-    scale_bits: int
-    clip_range: float
+    codec: FixedPointCodec
     length: int
     clipped_count: int = 0
     addends: int = 1
@@ -330,8 +329,7 @@ class EncryptedVector:
 
     @property
     def layout(self) -> SlotLayout:
-        codec = FixedPointCodec(scale_bits=self.scale_bits, clip_range=self.clip_range)
-        return slot_layout(codec, self.modulus.bit_length())
+        return slot_layout(self.codec, self.modulus.bit_length())
 
     def __len__(self) -> int:
         return self.length
@@ -339,7 +337,7 @@ class EncryptedVector:
     def _compatible(self, other: "EncryptedVector") -> None:
         if self.modulus != other.modulus:
             raise ValueError("ciphertexts under different keys cannot be combined")
-        if (self.scale_bits, self.clip_range) != (other.scale_bits, other.clip_range):
+        if self.codec != other.codec:
             raise ValueError("ciphertexts under different codecs cannot be combined")
         if len(self) != len(other):
             raise ShapeMismatchError(f"length mismatch: {len(self)} vs {len(other)}")
@@ -376,8 +374,7 @@ def encrypt_vector(
     return EncryptedVector(
         ciphertexts=cts,
         modulus=key.n,
-        scale_bits=codec.scale_bits,
-        clip_range=codec.clip_range,
+        codec=codec,
         length=len(slots),
         clipped_count=clipped,
     )
@@ -387,7 +384,7 @@ def decrypt_vector(enc: EncryptedVector, key: HeKeyPair, codec: FixedPointCodec)
     """Decrypt and unpack; each coordinate decodes the sum of its addends' codes."""
     if enc.modulus != key.n:
         raise ValueError("vector was encrypted under a different key")
-    if (enc.scale_bits, enc.clip_range) != (codec.scale_bits, codec.clip_range):
+    if enc.codec != codec:
         raise ValueError("vector was encoded under a different codec")
     layout = enc.layout
     shift = enc.addends * layout.offset
@@ -410,8 +407,7 @@ def add_encrypted(a: EncryptedVector, b: EncryptedVector) -> EncryptedVector:
     return EncryptedVector(
         ciphertexts=cts,
         modulus=a.modulus,
-        scale_bits=a.scale_bits,
-        clip_range=a.clip_range,
+        codec=a.codec,
         length=a.length,
         clipped_count=a.clipped_count + b.clipped_count,
         addends=a.addends + b.addends,

@@ -278,8 +278,6 @@ def simulate_full(
     loss_curve: list = []
     feedback_events: list[FeedbackEvent] = []
     history: list[float] = []  # one validation score per round run
-    best_global = global_vec.copy()
-    best_locals = {c.client_id: params_to_vector(c.local_params) for c in local_clients}
 
     for r in range(config.global_epochs):
         if central:
@@ -381,20 +379,15 @@ def simulate_full(
         )
         # argmax keeps the earliest of tied scores: only a strict improvement moves it
         best = int(np.argmax(history))
-        if best == r:
-            best_global = global_vec.copy()
-            best_locals = {c.client_id: params_to_vector(c.local_params) for c in local_clients}
+        if best == r:  # always so in round 0
+            best_global = global_model
+            best_locals = {c.client_id: c.local_params.copy() for c in local_clients}
         if early_stop_check(history, config.early_stop_patience):
             round_log.append({"round": r, "event": "early_stop", "best_round": best})
             break
 
-    global_model = vector_to_params(best_global, input_size, config.hidden_size)
-    client_models = {
-        cid: vector_to_params(vec, input_size, config.hidden_size)
-        for cid, vec in best_locals.items()
-    }
     test_probs = _probabilities(
-        dataset.test_by_client, global_model, client_models if ensemble else None
+        dataset.test_by_client, best_global, best_locals if ensemble else None
     )
     test_labels = {cid: _labels_of(dataset.test_by_client[cid]) for cid in test_probs}
     metrics = report_from_probabilities(
@@ -406,9 +399,9 @@ def simulate_full(
         loss_curve=loss_curve,
         feedback_events=feedback_events,
         rounds_run=len(history),
-        best_round=int(np.argmax(history)),
-        global_params=global_model,
-        client_params=client_models,
+        best_round=best,
+        global_params=best_global,
+        client_params=best_locals,
         test_probabilities=test_probs,
         test_labels=test_labels,
     )

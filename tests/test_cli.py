@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 
 import fedfall
+import fedfall.cli
+import fedfall.errors
 from fedfall.cli import _sweep_values, cli_main
-from fedfall.errors import ConfigError
+from fedfall.errors import AggregationInfeasibleError, ConfigError
 from fedfall.simulate import SCENARIOS
 from test_data_windows import CACHE_CORRUPTIONS
 
@@ -290,6 +292,20 @@ class TestSweep:
             "global_epochs=1", "global_epochs=2"
         ]
 
+    def test_sweep_reads_a_cache(self, tmp_path):
+        cache = tmp_path / "synthetic.npz"
+        assert cli_main(["prepare-data", "--synthetic", "--out", str(cache), "--set", "stride=12"]) == 0
+        out = tmp_path / "sweep"
+        code = cli_main(
+            ["sweep", "--scenario", "central", "--data", str(cache),
+             "--param", "classification_threshold=0.3:0.4:0.1", "--out", str(out)]
+            + FAST
+        )
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "classification_threshold=0.3", "classification_threshold=0.4"
+        ]
+
     @pytest.mark.parametrize(
         "spec",
         [
@@ -406,6 +422,32 @@ class TestExitCodes:
         )
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
+# every exception class in fedfall.errors, plus the two built-in bases
+# that the exit codes name
+_RAISED = sorted(
+    (obj for obj in vars(fedfall.errors).values()
+     if isinstance(obj, type) and issubclass(obj, Exception)),
+    key=lambda cls: cls.__name__,
+) + [ValueError, OSError]
+
+
+@pytest.mark.parametrize("cls", _RAISED, ids=lambda cls: cls.__name__)
+def test_exit_code_follows_the_error_class(monkeypatch, capsys, cls):
+    """A ValueError exits 1; any other package error or an OSError exits 2."""
+    exc = cls(3, 0.4, 2) if cls is AggregationInfeasibleError else cls("boom")
+
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(fedfall.cli, "cmd_train", fail)
+    code = cli_main(["train", "--scenario", "central", "--synthetic"])
+    err = capsys.readouterr().err
+    if issubclass(cls, ValueError):
+        assert code == 1 and err == f"error: {exc}\n"
+    else:
+        assert code == 2 and err == f"runtime failure: {exc}\n"
 
 
 def test_cli_loads_every_module():

@@ -261,6 +261,16 @@ class TestCache:
             assert a.origin == b.origin
         assert loaded.train_by_client.keys() == split.train_by_client.keys()
 
+    def test_round_trip_keeps_a_client_without_train_windows(self, tmp_path):
+        split = self.make_split()
+        split.train = [w for w in split.train if w.individual != "A"]
+        split.train_by_client["A"] = []
+        save_dataset(tmp_path / "data.bin", split)
+        loaded = load_dataset(tmp_path / "data.bin")
+        assert loaded.clients == split.clients == ["A", "B"]
+        assert loaded.train_by_client["A"] == []
+        assert len(loaded.test_by_client["A"]) == len(split.test_by_client["A"])
+
     def test_magic_bytes(self, tmp_path):
         split = self.make_split()
         path = tmp_path / "data.bin"

@@ -32,6 +32,8 @@ from fedfall.secure_transport import (
 TEST_KEY_BITS = 256
 KEY = keygen(TEST_KEY_BITS, seed=1234)
 CODEC = FixedPointCodec(scale_bits=20, clip_range=100.0)
+# differs from CODEC only in clip_range
+CLIP50 = FixedPointCodec(20, 50.0)
 
 
 class TestPrimality:
@@ -55,7 +57,12 @@ class TestKeygen:
         assert a.n != c.n
 
     def test_generator_and_sizes(self):
-        assert KEY.g == KEY.n + 1
+        # the CRT constants are those of the implicit generator g = n + 1
+        for key in [KEY] + [keygen(TEST_KEY_BITS, seed=seed) for seed in range(3)]:
+            p, q, n = key.p, key.q, key.n
+            hp = pow((pow(n + 1, p - 1, p * p) - 1) // p, -1, p)
+            hq = pow((pow(n + 1, q - 1, q * q) - 1) // q, -1, q)
+            assert key._crt[2:4] == (hp, hq)
         assert KEY.n.bit_length() in (TEST_KEY_BITS - 1, TEST_KEY_BITS)
         assert KEY.p * KEY.q == KEY.n and KEY.p != KEY.q
 
@@ -268,8 +275,7 @@ class TestSlotLayout:
         enc = EncryptedVector(
             ciphertexts=(encrypt(KEY.n - 1, KEY, random.Random(2)),),
             modulus=KEY.n,
-            scale_bits=CODEC.scale_bits,
-            clip_range=CODEC.clip_range,
+            codec=CODEC,
             length=1,
         )
         with pytest.raises(ValueError, match="overflows its slots"):
@@ -319,14 +325,14 @@ class TestCarryGuard:
         assert a.addends == 1
         assert add_encrypted(add_encrypted(a, a), a).addends == 3
         with pytest.raises(ValueError, match="carry bits"):
-            EncryptedVector(a.ciphertexts, a.modulus, a.scale_bits, a.clip_range, 3, addends=0)
+            EncryptedVector(a.ciphertexts, a.modulus, codec=a.codec, length=3, addends=0)
 
     def test_ciphertext_count_must_match_layout(self):
         a = encrypt_vector(np.ones(PER + 1), KEY, CODEC, random.Random(7))
         assert len(a.ciphertexts) == 2
         for length in (PER, 2 * PER + 1, -1):
             with pytest.raises(ShapeMismatchError):
-                EncryptedVector(a.ciphertexts, a.modulus, a.scale_bits, a.clip_range, length)
+                EncryptedVector(a.ciphertexts, a.modulus, codec=a.codec, length=length)
 
 
 class TestVectorOps:
@@ -370,8 +376,9 @@ class TestVectorOps:
     def test_wrong_codec_rejected(self):
         rng = random.Random(17)
         enc = encrypt_vector(np.ones(3), KEY, CODEC, rng)
-        with pytest.raises(ValueError):
-            decrypt_vector(enc, KEY, FixedPointCodec(scale_bits=16, clip_range=100.0))
+        for codec in (FixedPointCodec(scale_bits=16, clip_range=100.0), CLIP50):
+            with pytest.raises(ValueError, match="different codec"):
+                decrypt_vector(enc, KEY, codec)
 
     def test_add_five_vectors(self):
         rng = random.Random(18)
@@ -405,6 +412,9 @@ class TestVectorOps:
         c = encrypt_vector(np.ones(3), other_key, CODEC, rng)
         with pytest.raises(ValueError):
             add_encrypted(a, c)
+        d = encrypt_vector(np.ones(3), KEY, CLIP50, rng)
+        with pytest.raises(ValueError, match="different codecs"):
+            add_encrypted(a, d)
 
 
 class TestSecureMean:

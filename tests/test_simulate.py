@@ -1,11 +1,13 @@
 """Scenario orchestration: determinism, inference modes, feedback growth."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from fedfall.config import ExperimentConfig
+from fedfall.data.cache import load_dataset, save_dataset
 from fedfall.data.synthetic import make_synthetic_dataset
 from fedfall.data.windows import SequenceWindow
 from fedfall.errors import ConfigError
@@ -340,3 +342,24 @@ class TestCentralPath:
         train_rows = [e for e in result.round_log if "client" in e and "event" not in e]
         assert train_rows
         assert {e["client"] for e in train_rows} == {"central"}
+
+
+class TestClientWithoutTrainWindows:
+    """An individual whose training windows are all gone still has its test
+    windows scored, whether the split is in memory or read from the cache."""
+
+    def test_cached_split_runs_like_the_in_memory_one(self, tmp_path):
+        split = make_synthetic_dataset(
+            seed=3, sequences_per_client=3, sequence_length=120, window=20, stride=4
+        )
+        split.train = [w for w in split.train if w.individual != "B"]
+        split.train_by_client["B"] = []
+        save_dataset(tmp_path / "data.bin", split)
+        loaded = load_dataset(tmp_path / "data.bin")
+        assert loaded.clients == split.clients == ["A", "B", "C", "D", "E"]
+        config = fast_config(global_epochs=2)
+        a = simulate_full(split, config, "epfl_swa")
+        b = simulate_full(loaded, config, "epfl_swa")
+        assert json.dumps(a.round_log) == json.dumps(b.round_log)
+        assert a.metrics.to_dict() == b.metrics.to_dict()
+        assert "B" in b.test_probabilities
