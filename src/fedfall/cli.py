@@ -291,15 +291,17 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"unknown config key {name!r}")
     if FIELD_TYPES[name] not in ("int", "float"):
         raise ConfigError(f"{name} is not numeric; only int/float fields sweep")
-    split = _load_split(args, config)
-    base_out = Path(args.out or config.output_dir)
+    runs = []  # every grid value is checked before the first run writes
     for value in values:
         typed = int(value) if FIELD_TYPES[name] == "int" else value
         if FIELD_TYPES[name] == "int" and typed != value:
             raise ConfigError(f"{name} is integer-valued; grid produced {value}")
-        run_config = config.replace(**{name: typed})
-        _run(split, run_config, args.scenario, base_out / f"{name}={typed:g}")
-    print(f"{len(values)} runs in {base_out}")
+        runs.append((f"{name}={typed:g}", config.replace(**{name: typed})))
+    split = _load_split(args, config)
+    base_out = Path(args.out or config.output_dir)
+    for run_name, run_config in runs:
+        _run(split, run_config, args.scenario, base_out / run_name)
+    print(f"{len(runs)} runs in {base_out}")
     return 0
 
 

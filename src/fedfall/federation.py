@@ -13,12 +13,15 @@ audit the boundary. Only ClientUpdate objects cross to the server.
 
 Per-client work runs in parallel where the platform can fork, through one
 client map, ``map_clients``: the calling process runs one share of the
-clients and forked children run the rest. A round trains through it, each
-client against the same frozen global vector, and ``fedfall.simulate``
-screens monitor windows and scores validation and test windows through it,
-on the same shares. A client's job reads only that client's state and the
-shared models, so the results do not depend on the number of processes, and
-the server side of the round runs in client order as before.
+clients and forked children run the rest. There may be more shares than
+cores (``_worker_count``), so that no core idles while the last share
+finishes: 5 clients on 2 cores run in 3 shares. A round trains through
+it, each client against the same frozen global vector, and
+``fedfall.simulate`` screens monitor windows and scores validation and
+test windows through it, on the same shares. A client's job reads only
+that client's state and the shared models, so the results do not depend
+on the number of processes, and the server side of the round runs in
+client order as before.
 """
 
 from __future__ import annotations
@@ -308,22 +311,30 @@ def _receive(child, conn, jobs: list) -> list:
 
 
 def _worker_count(jobs: int) -> int:
-    """Processes to run ``jobs`` client jobs in: one per usable core, at most
-    one per job. Only the calling process where it cannot fork, or runs
-    other threads, which a forked child would inherit in an unknown state."""
+    """Processes to run ``jobs`` client jobs in, on c usable cores: one per
+    job when jobs <= c, else the smallest W >= c for which jobs mod W is 0
+    or at least c. Shares then hold floor(jobs/W) or ceil(jobs/W) jobs, and
+    with the cores shared fairly every core stays busy until the step ends,
+    so it takes jobs/c job-times rather than ceil(jobs/c). Only the calling
+    process where it cannot fork, or runs other threads, which a forked
+    child would inherit in an unknown state."""
     if jobs < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
     else:
         cores = os.cpu_count() or 1
-    return min(cores, jobs)
+    workers = min(cores, jobs)
+    while 0 < jobs % workers < cores:
+        workers += 1
+    return workers
 
 
 def map_clients(fn, jobs: list[tuple[str, object]], *args) -> list:
     """``[fn(job, *args) for client_id, job in jobs]``, over the usable cores.
 
-    With W = ``_worker_count`` processes, job i goes to share i mod W. This
+    With W = ``_worker_count`` processes, job i goes to share i mod W; W may
+    exceed the core count, and the OS then shares the cores among them. This
     process runs share 0; a forked child runs each other share, reading the
     jobs and ``args`` from its copy of this process's memory, and pipes its
     results back. Results come back in job order. When jobs raise, the

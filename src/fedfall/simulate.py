@@ -25,12 +25,13 @@ tracking, early stopping and test scoring, and every report comes from
 ``metrics.report_from_probabilities``.
 
 Feedback screening, validation and test scoring run their forwards over the
-same per-client shares as training (``federation.map_clients``), so they too
-use every usable core; bulk scoring too small to repay a fork stays in the
-calling process (``MAPPED_SCORING_WORK``). Each client's forwards see the
-same batches as in a serial loop, and monitor draws, alerts and oracle
-draws stay in the calling process in client order, so the results do not
-depend on the worker count.
+same per-client shares as training (``federation.map_clients``), so they
+too keep every usable core busy to the end of the step; bulk scoring too
+small to repay a fork stays in the calling process
+(``MAPPED_SCORING_WORK``). Each client's forwards see the same batches as
+in a serial loop, and monitor draws, alerts and oracle draws stay in the
+calling process in client order, so the results do not depend on the
+worker count.
 
 Every random choice flows from one seed through spawned generator
 streams, so a scenario rerun with the same config is bit-identical.

@@ -313,16 +313,19 @@ class TestSweep:
             "classification_threshold=0.3:0.5:0",  # zero step
             "classification_threshold=0.3:0.5",  # malformed
             "nope=0.3:0.5:0.1",  # unknown field
-            "global_epochs=1:2:0.5",  # fractional step for int field
+            "global_epochs=1:2:0.5",  # fractional step for int field, after a valid value
+            "beta=0.4:0.5:0.1",  # out of range, after a valid value
             "output_dir=1:2:1",  # non-numeric field
         ],
     )
     def test_bad_grid_specs_are_validation_errors(self, tmp_path, spec):
+        out = tmp_path / "s"
         code = cli_main(
-            ["sweep", "--scenario", "central", "--synthetic",
-             "--param", spec, "--out", str(tmp_path / "s")] + FAST
+            ["sweep", "--scenario", "pfl_swa", "--synthetic",
+             "--param", spec, "--out", str(out)] + FAST
         )
         assert code == 1
+        assert not out.exists()  # no grid value runs before every one is checked
 
     @pytest.mark.parametrize(
         "grid", ["0:nan:0.1", "0:inf:1", "nan:1:0.1", "-inf:0:1", "0:1:nan", "0:1:inf"]

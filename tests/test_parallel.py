@@ -4,7 +4,8 @@ loop would, and leave no process behind.
 
 Each path is forced by replacing ``fedfall.federation._worker_count``: one
 process runs the serial loop, two or three split five clients into uneven
-shares.
+shares, and five give each client its own process. The real rule is tested
+against a replaced core count.
 """
 
 import logging
@@ -35,6 +36,7 @@ pytestmark = pytest.mark.skipif(
 SERIAL = lambda jobs: 1  # noqa: E731
 PAIR = lambda jobs: min(jobs, 2)  # noqa: E731
 PARALLEL = lambda jobs: min(jobs, 3)  # noqa: E731
+ONE_PER_JOB = lambda jobs: jobs  # noqa: E731
 
 
 @pytest.fixture(scope="module")
@@ -115,7 +117,7 @@ def test_parallel_artifacts_equal_serial(
     monkeypatch.setattr(federation, "_worker_count", SERIAL)
     serial_files, serial_vectors, serial = artifacts(dataset, cfg, scenario, tmp_path / "serial")
     assert serial.rounds_run == cfg.global_epochs
-    for workers, count in ((2, PAIR), (3, PARALLEL)):
+    for workers, count in ((2, PAIR), (3, PARALLEL), (5, ONE_PER_JOB)):
         monkeypatch.setattr(federation, "_worker_count", count)
         files, vectors, result = artifacts(dataset, cfg, scenario, tmp_path / f"w{workers}")
         assert files == serial_files, f"{workers} workers"
@@ -148,6 +150,11 @@ def client_state(client):
     )
 
 
+def set_cores(monkeypatch, cores):
+    """Make ``_worker_count`` see ``cores`` usable cores."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+
+
 def test_each_share_trains_in_its_own_process(monkeypatch):
     real = federation.local_train
 
@@ -157,7 +164,7 @@ def test_each_share_trains_in_its_own_process(monkeypatch):
         return update
 
     monkeypatch.setattr(federation, "local_train", stamped)
-    monkeypatch.setattr(federation, "_worker_count", PARALLEL)
+    set_cores(monkeypatch, 2)  # the real rule puts 5 clients on 2 cores in 3 processes
     clients = five_clients()
     run_round(params_to_vector(clients[0].local_params), clients, small_config())
     pids = [c.last_train_log["pid"] for c in clients]
@@ -245,12 +252,24 @@ def test_skip_is_decided_and_logged_in_this_process(monkeypatch, caplog):
     assert clients[1].dataset.access_log == {} and clients[3].dataset.access_log == {}
 
 
-def test_worker_count_bounded_by_cores_and_clients():
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+def test_worker_count_keeps_every_core_busy(monkeypatch):
     assert threading.active_count() == 1
-    assert federation._worker_count(1) == 1
-    assert federation._worker_count(5) == min(cores, 5)
-    assert federation._worker_count(10_000) == cores
+    table = {(5, 2): 3, (4, 2): 2, (7, 2): 4, (5, 4): 5, (10, 4): 5, (3, 8): 3}
+    table.update({(1, cores): 1 for cores in (1, 2, 4, 8)})
+    for (jobs, cores), workers in table.items():
+        set_cores(monkeypatch, cores)
+        assert federation._worker_count(jobs) == workers, (jobs, cores)
+    for cores in range(1, 17):
+        set_cores(monkeypatch, cores)
+        for jobs in range(1, 201):
+            workers = federation._worker_count(jobs)
+            assert min(jobs, cores) <= workers <= jobs, (jobs, cores)
+            # round-robin shares of floor and ceil(jobs / workers) jobs end together
+            assert jobs % workers == 0 or jobs % workers >= cores, (jobs, cores)
+            if jobs % cores == 0:
+                assert workers == cores, (jobs, cores)
+            if jobs > cores:  # and no fewer processes would do
+                assert all(0 < jobs % w < cores for w in range(cores, workers)), (jobs, cores)
 
 
 def test_no_fork_while_other_threads_run():
