@@ -17,11 +17,11 @@ clients and forked children run the rest. There may be more shares than
 cores (``_worker_count``), so that no core idles while the last share
 finishes: 5 clients on 2 cores run in 3 shares. A round trains through
 it, each client against the same frozen global vector, and
-``fedfall.simulate`` screens monitor windows and scores validation and
-test windows through it, on the same shares. A client's job reads only
-that client's state and the shared models, so the results do not depend
-on the number of processes, and the server side of the round runs in
-client order as before.
+``fedfall.simulate`` scores through it on the same shares: one job per
+client per round for its monitor and validation windows, and one for its
+test windows. A client's job reads only that client's state and the
+shared models, so the results do not depend on the number of processes,
+and the server side of the round runs in client order as before.
 """
 
 from __future__ import annotations

@@ -24,10 +24,10 @@ the step is shared: feedback, validation, the loss curve, best-round
 tracking, early stopping and test scoring, and every report comes from
 ``metrics.report_from_probabilities``.
 
-Feedback screening, validation and test scoring run their forwards over the
-same per-client shares as training (``federation.map_clients``), so they
-too keep every usable core busy to the end of the step; bulk scoring too
-small to repay a fork stays in the calling process
+Each round scores every client in one job on the client map that training
+uses (``federation.map_clients``): its monitor windows, one batch-1
+forward pair each, then its validation windows; test scoring is the same
+call. Scoring too small to repay a fork stays in the calling process
 (``MAPPED_SCORING_WORK``). Each client's forwards see the same batches as
 in a serial loop, and monitor draws, alerts and oracle draws stay in the
 calling process in client order, so the results do not depend on the
@@ -81,7 +81,7 @@ _SCENARIO_OVERRIDES = {"central": {"mu": 0.0, "client_epochs": 1}, "fl_fedavg": 
 
 VALIDATION_FRACTION = 0.15
 
-# Bulk scoring below this many window-coordinates (windows times model
+# Scoring below this many window-coordinates (windows times model
 # coordinates, over every model run) stays in the calling process, where a
 # fork costs more than it saves. On a 2-core host a scoring fork added about
 # 10 ms: scoring 0.1 to 0.2 million (hidden 1) ran slower forked, and 15 to
@@ -131,50 +131,48 @@ def _labels_of(windows: list[SequenceWindow]) -> np.ndarray:
 
 
 def _probabilities(
-    windows_by_client: dict[str, list[SequenceWindow]],
+    groups_by_client: dict[str, list[list[SequenceWindow]]],
     global_model: ModelParams,
     client_models: dict[str, ModelParams] | None,
-) -> dict[str, np.ndarray]:
-    """Per-client float64 fall probabilities: the two-model ensemble when
-    client models are given, the global model alone otherwise.
+) -> dict[str, list[np.ndarray]]:
+    """Per-client float64 fall probabilities of each window group: the
+    two-model ensemble when client models are given, the global model alone
+    otherwise.
 
     Clients are scored over the same shares as training (``map_clients``),
-    unless the work is below ``MAPPED_SCORING_WORK``. Each client's windows
-    go through one forward per model, as in a serial loop. The passes run
-    in float32; the global model is cast once per call and each client
-    model once, in the process that scores that client."""
-    cids = sorted(windows_by_client)
+    unless the work is below ``MAPPED_SCORING_WORK``. Each group goes
+    through one forward per model, as in a serial loop, so a group of one
+    window is a batch-1 forward, as a live monitor scores a window when it
+    arrives. The passes run in float32; the global model is cast once per
+    call and each client model once, in the process that scores that
+    client."""
+    cids = sorted(groups_by_client)
     jobs = [
-        (cid, (windows_by_client[cid], None if client_models is None else client_models[cid]))
+        (cid, (groups_by_client[cid], None if client_models is None else client_models[cid]))
         for cid in cids
     ]
     global_model = global_model.astype(COMPUTE_DTYPE)
     runs = 1 if client_models is None else 2
-    work = runs * global_model.vec.size * sum(len(w) for w in windows_by_client.values())
-    if work < MAPPED_SCORING_WORK:
+    windows = sum(len(g) for groups in groups_by_client.values() for g in groups)
+    if runs * global_model.vec.size * windows < MAPPED_SCORING_WORK:
         return {cid: _score(job, global_model) for cid, job in jobs}
     return dict(zip(cids, map_clients(_score, jobs, global_model)))
 
 
-def _score(job, global_model: ModelParams) -> np.ndarray:
-    windows, client_model = job
-    if not windows:
-        return np.zeros(0)
-    batch, _ = stack_windows(windows, dtype=COMPUTE_DTYPE)
-    if client_model is None:
-        return model_forward(global_model, batch, mode="eval")[0].astype(np.float64)
-    return ensemble_predict(global_model, client_model.astype(COMPUTE_DTYPE), batch)
-
-
-def _screen(job, global_model: ModelParams) -> list[float]:
-    """The ensemble probability of each monitor window, one batch-1 forward
-    pair per window, as a live monitor scores a window when it arrives."""
-    windows, client_model = job
-    client_model = client_model.astype(COMPUTE_DTYPE)
+def _score(job, global_model: ModelParams) -> list[np.ndarray]:
+    groups, client_model = job
+    if client_model is not None:
+        client_model = client_model.astype(COMPUTE_DTYPE)
     probs = []
-    for window in windows:
-        batch, _ = stack_windows([window], dtype=COMPUTE_DTYPE)
-        probs.append(float(ensemble_predict(global_model, client_model, batch)[0]))
+    for windows in groups:
+        if not windows:
+            probs.append(np.zeros(0))
+            continue
+        batch, _ = stack_windows(windows, dtype=COMPUTE_DTYPE)
+        if client_model is None:
+            probs.append(model_forward(global_model, batch, mode="eval")[0].astype(np.float64))
+        else:
+            probs.append(ensemble_predict(global_model, client_model, batch))
     return probs
 
 
@@ -316,34 +314,29 @@ def simulate_full(
         global_model = vector_to_params(global_vec, input_size, config.hidden_size)
         client_models = {c.client_id: c.local_params for c in clients} if ensemble else None
 
+        # One scoring pass per round: each client's monitor windows, a group
+        # of one each, then its validation windows as one group. The draws
+        # and alerts stay here in client order, and no alert fires before
+        # every forward has run, so a failing forward changes no client.
+        groups = {cid: [windows] for cid, windows in val_by_client.items()}
         monitored: list = []  # (client, its monitor windows)
-        screen_probs: list = []
-        if feedback_on:
-            # The windows are drawn here, each client's from its own stream,
-            # and only the forwards are mapped, so the draws do not depend on
-            # the worker count.
-            for c in clients:
-                raw = dataset.train_by_client[c.client_id]
-                if not raw:
-                    continue
-                rng = monitor_rngs[c.client_id]
-                windows = [
-                    _make_monitor_window(raw[int(rng.integers(0, len(raw)))], c.client_id, r, rng)
-                    for _ in range(config.monitor_windows_per_round)
-                ]
-                monitored.append((c, windows))
-            screen_probs = map_clients(
-                _screen,
-                [(c.client_id, (windows, c.local_params)) for c, windows in monitored],
-                global_model.astype(COMPUTE_DTYPE),
-            )
-        # Validation is scored before any alert changes a client, so a
-        # failing forward leaves every client as the round left it.
-        val_probs = _probabilities(val_by_client, global_model, client_models)
-        for (c, windows), probs in zip(monitored, screen_probs):
+        for c in clients if feedback_on else ():
+            raw = dataset.train_by_client[c.client_id]
+            if not raw:
+                continue
+            rng = monitor_rngs[c.client_id]
+            windows = [
+                _make_monitor_window(raw[int(rng.integers(0, len(raw)))], c.client_id, r, rng)
+                for _ in range(config.monitor_windows_per_round)
+            ]
+            monitored.append((c, windows))
+            groups[c.client_id] = [[w] for w in windows] + groups[c.client_id]
+        probs = _probabilities(groups, global_model, client_models)
+        val_probs = {cid: client_probs[-1] for cid, client_probs in probs.items()}
+        for c, windows in monitored:
             alerts = 0
-            for window, prob in zip(windows, probs):
-                event = alert_and_feedback(c, window, prob, oracle_rng, config, r)
+            for window, prob in zip(windows, probs[c.client_id]):
+                event = alert_and_feedback(c, window, float(prob[0]), oracle_rng, config, r)
                 if event is not None:
                     feedback_events.append(event)
                     alerts += 1
@@ -387,9 +380,12 @@ def simulate_full(
             round_log.append({"round": r, "event": "early_stop", "best_round": best})
             break
 
-    test_probs = _probabilities(
-        dataset.test_by_client, best_global, best_locals if ensemble else None
+    scored = _probabilities(
+        {cid: [windows] for cid, windows in dataset.test_by_client.items()},
+        best_global,
+        best_locals if ensemble else None,
     )
+    test_probs = {cid: probs for cid, (probs,) in scored.items()}
     test_labels = {cid: _labels_of(dataset.test_by_client[cid]) for cid in test_probs}
     metrics = report_from_probabilities(
         test_probs, test_labels, threshold, scenario, fingerprint, config.seed

@@ -284,19 +284,25 @@ def test_no_fork_while_other_threads_run():
     assert not thread.is_alive()
 
 
-def stamp_eval_forwards(monkeypatch, log, single):
-    """Append the pid of every batch-1 (``single``) or bulk eval forward to
-    the file ``log``, from whichever process makes it."""
+def stamp_eval_forwards(monkeypatch, log):
+    """Append the pid and batch size of every eval forward to the file
+    ``log``, from whichever process makes it."""
     real = federation.model_forward
 
     def stamped(params, batch, mode="train"):
-        if mode == "eval" and (len(batch) == 1) == single:
+        if mode == "eval":
             with open(log, "a", encoding="utf-8") as f:
-                f.write(f"{os.getpid()}\n")
+                f.write(f"{os.getpid()} {len(batch)}\n")
         return real(params, batch, mode=mode)
 
     monkeypatch.setattr(federation, "model_forward", stamped)
     monkeypatch.setattr(simulate, "model_forward", stamped)
+
+
+def stamped_pids(log, single):
+    """The pids of the batch-1 (``single``) or bulk eval forwards in ``log``."""
+    lines = log.read_text(encoding="utf-8").splitlines()
+    return [int(pid) for pid, size in map(str.split, lines) if (size == "1") == single]
 
 
 @pytest.mark.parametrize(
@@ -306,11 +312,12 @@ def test_screening_forwards_stay_batch_one_and_in_the_calling_process(
     dataset, workers, count, tmp_path, monkeypatch
 ):
     log = tmp_path / "pids"
-    stamp_eval_forwards(monkeypatch, log, single=True)
+    stamp_eval_forwards(monkeypatch, log)
+    monkeypatch.setattr(simulate, "MAPPED_SCORING_WORK", 0)  # this run scores little
     monkeypatch.setattr(federation, "_worker_count", count)
     cfg = config(**FEEDBACK)
     simulate_full(dataset, cfg, "epfl_swa")
-    pids = [int(line) for line in log.read_text(encoding="utf-8").split()]
+    pids = stamped_pids(log, single=True)
     per_client = 2 * cfg.monitor_windows_per_round * cfg.global_epochs  # two forwards a window
     assert len(pids) == 5 * per_client
     # this process screens share 0: clients 0, W, 2W, ...
@@ -323,17 +330,41 @@ def test_scoring_is_mapped_only_above_the_work_threshold(
     dataset, threshold, mapped, tmp_path, monkeypatch
 ):
     log = tmp_path / "pids"
-    stamp_eval_forwards(monkeypatch, log, single=False)
+    stamp_eval_forwards(monkeypatch, log)
     if threshold is not None:
         monkeypatch.setattr(simulate, "MAPPED_SCORING_WORK", threshold)
     monkeypatch.setattr(federation, "_worker_count", PARALLEL)
     cfg = config()
-    for scenario in ("pfl_swa", "epfl_swa"):  # the global model alone, then the ensemble
-        simulate_full(dataset, cfg, scenario)
-    pids = [int(line) for line in log.read_text(encoding="utf-8").split()]
+    # the global model alone, the ensemble, then the ensemble screening too
+    runs = (("pfl_swa", cfg), ("epfl_swa", cfg), ("epfl_swa", config(**FEEDBACK)))
+    for scenario, run_cfg in runs:
+        simulate_full(dataset, run_cfg, scenario)
+    bulk, single = stamped_pids(log, single=False), stamped_pids(log, single=True)
     scored = (cfg.global_epochs + 1) * 5  # every client, each round and once for the test
-    assert len(pids) == scored * 3  # one forward per client under pfl_swa, two under epfl_swa
-    assert (pids.count(os.getpid()) < len(pids)) == mapped
+    assert len(bulk) == scored * 5  # one forward per client under pfl_swa, two under epfl_swa
+    assert len(single) == 2 * FEEDBACK["monitor_windows_per_round"] * cfg.global_epochs * 5
+    assert (bulk.count(os.getpid()) < len(bulk)) == mapped
+    assert (single.count(os.getpid()) < len(single)) == mapped
+
+
+def test_a_feedback_round_scores_every_client_in_one_map(dataset, monkeypatch):
+    maps = []
+    real = federation.map_clients
+
+    def counted(fn, jobs, *args):
+        maps.append(fn.__name__)
+        return real(fn, jobs, *args)
+
+    monkeypatch.setattr(federation, "map_clients", counted)
+    monkeypatch.setattr(simulate, "map_clients", counted)
+    monkeypatch.setattr(simulate, "MAPPED_SCORING_WORK", 0)
+    monkeypatch.setattr(federation, "_worker_count", PARALLEL)
+    cfg = config(**FEEDBACK)
+    result = simulate_full(dataset, cfg, "epfl_swa")
+    assert result.rounds_run == cfg.global_epochs == 3
+    # each round trains and then scores; the test windows are scored once
+    assert maps == ["_train_one", "_score"] * 3 + ["_score"]
+    assert result.feedback_events
 
 
 def fail_in_children(monkeypatch, phase, fail):
