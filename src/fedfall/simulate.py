@@ -207,16 +207,20 @@ def simulate_full(
     client_seeds = root.spawn(len(client_ids))
 
     # Per-client data path: hold out validation first so oversampling
-    # never leaks synthetic neighbors into the early-stopping score.
+    # never leaks synthetic neighbors into the early-stopping score, and
+    # monitor windows are drawn from the real training windows alone, so
+    # no alert feeds a near-copy of a validation window into training.
     smote_streams = ss_smote.spawn(len(client_ids))
     val_streams = ss_val.spawn(len(client_ids))
     train_by_client: dict[str, list[SequenceWindow]] = {}
     val_by_client: dict[str, list[SequenceWindow]] = {}
+    real_by_client: dict[str, list[SequenceWindow]] = {}
     for i, cid in enumerate(client_ids):
         raw = dataset.train_by_client[cid]
         tr, va = stratified_validation_split(
             raw, VALIDATION_FRACTION, np.random.default_rng(val_streams[i])
         )
+        real_by_client[cid] = tr
         if config.smote_target > 0.0:
             tr = smote_oversample(
                 tr,
@@ -321,12 +325,12 @@ def simulate_full(
         groups = {cid: [windows] for cid, windows in val_by_client.items()}
         monitored: list = []  # (client, its monitor windows)
         for c in clients if feedback_on else ():
-            raw = dataset.train_by_client[c.client_id]
-            if not raw:
+            real = real_by_client[c.client_id]
+            if not real:
                 continue
             rng = monitor_rngs[c.client_id]
             windows = [
-                _make_monitor_window(raw[int(rng.integers(0, len(raw)))], c.client_id, r, rng)
+                _make_monitor_window(real[int(rng.integers(0, len(real)))], c.client_id, r, rng)
                 for _ in range(config.monitor_windows_per_round)
             ]
             monitored.append((c, windows))

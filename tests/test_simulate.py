@@ -276,6 +276,34 @@ class TestFeedbackLoop:
             assert event.alert_probability > cfg.alert_threshold
             assert event.response in (0, 1)
 
+    def test_monitor_windows_copy_only_real_training_windows(self, dataset, monkeypatch):
+        import fedfall.simulate as sim
+
+        held_out, bases = [], []
+        real_split, real_monitor = sim.stratified_validation_split, sim._make_monitor_window
+
+        def recording_split(windows, fraction, rng):
+            train, val = real_split(windows, fraction, rng)
+            held_out.extend(val)
+            return train, val
+
+        def recording_monitor(base, *rest):
+            bases.append(base)
+            return real_monitor(base, *rest)
+
+        monkeypatch.setattr(sim, "stratified_validation_split", recording_split)
+        monkeypatch.setattr(sim, "_make_monitor_window", recording_monitor)
+        cfg = fast_config(
+            feedback_enabled=True, smote_target=0.4, global_epochs=3, monitor_windows_per_round=40
+        )
+        simulate_full(dataset, cfg, "epfl_swa")
+        assert held_out and len(bases) == len(dataset.clients) * 3 * 40
+        # neither a validation window nor a synthetic (SMOTE) one
+        validation = {id(w) for w in held_out}
+        assert not [w for w in bases if id(w) in validation]
+        real = {id(w) for windows in dataset.train_by_client.values() for w in windows}
+        assert all(id(w) in real for w in bases)
+
 
 class TestValidationSplit:
     def windows(self, n_pos, n_neg):
