@@ -197,10 +197,9 @@ def simulate_full(
     fingerprint = config.fingerprint()
     config = config.replace(**_SCENARIO_OVERRIDES.get(scenario, {}))
     client_ids = dataset.clients
-    if not client_ids:
-        raise ConfigError("dataset has no clients")
-    sample = next(iter(dataset.train))
-    input_size = sample.values.shape[1]
+    if not dataset.train:
+        raise ConfigError("dataset has no training windows")
+    input_size = dataset.train[0].values.shape[1]
 
     root = np.random.SeedSequence(config.seed)
     ss_init, ss_smote, ss_val, ss_feedback, ss_transport = root.spawn(5)

@@ -17,6 +17,8 @@ import fedfall
 import fedfall.cli
 import fedfall.errors
 from fedfall.cli import _sweep_values, cli_main
+from fedfall.data.cache import save_dataset
+from fedfall.data.synthetic import make_synthetic_dataset
 from fedfall.errors import AggregationInfeasibleError, ConfigError
 from fedfall.simulate import SCENARIOS
 from test_data_windows import CACHE_CORRUPTIONS
@@ -425,6 +427,20 @@ class TestExitCodes:
         )
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+    def test_cache_without_training_windows_is_validation_error(self, tmp_path, capsys):
+        split = make_synthetic_dataset(seed=0, stride=12)
+        split.train = []
+        split.train_by_client = {cid: [] for cid in split.train_by_client}
+        cache = tmp_path / "test_only.cache"
+        save_dataset(cache, split)
+        code = cli_main(
+            ["train", "--scenario", "central", "--data", str(cache),
+             "--out", str(tmp_path / "x")] + FAST
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: dataset has no training windows\n"
+        assert not (tmp_path / "x").exists()
 
 
 # every exception class in fedfall.errors, plus the two built-in bases

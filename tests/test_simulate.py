@@ -391,3 +391,13 @@ class TestClientWithoutTrainWindows:
         assert json.dumps(a.round_log) == json.dumps(b.round_log)
         assert a.metrics.to_dict() == b.metrics.to_dict()
         assert "B" in b.test_probabilities
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_no_training_windows_at_all_is_a_config_error(self, scenario):
+        split = make_synthetic_dataset(
+            seed=3, sequences_per_client=3, sequence_length=120, window=20, stride=4
+        )
+        split.train = []
+        split.train_by_client = {cid: [] for cid in split.train_by_client}
+        with pytest.raises(ConfigError, match="dataset has no training windows"):
+            simulate_full(split, fast_config(global_epochs=1), scenario)
