@@ -153,8 +153,8 @@ def _probabilities(
     ]
     global_model = global_model.astype(COMPUTE_DTYPE)
     runs = 1 if client_models is None else 2
-    windows = sum(len(g) for groups in groups_by_client.values() for g in groups)
-    if runs * global_model.vec.size * windows < MAPPED_SCORING_WORK:
+    n_windows = sum(len(g) for groups in groups_by_client.values() for g in groups)
+    if runs * global_model.vec.size * n_windows < MAPPED_SCORING_WORK:
         return {cid: _score(job, global_model) for cid, job in jobs}
     return dict(zip(cids, map_clients(_score, jobs, global_model)))
 

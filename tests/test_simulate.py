@@ -276,8 +276,13 @@ class TestFeedbackLoop:
             assert event.alert_probability > cfg.alert_threshold
             assert event.response in (0, 1)
 
-    def test_monitor_windows_copy_only_real_training_windows(self, dataset, monkeypatch):
+    def test_monitor_windows_copy_only_real_training_windows(self, monkeypatch):
         import fedfall.simulate as sim
+
+        # falls are the minority here, so oversampling adds synthetic windows
+        dataset = make_synthetic_dataset(
+            seed=3, sequences_per_client=3, sequence_length=120, window=20, stride=4
+        )
 
         held_out, bases = [], []
         real_split, real_monitor = sim.stratified_validation_split, sim._make_monitor_window
@@ -294,10 +299,10 @@ class TestFeedbackLoop:
         monkeypatch.setattr(sim, "stratified_validation_split", recording_split)
         monkeypatch.setattr(sim, "_make_monitor_window", recording_monitor)
         cfg = fast_config(
-            feedback_enabled=True, smote_target=0.4, global_epochs=3, monitor_windows_per_round=40
+            feedback_enabled=True, smote_target=0.4, global_epochs=2, monitor_windows_per_round=40
         )
         simulate_full(dataset, cfg, "epfl_swa")
-        assert held_out and len(bases) == len(dataset.clients) * 3 * 40
+        assert held_out and len(bases) == len(dataset.clients) * 2 * 40
         # neither a validation window nor a synthetic (SMOTE) one
         validation = {id(w) for w in held_out}
         assert not [w for w in bases if id(w) in validation]
@@ -392,12 +397,11 @@ class TestClientWithoutTrainWindows:
         assert a.metrics.to_dict() == b.metrics.to_dict()
         assert "B" in b.test_probabilities
 
-    @pytest.mark.parametrize("scenario", SCENARIOS)
-    def test_no_training_windows_at_all_is_a_config_error(self, scenario):
+    def test_no_training_windows_at_all_is_a_config_error(self):
         split = make_synthetic_dataset(
             seed=3, sequences_per_client=3, sequence_length=120, window=20, stride=4
         )
         split.train = []
         split.train_by_client = {cid: [] for cid in split.train_by_client}
         with pytest.raises(ConfigError, match="dataset has no training windows"):
-            simulate_full(split, fast_config(global_epochs=1), scenario)
+            simulate_full(split, fast_config(global_epochs=1), "central")
