@@ -23,6 +23,7 @@ bit-for-bit reproducible against a scalar reference."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,17 +141,21 @@ def swa_aggregate(
 
 
 def fedavg(updates: list[ClientUpdate]) -> np.ndarray:
-    """Sample-count-weighted mean of client parameter vectors."""
+    """Sample-count-weighted mean of client parameter vectors, the counts in
+    lowest terms: a lone update comes back bit for bit (1 * w / 1), equal
+    counts give the plain mean in client order, and coprime counts weigh in
+    as they are."""
     if not updates:
         raise ValueError("no updates to aggregate")
     total = sum(u.sample_count for u in updates)
     if total <= 0:
         raise ValueError("total sample count is zero")
+    divisor = math.gcd(*(u.sample_count for u in updates))
     ordered = sorted(updates, key=lambda u: u.client_id)
     dim = np.asarray(ordered[0].params).shape[0]
     acc = np.zeros(dim)
     for u in ordered:
         w = _validate_vector(u.params, f"update {u.client_id!r}", dim=dim)
-        acc = acc + u.sample_count * w
+        acc = acc + (u.sample_count // divisor) * w
     # finite weights can still sum past the float range once weighted
-    return _validate_vector(acc / total, "aggregated")
+    return _validate_vector(acc / (total // divisor), "aggregated")

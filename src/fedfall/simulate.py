@@ -15,13 +15,14 @@ Each scenario trains under the caller's ``ExperimentConfig`` with its own
 overrides (``central``: ``mu=0``, one epoch per round; ``fl_fedavg``:
 ``mu=0``); the report keeps the caller's fingerprint.
 
-All four run through one round loop. Only the training step branches:
-``central`` is a single trainer holding every client's train windows
-(sorted by client) that runs ``local_train`` each round and adopts the
-result as the global model, with no aggregation and no transport; the
-federated scenarios call ``run_round``. Everything after
-the step is shared: feedback, validation, the loss curve, best-round
-tracking, early stopping and test scoring, and every report comes from
+All four run through one round loop, and every round is one
+``run_round`` call: FedAvg for ``central`` and ``fl_fedavg``, SWA for the
+other two. ``central`` is a one-client FedAvg round over a single trainer
+holding every client's train windows (sorted by client); FedAvg returns a
+lone update exactly, so the trainer's model becomes the global model, and
+its update travels without transport. Everything after the step is
+shared: feedback, validation, the loss curve, best-round tracking, early
+stopping and test scoring, and every report comes from
 ``metrics.report_from_probabilities``.
 
 Each round scores every client in one job on the client map that training
@@ -57,7 +58,6 @@ from fedfall.federation import (
     alert_and_feedback,
     early_stop_check,
     ensemble_predict,
-    local_train,
     map_clients,
     run_round,
     TransportConfig,
@@ -282,37 +282,20 @@ def simulate_full(
     history: list[float] = []  # one validation score per round run
 
     for r in range(config.global_epochs):
-        if central:
-            (trainer,) = clients
-            update = local_train(trainer, global_vec, config)
-            if update is None:
-                raise ConfigError("central scenario requires at least 2 pooled training windows")
-            global_vec = update.params
-            entries = [
-                {
-                    "round": r,
-                    "client": "central",
-                    "loss": trainer.last_train_log["loss"],
-                    "epochs": update.epochs_trained,
-                    "n_samples": update.sample_count,
-                }
-            ]
-        else:
-            if scenario == "fl_fedavg":
-                for c in clients:
-                    c.local_params = vector_to_params(global_vec, input_size, config.hidden_size)
-                    c.adam = None
-            result = run_round(
-                global_vec,
-                clients,
-                config,
-                strategy="fedavg" if scenario == "fl_fedavg" else "swa",
-                round_index=r,
-                transport=transport,
-            )
-            global_vec = result.global_params
-            entries = result.entries
-        round_log.extend(entries)
+        if scenario == "fl_fedavg":
+            for c in clients:
+                c.local_params = vector_to_params(global_vec, input_size, config.hidden_size)
+                c.adam = None
+        result = run_round(
+            global_vec,
+            clients,
+            config,
+            strategy="swa" if scenario in ("pfl_swa", "epfl_swa") else "fedavg",
+            round_index=r,
+            transport=transport,
+        )
+        global_vec = result.global_params
+        round_log.extend(result.entries)
 
         global_model = vector_to_params(global_vec, input_size, config.hidden_size)
         client_models = {c.client_id: c.local_params for c in clients} if ensemble else None
@@ -355,7 +338,7 @@ def simulate_full(
         val_metrics = report_from_probabilities(val_probs, val_labels, threshold)
         score = val_metrics.recall + val_metrics.f1
         history.append(score)
-        mean_loss = float(np.mean([e["loss"] for e in entries if "loss" in e]))
+        mean_loss = float(np.mean([e["loss"] for e in result.entries if "loss" in e]))
         round_log.append(
             {
                 "round": r,

@@ -339,6 +339,9 @@ class TestFedavg:
     def test_single_client(self):
         v = np.array([1.0, 2.0, 3.0])
         np.testing.assert_array_equal(fedavg([up("a", v, count=5)]), v)
+        # bit for bit on any vector: the lone weight is 1, not n * w / n
+        v = np.random.default_rng(0).normal(size=1000)
+        assert fedavg([up("a", v, count=3)]).tobytes() == v.tobytes()
 
     def test_equal_weights(self):
         out = fedavg([up("a", [0.0], count=10), up("b", [2.0], count=10)])
@@ -365,6 +368,10 @@ class TestFedavg:
         rows = rng.normal(size=(5, 30))
         updates = [up(f"c{i}", rows[i], count=7) for i in range(5)]
         np.testing.assert_allclose(fedavg(updates), scalar_trimmed_mean(rows.tolist(), 0), rtol=1e-12)
+        # equal counts are weights of 1: the plain client-order mean, bit for bit
+        g = np.zeros(30)
+        plain = swa_aggregate(g, updates, untrimmed("literal"))
+        assert fedavg(updates).tobytes() == plain.tobytes()
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(10)

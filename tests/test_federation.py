@@ -338,6 +338,14 @@ class TestRunRound:
         assert [e["client"] for e in skipped] == ["B"]
         assert len(result.entries) == 3
 
+    def test_fedavg_of_one_trained_client_is_its_model(self):
+        # B has no windows and is skipped; A's 12 windows are a weight of 1
+        clients = [make_client("A", n_windows=12), make_client("B", n_windows=0)]
+        g = params_to_vector(init_params(F, H, 5))
+        result = run_round(g, clients, small_config(), strategy="fedavg")
+        trained = params_to_vector(clients[0].local_params)
+        assert result.global_params.tobytes() == trained.tobytes()
+
     def test_all_clients_empty_is_an_error(self):
         clients = [make_client("A", n_windows=0)]
         g = params_to_vector(clients[0].local_params)

@@ -371,10 +371,17 @@ class TestCentralPath:
         assert_scored_by_global_model(result, dataset)
 
     def test_round_log_marks_central_trainer(self, dataset):
-        result = simulate_full(dataset, fast_config(global_epochs=2), "central")
-        train_rows = [e for e in result.round_log if "client" in e and "event" not in e]
-        assert train_rows
-        assert {e["client"] for e in train_rows} == {"central"}
+        def train_rows(scenario):
+            result = simulate_full(dataset, fast_config(global_epochs=2), scenario)
+            return [e for e in result.round_log if "client" in e and "event" not in e]
+
+        central = train_rows("central")
+        assert central
+        assert {e["client"] for e in central} == {"central"}
+        # one training step, so one row schema, update_norm included
+        federated = train_rows("fl_fedavg")
+        assert {frozenset(e) for e in central} == {frozenset(e) for e in federated}
+        assert all(e["encrypted"] is False and e["update_norm"] > 0 for e in central)
 
 
 class TestClientWithoutTrainWindows:
