@@ -213,8 +213,9 @@ def _load_predictions(path: str, need_threshold: bool) -> dict:
             raise ValueError(f"{path}: not JSON ({exc})") from None
     if not isinstance(saved, dict) or not isinstance(saved.get("clients"), dict):
         raise ValueError(f"{path}: not an object with a clients object")
-    if need_threshold and not isinstance(saved.get("threshold"), (int, float)):
-        raise ValueError(f"{path}: no numeric threshold; pass --threshold")
+    threshold = saved.get("threshold")
+    if need_threshold and not (type(threshold) in (int, float) and 0.0 < threshold < 1.0):
+        raise ValueError(f"{path}: no threshold in (0, 1); pass --threshold")
     for key in ("scenario", "config_fingerprint"):
         if key in saved and not isinstance(saved[key], str):
             raise ValueError(f"{path}: {key} is not a string")
@@ -235,6 +236,8 @@ def _load_predictions(path: str, need_threshold: bool) -> dict:
             raise ValueError(f"{path}: client {cid!r} has a probability outside [0, 1]")
         if not all(type(label) is int and label in (0, 1) for label in labels):
             raise ValueError(f"{path}: client {cid!r} has a label other than 0 or 1")
+    if not any(entry["labels"] for entry in saved["clients"].values()):
+        raise ValueError(f"{path}: no windows to evaluate")
     return saved
 
 

@@ -199,6 +199,8 @@ def simulate_full(
     client_ids = dataset.clients
     if not dataset.train:
         raise ConfigError("dataset has no training windows")
+    if not any(dataset.test_by_client.values()):
+        raise ConfigError("dataset has no test windows")
     input_size = dataset.train[0].values.shape[1]
 
     root = np.random.SeedSequence(config.seed)

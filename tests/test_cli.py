@@ -43,6 +43,10 @@ PREDICTION_CORRUPTIONS = {
     "clients_not_an_object": '{"threshold": 0.3, "clients": []}',
     "no_threshold": '{"clients": {}}',
     "threshold_not_a_number": '{"threshold": "high", "clients": {}}',
+    "threshold_a_bool": '{"threshold": true, ' + _VALID_CLIENTS + "}",
+    "threshold_out_of_range": '{"threshold": 7, ' + _VALID_CLIENTS + "}",
+    "no_windows": '{"threshold": 0.3, "clients": {}}',
+    "no_windows_in_any_client": '{"threshold": 0.3, "clients": {"B": {"probabilities": [], "labels": []}}}',
     "client_not_an_object": '{"threshold": 0.3, "clients": {"A": [0.5]}}',
     "no_probabilities": '{"threshold": 0.3, "clients": {"A": {"labels": [1]}}}',
     "labels_not_a_list": '{"threshold": 0.3, "clients": {"A": {"probabilities": [0.5], "labels": 1}}}',
@@ -440,6 +444,20 @@ class TestExitCodes:
         )
         assert code == 1
         assert capsys.readouterr().err == "error: dataset has no training windows\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_cache_without_test_windows_is_validation_error(self, tmp_path, capsys):
+        split = make_synthetic_dataset(seed=0, stride=12)
+        split.test = []
+        split.test_by_client = {cid: [] for cid in split.test_by_client}
+        cache = tmp_path / "train_only.cache"
+        save_dataset(cache, split)
+        code = cli_main(
+            ["train", "--scenario", "pfl_swa", "--data", str(cache),
+             "--out", str(tmp_path / "x")] + FAST
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: dataset has no test windows\n"
         assert not (tmp_path / "x").exists()
 
 

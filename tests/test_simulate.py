@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from fedfall import simulate
 from fedfall.config import ExperimentConfig
 from fedfall.data.cache import load_dataset, save_dataset
 from fedfall.data.synthetic import make_synthetic_dataset
@@ -412,3 +413,17 @@ class TestClientWithoutTrainWindows:
         split.train_by_client = {cid: [] for cid in split.train_by_client}
         with pytest.raises(ConfigError, match="dataset has no training windows"):
             simulate_full(split, fast_config(global_epochs=1), "central")
+
+    def test_no_test_windows_is_a_config_error_before_training(self, monkeypatch):
+        split = make_synthetic_dataset(
+            seed=3, sequences_per_client=3, sequence_length=120, window=20, stride=4
+        )
+        split.test = []
+        split.test_by_client = {cid: [] for cid in split.test_by_client}
+
+        def no_round(*args, **kwargs):
+            raise AssertionError("trained a dataset it cannot score")
+
+        monkeypatch.setattr(simulate, "run_round", no_round)
+        with pytest.raises(ConfigError, match="dataset has no test windows"):
+            simulate_full(split, fast_config(global_epochs=3), "pfl_swa")
