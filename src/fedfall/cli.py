@@ -5,6 +5,10 @@ Exit codes: 0 success; 1 for bad flags or any ``ValueError`` (every
 validation error in ``fedfall.errors`` subclasses it: bad config, bad input
 data); 2 for any other package error or an ``OSError``.
 
+Every subcommand takes ``--log-level`` (DEBUG, INFO, WARNING or ERROR;
+default WARNING): the package's log records at that level and above go to
+stderr, as ``LEVEL:logger:message`` lines.
+
 Every run writes self-describing artifacts into its output directory:
 ``metrics.json`` (final report), ``round_log.jsonl`` (one structured
 record per client per round), ``loss_curve.csv`` (per-round training loss
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import random as _random
 import sys
 import time
@@ -33,6 +38,9 @@ from fedfall.metrics import report_from_probabilities
 from fedfall.nn import gradient_check, init_params
 from fedfall.secure_transport import FixedPointCodec, keygen, secure_mean_demo
 from fedfall.simulate import SCENARIOS, SimulationResult, simulate_full
+
+
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
 
 
 class _UsageError(Exception):
@@ -402,6 +410,14 @@ def build_parser() -> _Parser:
     p.add_argument("--tol", type=_tolerance, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)
 
+    for p in sub.choices.values():
+        p.add_argument(
+            "--log-level",
+            type=str.upper,
+            choices=LOG_LEVELS,
+            default="WARNING",
+            help="least severe package log records shown on stderr (default: WARNING)",
+        )
     return parser
 
 
@@ -414,6 +430,12 @@ def cli_main(argv=None) -> int:
         return 1
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
+    package_logger = logging.getLogger("fedfall")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s:%(name)s:%(message)s"))
+    saved_level = package_logger.level
+    package_logger.addHandler(handler)
+    package_logger.setLevel(args.log_level)
     try:
         return args.func(args)
     except ValueError as exc:
@@ -422,6 +444,9 @@ def cli_main(argv=None) -> int:
     except (FedfallError, OSError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
+    finally:
+        package_logger.removeHandler(handler)
+        package_logger.setLevel(saved_level)
 
 
 def main() -> None:

@@ -12,7 +12,7 @@ import logging
 
 import numpy as np
 
-from fedfall.data.windows import SequenceWindow
+from fedfall.data.windows import SequenceWindow, check_window_shapes
 
 logger = logging.getLogger(__name__)
 
@@ -52,7 +52,11 @@ def smote_oversample(
 
     label = minority[0].label
     shape = minority[0].values.shape
-    flat = np.stack([w.values.ravel() for w in minority])
+    try:
+        flat = np.stack([w.values.ravel() for w in minority])
+    except ValueError:
+        check_window_shapes(minority)
+        raise
     # pairwise Euclidean distances among minority samples
     sq = np.sum(flat**2, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (flat @ flat.T)

@@ -7,11 +7,13 @@ produce them.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from fedfall.data.ldpa import individual_of
+from fedfall.errors import ShapeMismatchError
 
 
 @dataclass(frozen=True)
@@ -76,6 +78,21 @@ def stack_windows(
     """
     if not windows:
         raise ValueError("no windows to stack")
-    batch = np.stack([w.values for w in windows], dtype=dtype)
+    try:
+        batch = np.stack([w.values for w in windows], dtype=dtype)
+    except ValueError:
+        check_window_shapes(windows)
+        raise
     labels = np.array([w.label for w in windows], dtype=np.float64)
     return batch, labels
+
+
+def check_window_shapes(windows: list[SequenceWindow]) -> None:
+    """Raise ShapeMismatchError naming the first window whose shape is not
+    the most common one (the first seen, on a tie)."""
+    expected = Counter(w.values.shape for w in windows).most_common(1)[0][0]
+    for w in windows:
+        if w.values.shape != expected:
+            raise ShapeMismatchError(
+                f"window {w.origin} has shape {w.values.shape}; expected {expected}"
+            )

@@ -8,26 +8,37 @@ mean), or decrypt individual updates first when the aggregation rule needs
 sorting (trimming cannot run on ciphertexts under a purely additive
 scheme).
 
-The scheme is the n+1-generator construction: n = p*q, decryption
-m = L(c^lambda mod n^2) * mu mod n with L(x) = (x-1)/n, lambda = (p-1)(q-1),
-mu = lambda^-1 mod n. The generator g = n + 1 is implicit, so no key
-stores it: encryption uses (n+1)^m = 1 + m*n mod n^2. Additive homomorphism
-is ciphertext multiplication mod n^2. ``decrypt`` computes the same m by the Chinese
-remainder theorem (Paillier, EUROCRYPT 1999): it exponentiates by p-1 mod
-p^2 and by q-1 mod q^2, half-size exponents on quarter-size moduli, and
-recombines mod n with constants computed once per key. With g = n + 1,
-L_p(g^(p-1) mod p^2) = (p-1)*q = -q mod p, so the constant hp is
-(-q)^-1 mod p, and hq is (-p)^-1 mod q.
+The scheme is the n+1-generator construction: n = p*q, and the generator
+g = n + 1 is implicit, so no key stores it: encryption uses
+(n+1)^m = 1 + m*n mod n^2. Additive homomorphism is ciphertext
+multiplication mod n^2.
 
-Encryption replaces Paillier's random n-th residue r^n by the short-exponent
-variant of Damgard, Jurik and Nielsen (Int. J. Inf. Secur. 2010): the key
-carries the public n-th residue hs = (-y^2 mod n)^n mod n^2, and
-c = (1 + m*n) * hs^a mod n^2 for a fresh EXPONENT_BITS-bit (256-bit)
-exponent a. hs^a comes from a table of hs^(d * 16^i), one row per 4-bit
-window i of a and one column per digit d, built once per key from public
-material: at most 64 multiplications mod n^2 per ciphertext instead of an
-exponentiation by n itself. hs^lambda = 1 mod n^2, so decryption is
-unchanged.
+Keys use Paillier's subgroup variant (EUROCRYPT 1999, section 6): each
+prime is p = 2*alpha_p*k_p + 1 with a prime alpha_p of ALPHA_BITS bits
+(160 at a 1024-bit n, scaled down for smaller keys), and likewise q. The
+public encryption base hs = (y^n mod n^2)^(4*k_p*k_q) mod n^2 is an n-th
+residue whose order divides alpha_p*alpha_q. ``decrypt`` therefore
+exponentiates by alpha_p mod p^2 and by alpha_q mod q^2, which removes hs
+exactly as lambda does but with 160-bit exponents instead of 511-bit ones,
+and recombines the two halves mod n by the Chinese remainder theorem with
+constants computed once per key. With g = n + 1,
+L_p(g^alpha_p mod p^2) = alpha_p*q mod p, with L_p(x) = (x-1)/p, so the
+constant hp is (alpha_p*q)^-1 mod p, and hq is (alpha_q*p)^-1 mod q.
+Decryption inverts only ciphertexts the scheme produces and their
+products: a unit of Z*_{n^2} outside that subgroup does not decrypt to
+its lambda-mu plaintext, by design.
+
+Encryption follows the short-exponent variant of Damgard, Jurik and
+Nielsen (Int. J. Inf. Secur. 2010): c = (1 + m*n) * hs^a mod n^2 for a
+fresh EXPONENT_BITS-bit (320-bit) exponent a, which spans the
+alpha_p*alpha_q subgroup hs generates. hs^a comes from a table of
+hs^(d * 32^i), one row per 5-bit window i of a and one column per digit d,
+built once per key from public material: at most 64 multiplications mod
+n^2 per ciphertext instead of an exponentiation by n itself.
+
+Key generation is deterministic in (bits, seed), and ``keygen`` keeps the
+last few keys per process, so every run at one seed shares one prime
+search and one encryption table.
 
 Slot layout (after BatchCrypt, Zhang et al., USENIX ATC 2020). A codec
 integer m lies in [-offset, offset], where offset is the code of
@@ -41,11 +52,14 @@ addends * offset, which gives back exactly the sum of the codes.
 
 Key sizes here are deliberately small (1024 bits by default in the
 config) and the primality test is probabilistic; nothing in this module is
-claimed production-secure. The short exponent adds a hardness assumption
-to Paillier's decisional composite residuosity: that hs^a for a random
-256-bit a cannot be told from a uniformly random element of the subgroup
-hs generates. The module exists to demonstrate that the transport layer is
-semantically transparent to aggregation up to quantization error.
+claimed production-secure. Beyond Paillier's decisional composite
+residuosity, the scheme rests on two more assumptions: that n stays hard
+to factor when p-1 and q-1 have known-size prime factors alpha_p and
+alpha_q (Paillier suggests 160 bits each for a 1024-bit n), and that hs^a
+for a random 320-bit a cannot be told from a uniformly random element of
+the subgroup hs generates. The module exists to demonstrate that the
+transport layer is semantically transparent to aggregation up to
+quantization error.
 """
 
 from __future__ import annotations
@@ -54,7 +68,7 @@ import logging
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -71,10 +85,15 @@ MILLER_RABIN_ROUNDS = 40
 # 2**CARRY_BITS encrypted vectors.
 CARRY_BITS = 8
 
-# Bits of the encryption exponent a, read from the fixed-base table in
+# Bits of the prime alpha dividing p - 1 (and q - 1) at a 1024-bit key,
+# the size Paillier suggests; smaller keys scale it down.
+ALPHA_BITS = 160
+
+# Bits of the encryption exponent a, twice ALPHA_BITS so that a spans the
+# alpha_p*alpha_q subgroup; read from the fixed-base table in
 # WINDOW_BITS-bit windows.
-EXPONENT_BITS = 256
-WINDOW_BITS = 4
+EXPONENT_BITS = 2 * ALPHA_BITS
+WINDOW_BITS = 5
 
 
 def _odd_prime_product(limit: int) -> int:
@@ -125,14 +144,28 @@ def _random_prime(bits: int, rng: random.Random) -> int:
             return cand
 
 
+def _subgroup_prime(bits: int, alpha: int, rng: random.Random) -> int:
+    """A probable prime p = 2*alpha*k + 1 of exactly ``bits`` bits."""
+    step = 2 * alpha
+    low = -(-((1 << (bits - 1)) - 1) // step)  # least k with p >= 2^(bits-1)
+    high = ((1 << bits) - 2) // step  # greatest k with p < 2^bits
+    while True:
+        cand = step * rng.randrange(low, high + 1) + 1
+        if math.gcd(cand, _SIEVE) == 1 and _is_probable_prime(cand, rng):
+            return cand
+
+
 @dataclass(frozen=True)
 class HeKeyPair:
-    """Public modulus and encryption base plus the private primes."""
+    """Public modulus and encryption base plus the private primes and the
+    primes alpha_p | p - 1 and alpha_q | q - 1 that bound the order of hs."""
 
     n: int
     hs: int
     p: int
     q: int
+    alpha_p: int
+    alpha_q: int
 
     @property
     def n_squared(self) -> int:
@@ -140,7 +173,7 @@ class HeKeyPair:
 
     @cached_property
     def _hs_table(self) -> tuple[tuple[int, ...], ...]:
-        """hs^(d * 16^i) mod n^2 at [i][d], one row per window of the exponent."""
+        """hs^(d * 32^i) mod n^2 at [i][d], one row per window of the exponent."""
         n2 = self.n_squared
         rows = []
         base = self.hs
@@ -170,29 +203,42 @@ class HeKeyPair:
     def _crt(self) -> tuple[int, int, int, int, int]:
         """p^2, q^2, hp, hq and p^-1 mod q, the constants of CRT decryption."""
         p, q = self.p, self.q
-        return p * p, q * q, pow(-q, -1, p), pow(-p, -1, q), pow(p, -1, q)
+        hp = pow(self.alpha_p * q, -1, p)
+        hq = pow(self.alpha_q * p, -1, q)
+        return p * p, q * q, hp, hq, pow(p, -1, q)
 
 
+@lru_cache(maxsize=8)
 def keygen(bits: int, seed: int) -> HeKeyPair:
-    """Deterministic key generation from a seed.
+    """Deterministic key generation from a seed, kept per process.
 
-    ``bits`` is the size of the modulus n; each prime gets bits/2.
+    ``bits`` is the size of the modulus n; each prime gets bits//2 bits and
+    a prime alpha of min(ALPHA_BITS, 5*(bits//2)//16) bits dividing p - 1
+    (q - 1). The last eight keys are kept, so a repeated (bits, seed)
+    returns the same key, with the tables it has already built.
     """
     if bits < 128:
         raise ValueError(f"key size must be at least 128 bits, got {bits}")
     rng = random.Random(seed)
     half = bits // 2
-    p = _random_prime(half, rng)
-    q = _random_prime(half, rng)
+    alpha_bits = min(ALPHA_BITS, 5 * half // 16)
+    alpha_p = _random_prime(alpha_bits, rng)
+    alpha_q = _random_prime(alpha_bits, rng)
+    while alpha_q == alpha_p:
+        alpha_q = _random_prime(alpha_bits, rng)
+    p = _subgroup_prime(half, alpha_p, rng)
+    q = _subgroup_prime(half, alpha_q, rng)
     while q == p:
-        q = _random_prime(half, rng)
+        q = _subgroup_prime(half, alpha_q, rng)
     n = p * q
     while True:
         y = rng.randrange(1, n)
         if math.gcd(y, n) == 1:
             break
-    hs = pow(-y * y % n, n, n * n)
-    return HeKeyPair(n=n, hs=hs, p=p, q=q)
+    # (y^n)^(4*k_p*k_q) with p - 1 = 2*alpha_p*k_p: the order divides alpha_p*alpha_q
+    k_pq = (p - 1) // (2 * alpha_p) * ((q - 1) // (2 * alpha_q))
+    hs = pow(pow(y, n, n * n), 4 * k_pq, n * n)
+    return HeKeyPair(n=n, hs=hs, p=p, q=q, alpha_p=alpha_p, alpha_q=alpha_q)
 
 
 def min_modulus_bits(bits: int) -> int:
@@ -209,13 +255,14 @@ def encrypt(m: int, key: HeKeyPair, rng: random.Random) -> int:
 
 
 def decrypt(c: int, key: HeKeyPair) -> int:
-    """Decrypt to the plaintext residue in [0, n), by CRT over p and q."""
+    """Decrypt to the plaintext residue in [0, n): exponents alpha_p mod p^2
+    and alpha_q mod q^2 remove hs^a, and CRT joins the halves."""
     if not 0 <= c < key.n_squared:
         raise ValueError("ciphertext out of range")
     p, q = key.p, key.q
     p2, q2, hp, hq, p_inv = key._crt
-    mp = (pow(c, p - 1, p2) - 1) // p * hp % p
-    mq = (pow(c, q - 1, q2) - 1) // q * hq % q
+    mp = (pow(c, key.alpha_p, p2) - 1) // p * hp % p
+    mq = (pow(c, key.alpha_q, q2) - 1) // q * hq % q
     return mp + (mq - mp) * p_inv % q * p
 
 

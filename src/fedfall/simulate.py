@@ -201,6 +201,12 @@ def simulate_full(
         raise ConfigError("dataset has no training windows")
     if not any(dataset.test_by_client.values()):
         raise ConfigError("dataset has no test windows")
+    test_only = sorted(set(dataset.test_by_client) - set(client_ids))
+    if scenario == "epfl_swa" and test_only:
+        raise ConfigError(
+            f"epfl_swa scores each client with its own model; test-only clients "
+            f"{', '.join(test_only)} have none"
+        )
     input_size = dataset.train[0].values.shape[1]
 
     root = np.random.SeedSequence(config.seed)

@@ -4,6 +4,7 @@ import ast
 import csv
 import importlib
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -16,12 +17,15 @@ import pytest
 import fedfall
 import fedfall.cli
 import fedfall.errors
+import fedfall.secure_transport
 from fedfall.cli import _sweep_values, cli_main
 from fedfall.data.cache import save_dataset
 from fedfall.data.synthetic import make_synthetic_dataset
 from fedfall.errors import AggregationInfeasibleError, ConfigError
+from fedfall.secure_transport import keygen
 from fedfall.simulate import SCENARIOS
 from test_data_windows import CACHE_CORRUPTIONS
+from test_simulate import with_one_short_window
 
 FAST = [
     "--set", "hidden_size=4",
@@ -69,6 +73,24 @@ PREDICTION_CORRUPTIONS = {
     "scenario_not_a_string": '{"scenario": 5, "threshold": 0.3, ' + _VALID_CLIENTS + "}",
     "fingerprint_not_a_string": '{"config_fingerprint": null, "threshold": 0.3, ' + _VALID_CLIENTS + "}",
 }
+
+
+def write_ldpa_csv(path, extra_rows=()):
+    """Three 16-step sequences of individual A in the raw CSV format, with a
+    fall at steps 7 and 8, then ``extra_rows``."""
+    tags = ("010-000-024-033", "020-000-033-111", "020-000-032-221")
+    rows = []
+    for seq in ("A01", "A02", "A03"):
+        for t in range(16):
+            for k, tag in enumerate(tags):
+                activity = "falling" if t in (7, 8) else "walking"
+                rows.append(
+                    f"{seq},{tag},{633790226057339000 + t * 1000 + k},"
+                    f"27.05.2009 14:03:25:{t:03d},"
+                    f"{2.0 + 0.1 * t},{1.5 - 0.05 * t},{0.3},{activity}"
+                )
+    path.write_text("\n".join(rows + list(extra_rows)) + "\n")
+    return path
 
 
 def run_train(tmp_path, extra=(), out_name="run", scenario="fl_fedavg"):
@@ -232,19 +254,7 @@ class TestPrepareData:
         assert (out / "metrics.json").exists()
 
     def test_csv_ingestion(self, tmp_path, capsys):
-        tags = ("010-000-024-033", "020-000-033-111", "020-000-032-221")
-        rows = []
-        for seq in ("A01", "A02", "A03"):
-            for t in range(16):
-                for k, tag in enumerate(tags):
-                    activity = "falling" if t in (7, 8) else "walking"
-                    rows.append(
-                        f"{seq},{tag},{633790226057339000 + t * 1000 + k},"
-                        f"27.05.2009 14:03:25:{t:03d},"
-                        f"{2.0 + 0.1 * t},{1.5 - 0.05 * t},{0.3},{activity}"
-                    )
-        csv_path = tmp_path / "raw.csv"
-        csv_path.write_text("\n".join(rows) + "\n")
+        csv_path = write_ldpa_csv(tmp_path / "raw.csv")
         # the CSV comes from --csv or, failing that, the config's data_path
         for name, source in (
             ("flag.npz", ["--csv", str(csv_path)]),
@@ -311,6 +321,30 @@ class TestSweep:
         assert sorted(p.name for p in out.iterdir()) == [
             "classification_threshold=0.3", "classification_threshold=0.4"
         ]
+
+    def test_encrypted_sweep_searches_primes_for_one_key(self, tmp_path, monkeypatch):
+        keygen.cache_clear()
+        calls = []
+        search = fedfall.secure_transport._random_prime
+
+        def counting_search(bits, rng):
+            calls.append(bits)
+            return search(bits, rng)
+
+        monkeypatch.setattr(fedfall.secure_transport, "_random_prime", counting_search)
+        out = tmp_path / "sweep"
+        code = cli_main(
+            ["sweep", "--scenario", "pfl_swa", "--synthetic", "--seed", "3",
+             "--param", "mu=0:0.02:0.01", "--out", str(out),
+             "--set", "encrypt_transport=true", "--set", "he_key_bits=256"]
+            + FAST + ["--set", "global_epochs=1"]
+        )
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == ["mu=0", "mu=0.01", "mu=0.02"]
+        swept = len(calls)
+        keygen.cache_clear()
+        keygen(256, seed=3)
+        assert swept == len(calls) - swept >= 2
 
     @pytest.mark.parametrize(
         "spec",
@@ -432,6 +466,17 @@ class TestExitCodes:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_short_window_is_validation_error(self, tmp_path, capsys, monkeypatch, label):
+        split, origin = with_one_short_window(label)
+        monkeypatch.setattr(fedfall.cli, "make_synthetic_dataset", lambda **kw: split)
+        code = cli_main(
+            ["train", "--scenario", "pfl_swa", "--synthetic", "--out", str(tmp_path / "x")]
+            + FAST + ["--set", "smote_target=0.3"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: window {origin} has shape (19, ")
+
     def test_cache_without_training_windows_is_validation_error(self, tmp_path, capsys):
         split = make_synthetic_dataset(seed=0, stride=12)
         split.train = []
@@ -459,6 +504,44 @@ class TestExitCodes:
         assert code == 1
         assert capsys.readouterr().err == "error: dataset has no test windows\n"
         assert not (tmp_path / "x").exists()
+
+
+class TestLogLevel:
+    def train_without_b(self, tmp_path, monkeypatch, level):
+        split = make_synthetic_dataset(seed=0, stride=12)
+        split.train = [w for w in split.train if w.individual != "B"]
+        split.train_by_client["B"] = []
+        monkeypatch.setattr(fedfall.cli, "make_synthetic_dataset", lambda **kw: split)
+        level_flag = [] if level is None else ["--log-level", level]
+        code, _ = run_train(tmp_path, level_flag, out_name=f"run-{level}")
+        assert code == 0
+
+    def test_error_hides_the_skipped_client_warning(self, tmp_path, capsys, monkeypatch):
+        warning = "WARNING:fedfall.federation:client B has no training windows; skipped\n"
+        self.train_without_b(tmp_path, monkeypatch, None)
+        assert warning in capsys.readouterr().err
+        self.train_without_b(tmp_path, monkeypatch, "ERROR")
+        assert capsys.readouterr().err == ""
+
+    def test_debug_shows_a_malformed_row(self, tmp_path, capsys):
+        csv_path = write_ldpa_csv(tmp_path / "raw.csv", ["A01,only,three"])
+        argv = ["prepare-data", "--csv", str(csv_path), "--set", "window=8", "--set", "stride=4"]
+        assert cli_main(argv + ["--out", str(tmp_path / "a.npz")]) == 0
+        assert "skipping malformed row" not in capsys.readouterr().err
+        assert cli_main(argv + ["--out", str(tmp_path / "b.npz"), "--log-level", "DEBUG"]) == 0
+        err = capsys.readouterr().err
+        assert "DEBUG:fedfall.data.ldpa:skipping malformed row 145: only 3 columns, need 8\n" in err
+
+    @pytest.mark.parametrize("level", ["VERBOSE", "CRITICAL", ""])
+    def test_unknown_level_is_usage_error(self, capsys, level):
+        assert cli_main(["gradcheck", "--models", "1", "--log-level", level]) == 1
+        assert "--log-level" in capsys.readouterr().err
+
+    def test_package_logger_restored(self):
+        package_logger = logging.getLogger("fedfall")
+        before = (package_logger.level, list(package_logger.handlers))
+        assert cli_main(["gradcheck", "--models", "1", "--log-level", "DEBUG"]) == 0
+        assert (package_logger.level, list(package_logger.handlers)) == before
 
 
 # every exception class in fedfall.errors, plus the two built-in bases

@@ -19,6 +19,7 @@ from fedfall.data import (
     summary_text,
     window_segments,
 )
+from fedfall.errors import ShapeMismatchError
 
 
 def series(n, fall_at=()):
@@ -82,6 +83,13 @@ class TestWindowSegments:
         batch, labels = stack_windows(ws)
         assert batch.shape == (3, 10, 9)
         assert labels.tolist() == [1.0, 0.0, 0.0]
+
+    def test_stack_names_a_short_window(self):
+        ws = window_segments(*series(30), window=10, stride=10, sequence_name="A01")
+        short = SequenceWindow(values=ws[1].values[:7], label=0, origin=ws[1].origin)
+        message = "window ('A', 'A01', 10) has shape (7, 9); expected (10, 9)"
+        with pytest.raises(ShapeMismatchError, match=re.escape(message)):
+            stack_windows([ws[0], short, ws[2]])
 
 
 class TestSmote:
@@ -147,6 +155,15 @@ class TestSmote:
         assert len(a) == len(b)
         for wa, wb in zip(a, b):
             np.testing.assert_array_equal(wa.values, wb.values)
+
+    def test_short_minority_window_named(self):
+        ws = [make_window(label=1, seed=i, start=i) for i in range(10)] + [
+            make_window(label=0, seed=100 + i) for i in range(90)
+        ]
+        ws[3] = make_window(label=1, seed=3, start=3, shape=(3, 3))
+        message = "window ('A', 'A01', 3) has shape (3, 3); expected (4, 3)"
+        with pytest.raises(ShapeMismatchError, match=re.escape(message)):
+            smote_oversample(ws, 0.25, 5, np.random.default_rng(0))
 
     def test_bad_target(self):
         with pytest.raises(ValueError):

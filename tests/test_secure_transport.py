@@ -57,11 +57,12 @@ class TestKeygen:
         assert a.n != c.n
 
     def test_generator_and_sizes(self):
-        # the CRT constants are those of the implicit generator g = n + 1
+        # the CRT constants are those of the implicit generator g = n + 1,
+        # raised to the subgroup exponents alpha_p and alpha_q
         for key in [KEY] + [keygen(TEST_KEY_BITS, seed=seed) for seed in range(3)]:
             p, q, n = key.p, key.q, key.n
-            hp = pow((pow(n + 1, p - 1, p * p) - 1) // p, -1, p)
-            hq = pow((pow(n + 1, q - 1, q * q) - 1) // q, -1, q)
+            hp = pow((pow(n + 1, key.alpha_p, p * p) - 1) // p, -1, p)
+            hq = pow((pow(n + 1, key.alpha_q, q * q) - 1) // q, -1, q)
             assert key._crt[2:4] == (hp, hq)
         assert KEY.n.bit_length() in (TEST_KEY_BITS - 1, TEST_KEY_BITS)
         assert KEY.p * KEY.q == KEY.n and KEY.p != KEY.q
@@ -92,6 +93,61 @@ class TestKeygen:
         assert decrypt(c, KEY) == KEY.n - 5
 
 
+class TestKeyCache:
+    def test_same_arguments_same_key(self):
+        assert keygen(TEST_KEY_BITS, 5) is keygen(TEST_KEY_BITS, 5)
+        assert keygen(TEST_KEY_BITS, 6) is not keygen(TEST_KEY_BITS, 5)
+        assert keygen(TEST_KEY_BITS, 6).n != keygen(TEST_KEY_BITS, 5).n
+        assert keygen(TEST_KEY_BITS + 128, 5).n != keygen(TEST_KEY_BITS, 5).n
+
+    def test_bounded(self):
+        maxsize = keygen.cache_info().maxsize
+        assert maxsize == 8
+        for seed in range(maxsize + 3):
+            keygen(128, seed=seed)
+        assert keygen.cache_info().currsize == maxsize
+
+    def test_prime_search_runs_once_per_key(self, monkeypatch):
+        keygen.cache_clear()
+        calls = []
+        search = fedfall.secure_transport._random_prime
+
+        def counting_search(bits, rng):
+            calls.append(bits)
+            return search(bits, rng)
+
+        monkeypatch.setattr(fedfall.secure_transport, "_random_prime", counting_search)
+        first = keygen(TEST_KEY_BITS, seed=77)
+        per_key = len(calls)
+        assert per_key >= 2  # alpha_p and alpha_q
+        assert keygen(TEST_KEY_BITS, seed=77) is first
+        assert len(calls) == per_key
+        keygen.cache_clear()
+        assert keygen(TEST_KEY_BITS, seed=77) == first
+        assert len(calls) == 2 * per_key
+
+
+class TestSubgroupKeys:
+    # alpha has min(160, 5*(bits//2)//16) bits: 160 at 1024 bits, as Paillier suggests
+    @pytest.mark.parametrize("bits, alpha_bits", [(128, 20), (129, 20), (256, 40), (1024, 160)])
+    def test_structure(self, bits, alpha_bits):
+        for seed in range(3 if bits < 1024 else 1):
+            key = keygen(bits, seed=seed)
+            p, q = key.p, key.q
+            assert (p - 1) % key.alpha_p == 0 and (q - 1) % key.alpha_q == 0
+            assert key.alpha_p.bit_length() == key.alpha_q.bit_length() == alpha_bits
+            assert key.alpha_p != key.alpha_q
+            rng = random.Random(seed)
+            assert _is_probable_prime(key.alpha_p, rng) and _is_probable_prime(key.alpha_q, rng)
+            assert p.bit_length() == q.bit_length() == bits // 2
+            assert key.n.bit_length() >= min_modulus_bits(bits)
+            # hs lies in the subgroup of order alpha_p * alpha_q, and is not trivial
+            assert key.hs != 1
+            assert pow(key.hs, key.alpha_p * key.alpha_q, key.n_squared) == 1
+            # so an exponent a of EXPONENT_BITS bits spans that subgroup
+            assert EXPONENT_BITS >= (key.alpha_p * key.alpha_q).bit_length()
+
+
 class TestFixedBaseEncryption:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, (1 << EXPONENT_BITS) - 1))
@@ -100,7 +156,7 @@ class TestFixedBaseEncryption:
     def test_table_power_equals_pow(self, a):
         assert KEY.hs_power(a) == pow(KEY.hs, a, KEY.n_squared)
 
-    @pytest.mark.parametrize("a", [-1, 1 << EXPONENT_BITS])
+    @pytest.mark.parametrize("a", [-1, pytest.param(1 << EXPONENT_BITS, id="above")])
     def test_exponent_out_of_range_rejected(self, a):
         with pytest.raises(ValueError, match="exponent"):
             KEY.hs_power(a)
@@ -146,15 +202,38 @@ class TestFixedBaseEncryption:
 class TestCrtDecrypt:
     @pytest.mark.parametrize("bits", [TEST_KEY_BITS, 1024])
     def test_equals_lambda_mu_formula(self, bits):
+        # on what the scheme produces: ciphertexts and their products
+        # (subgroup decryption does not invert other units of Z*_{n^2})
         key = KEY if bits == TEST_KEY_BITS else keygen(bits, seed=1)
         lam = (key.p - 1) * (key.q - 1)
         mu = pow(lam, -1, key.n)
         rng = random.Random(bits)
-        for _ in range(200):
-            c = rng.randrange(1, key.n_squared)
-            assert math.gcd(c, key.n) == 1
+        previous = encrypt(rng.randrange(0, key.n), key, rng)
+        for i in range(200):
+            c = encrypt(rng.randrange(0, key.n), key, rng)
+            if i % 2:
+                c = c * previous % key.n_squared
+            previous = c
             reference = (pow(c, lam, key.n_squared) - 1) // key.n * mu % key.n
             assert decrypt(c, key) == reference
+
+    def test_exponents_are_the_subgroup_orders(self, monkeypatch):
+        # a revert to exponents p - 1 and q - 1 would be 3.2x the work at 1024 bits
+        key = keygen(512, seed=3)
+        rng = random.Random(4)
+        cts = [encrypt(m, key, rng) for m in (0, 1, key.n - 1)]
+        decrypt(cts[0], key)  # the constants, with their pow(x, -1, p), once
+        exponents = []
+
+        def counting_pow(base, exp, mod=None):
+            exponents.append(exp)
+            return pow(base, exp, mod)
+
+        monkeypatch.setattr(fedfall.secure_transport, "pow", counting_pow, raising=False)
+        out = [decrypt(c, key) for c in cts]
+        monkeypatch.undo()
+        assert out == [0, 1, key.n - 1]
+        assert exponents == [key.alpha_p, key.alpha_q] * len(cts)
 
     def test_out_of_range_rejected(self):
         for c in (-1, KEY.n_squared):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from fedfall.config import ExperimentConfig
 from fedfall.data.cache import load_dataset, save_dataset
 from fedfall.data.synthetic import make_synthetic_dataset
 from fedfall.data.windows import SequenceWindow
-from fedfall.errors import ConfigError
+from fedfall.errors import ConfigError, ShapeMismatchError
 from fedfall.nn import model_forward, params_to_vector
 from fedfall.simulate import (
     SCENARIOS,
@@ -49,6 +50,19 @@ def assert_scored_by_global_model(result, dataset):
         batch = np.stack([w.values for w in windows]).astype(np.float32)
         probs, _ = model_forward(model, batch, mode="eval")
         np.testing.assert_array_equal(result.test_probabilities[cid], probs.astype(np.float64))
+
+
+def with_one_short_window(label: int):
+    """The synthetic corpus with client A's first training window of
+    ``label`` one time step short; returns the split and that window's origin."""
+    split = make_synthetic_dataset(
+        seed=3, sequences_per_client=3, sequence_length=120, window=20, stride=4
+    )
+    windows = split.train_by_client["A"]
+    i = next(i for i, w in enumerate(windows) if w.label == label)
+    windows[i] = dataclasses.replace(windows[i], values=windows[i].values[:-1])
+    split.train = [w for cid in split.clients for w in split.train_by_client[cid]]
+    return split, windows[i].origin
 
 
 @pytest.fixture(scope="module")
@@ -427,3 +441,43 @@ class TestClientWithoutTrainWindows:
         monkeypatch.setattr(simulate, "run_round", no_round)
         with pytest.raises(ConfigError, match="dataset has no test windows"):
             simulate_full(split, fast_config(global_epochs=3), "pfl_swa")
+
+
+class TestShortWindow:
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_error_names_the_window(self, label):
+        split, origin = with_one_short_window(label)
+        config = fast_config(global_epochs=1, smote_target=0.3)
+        with pytest.raises(ShapeMismatchError, match=re.escape(f"window {origin} has shape (19, ")):
+            simulate_full(split, config, "pfl_swa")
+
+
+class TestTestOnlyClient:
+    """A client with test windows but no training entry: the global model
+    scores it, except under epfl_swa, which needs its own model."""
+
+    @staticmethod
+    def split():
+        split = make_separable_dataset(
+            seed=0, n_clients=3, train_per_client=24, test_per_client=12, window=6, features=3
+        )
+        z = make_separable_dataset(
+            seed=1, n_clients=1, test_per_client=6, window=6, features=3
+        ).test_by_client["A"]
+        split.test_by_client["Z"] = [dataclasses.replace(w, origin=("Z",) + w.origin[1:]) for w in z]
+        split.test.extend(split.test_by_client["Z"])
+        return split
+
+    @pytest.mark.parametrize("scenario", ["central", "fl_fedavg", "pfl_swa"])
+    def test_scored_by_the_global_model(self, scenario):
+        split = self.split()
+        result = simulate_full(split, fast_config(global_epochs=2), scenario)
+        assert "Z" not in split.clients and "Z" in result.test_probabilities
+        assert_scored_by_global_model(result, split)
+
+    def test_epfl_rejects_it_before_round_0(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(simulate, "run_round", lambda *a, **k: calls.append(a))
+        with pytest.raises(ConfigError, match="test-only clients Z"):
+            simulate_full(self.split(), fast_config(global_epochs=3), "epfl_swa")
+        assert calls == []
