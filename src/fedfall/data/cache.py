@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from fedfall.data.split import DatasetSplit
-from fedfall.data.windows import SequenceWindow
+from fedfall.data.windows import SequenceWindow, check_window_shapes
 
 MAGIC = b"EPFLDS1"
 
@@ -23,7 +23,12 @@ MAGIC = b"EPFLDS1"
 def _window_block(windows: list[SequenceWindow]) -> bytes:
     if not windows:
         return b""
-    return np.stack([w.values for w in windows]).astype("<f8").tobytes()
+    try:
+        block = np.stack([w.values for w in windows])
+    except ValueError:
+        check_window_shapes(windows)
+        raise
+    return block.astype("<f8").tobytes()
 
 
 def save_dataset(path, split: DatasetSplit) -> None:
@@ -93,7 +98,10 @@ def load_dataset(path) -> DatasetSplit:
     ``path`` on any other file, including a header that lacks a key, whose
     sizes are not integers in range, whose labels and origins are not lists
     as long as its window counts, or that holds a label other than 0/1 or an
-    origin that is not [str, str, int]."""
+    origin that is not [str, str, int], and on a window that holds a NaN or
+    an infinity, naming its origin.
+
+    Each group's windows are read-only views of one block."""
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
             raise ValueError(f"{path}: not a dataset cache")
@@ -126,7 +134,16 @@ def load_dataset(path) -> DatasetSplit:
                 )
             meta = [_window_meta(path, name, i, labels[i], origins[i]) for i in range(n)]
             raw = _read_exact(fh, n * t * f * 8, path)
-            values = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(n, t, f)
+            # read-only; on a little-endian host it is the bytes themselves
+            values = np.frombuffer(raw, dtype="<f8").astype(np.float64, copy=False)
+            values = values.reshape(n, t, f)
+            values.flags.writeable = False
+            bad = np.flatnonzero(~np.isfinite(values).all(axis=(1, 2)))
+            if bad.size:
+                i = int(bad[0])
+                raise ValueError(
+                    f"{path}: {name} window {i} from {meta[i][1]} holds a non-finite value"
+                )
             groups[name] = [
                 SequenceWindow(values=values[i], label=label, origin=origin)
                 for i, (label, origin) in enumerate(meta)

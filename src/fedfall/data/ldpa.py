@@ -14,6 +14,7 @@ preserves temporal order.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +78,8 @@ def parse_ldpa_csv(path) -> ParseResult:
     Each row holds, in this order: sequence name, sensor tag, timestamp,
     date, x, y, z, activity; columns after the eighth are ignored. A first
     row that does not parse is treated as an optional header. Rows with
-    unknown sensor tags or activity labels count as malformed.
+    unknown sensor tags or activity labels, or a coordinate that is NaN or
+    infinite, count as malformed.
     """
     records: list[RawRecord] = []
     malformed = 0
@@ -96,6 +98,8 @@ def parse_ldpa_csv(path) -> ParseResult:
                 if activity not in ACTIVITIES:
                     raise ValueError(f"unknown activity {activity!r}")
                 rec = RawRecord(seq, tag, int(ts), date, float(x), float(y), float(z), activity)
+                if not all(map(math.isfinite, (rec.x, rec.y, rec.z))):
+                    raise ValueError(f"non-finite coordinate in {x!r}, {y!r}, {z!r}")
             except ValueError as err:
                 if lineno == 0:
                     continue  # optional header row

@@ -3,6 +3,11 @@
 A sequence is an (n, F) array of per-time-step features with an (n,)
 array of 0/1 labels, as ``align_and_merge`` and the synthetic generator
 produce them.
+
+Each sample is held once: ``window_segments`` takes one read-only copy of
+the sequence, and every window's ``values`` is a view (slice) of it, so
+overlapping windows share their time steps and the caller's array stays
+its own. Writing to a window's values raises; build a new array instead.
 """
 
 from __future__ import annotations
@@ -49,7 +54,9 @@ def window_segments(
     """Windows at starts 0, stride, 2*stride, ... while start+window <= n.
 
     ``values`` is the (n, F) sequence and ``labels`` its (n,) time-step
-    labels. A window is labeled 1 when any time step inside it is labeled 1.
+    labels. A window is labeled 1 when any time step inside it is labeled
+    nonzero. Every window's values are a read-only view of one copy of
+    ``values``.
     """
     if window < 1 or stride < 1:
         raise ValueError(f"window and stride must be >= 1, got {window}, {stride}")
@@ -58,13 +65,20 @@ def window_segments(
     if len(labels) != len(values):
         raise ValueError(f"{len(labels)} labels for {len(values)} time steps")
     individual = individual_of(sequence_name)
+    held = np.array(values)
+    held.flags.writeable = False
+    # before[i] counts the nonzero labels before time step i, so a window
+    # holds a fall when the count rises from its start to its end
+    before = np.concatenate(([0], np.cumsum(np.asarray(labels) != 0)))
+    ends = np.arange(window, len(values) + 1, stride)
+    falls = before[ends] > before[ends - window]
     return [
         SequenceWindow(
-            values=values[start : start + window].copy(),
-            label=int(labels[start : start + window].any()),
+            values=held[start : start + window],
+            label=int(fall),
             origin=(individual, sequence_name, start),
         )
-        for start in range(0, len(values) - window + 1, stride)
+        for start, fall in zip((ends - window).tolist(), falls.tolist())
     ]
 
 

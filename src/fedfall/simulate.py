@@ -29,10 +29,12 @@ Each round scores every client in one job on the client map that training
 uses (``federation.map_clients``): its monitor windows, one batch-1
 forward pair each, then its validation windows; test scoring is the same
 call. Scoring too small to repay a fork stays in the calling process
-(``MAPPED_SCORING_WORK``). Each client's forwards see the same batches as
-in a serial loop, and monitor draws, alerts and oracle draws stay in the
-calling process in client order, so the results do not depend on the
-worker count.
+(``MAPPED_SCORING_WORK``). A window group larger than one chunk
+(``SCORING_GATE_BYTES``) goes through the model in near-equal chunks, so
+scoring memory depends on the model, not on the data. Each client's
+forwards see the same batches as in a serial loop, and monitor draws,
+alerts and oracle draws stay in the calling process in client order, so
+the results do not depend on the worker count.
 
 Every random choice flows from one seed through spawned generator
 streams, so a scenario rerun with the same config is bit-identical.
@@ -46,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from fedfall.aggregation import trim_count
 from fedfall.config import ExperimentConfig
 from fedfall.data.smote import smote_oversample
 from fedfall.data.split import DatasetSplit
@@ -87,6 +90,12 @@ VALIDATION_FRACTION = 0.15
 # 10 ms: scoring 0.1 to 0.2 million (hidden 1) ran slower forked, and 15 to
 # 25 million (a hidden-16 ensemble) ran faster.
 MAPPED_SCORING_WORK = 4_000_000
+
+# An eval forward's (T, B, 4H) gate buffer, one per LSTM layer, stays within
+# this many bytes: groups are scored in near-equal chunks of at most
+# SCORING_GATE_BYTES // (T * 4H * itemsize) windows. At window 20 in float32
+# that is 204 windows at hidden 128 and 1,638 at hidden 16.
+SCORING_GATE_BYTES = 8 << 20
 
 
 @dataclass
@@ -140,12 +149,12 @@ def _probabilities(
     otherwise.
 
     Clients are scored over the same shares as training (``map_clients``),
-    unless the work is below ``MAPPED_SCORING_WORK``. Each group goes
-    through one forward per model, as in a serial loop, so a group of one
-    window is a batch-1 forward, as a live monitor scores a window when it
-    arrives. The passes run in float32; the global model is cast once per
-    call and each client model once, in the process that scores that
-    client."""
+    unless the work is below ``MAPPED_SCORING_WORK``. Each chunk of a group
+    (``_chunks``) goes through one forward per model, as in a serial loop,
+    so a group of one window is a batch-1 forward, as a live monitor scores
+    a window when it arrives. The passes run in float32; the global model is
+    cast once per call and each client model once, in the process that
+    scores that client."""
     cids = sorted(groups_by_client)
     jobs = [
         (cid, (groups_by_client[cid], None if client_models is None else client_models[cid]))
@@ -165,15 +174,30 @@ def _score(job, global_model: ModelParams) -> list[np.ndarray]:
         client_model = client_model.astype(COMPUTE_DTYPE)
     probs = []
     for windows in groups:
-        if not windows:
-            probs.append(np.zeros(0))
-            continue
-        batch, _ = stack_windows(windows, dtype=COMPUTE_DTYPE)
-        if client_model is None:
-            probs.append(model_forward(global_model, batch, mode="eval")[0].astype(np.float64))
-        else:
-            probs.append(ensemble_predict(global_model, client_model, batch))
+        parts = []
+        for chunk in _chunks(windows, global_model):
+            batch, _ = stack_windows(chunk, dtype=COMPUTE_DTYPE)
+            if client_model is None:
+                parts.append(model_forward(global_model, batch, mode="eval")[0].astype(np.float64))
+            else:
+                parts.append(ensemble_predict(global_model, client_model, batch))
+        probs.append(np.concatenate(parts) if parts else np.zeros(0))
     return probs
+
+
+def _chunks(windows: list[SequenceWindow], model: ModelParams) -> list[list[SequenceWindow]]:
+    """``windows`` in consecutive near-equal chunks (sizes differ by at most
+    one) whose gate buffers fit ``SCORING_GATE_BYTES``, in as few chunks as
+    that allows, but never more chunks than pairs of windows: a chunk is
+    one window only when the group is."""
+    n = len(windows)
+    if n == 0:
+        return []
+    per_window = windows[0].values.shape[0] * 4 * model.hidden_size * model.vec.itemsize
+    cap = max(1, SCORING_GATE_BYTES // per_window)
+    k = min(-(-n // cap), max(1, n // 2))
+    bounds = [n * i // k for i in range(k + 1)]
+    return [windows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _make_monitor_window(
@@ -265,6 +289,13 @@ def simulate_full(
     # The central trainer's model is the global model, so only federated
     # scenarios keep per-client models for inference and the result.
     local_clients = [] if central else clients
+    strategy = "swa" if scenario in ("pfl_swa", "epfl_swa") else "fedavg"
+    if strategy == "swa" and config.trim_enabled:
+        # Training needs 2 windows, and feedback only adds windows, so a trim
+        # that is feasible over these clients stays feasible all run.
+        trainable = sum(len(windows) >= 2 for _, windows in members)
+        if trainable:
+            trim_count(trainable, config.beta)
 
     transport = None
     if config.encrypt_transport and not central:
@@ -298,7 +329,7 @@ def simulate_full(
             global_vec,
             clients,
             config,
-            strategy="swa" if scenario in ("pfl_swa", "epfl_swa") else "fedavg",
+            strategy=strategy,
             round_index=r,
             transport=transport,
         )

@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import dataclasses
 import importlib
 import json
 import logging
@@ -18,6 +19,7 @@ import fedfall
 import fedfall.cli
 import fedfall.errors
 import fedfall.secure_transport
+import fedfall.simulate
 from fedfall.cli import _sweep_values, cli_main
 from fedfall.data.cache import save_dataset
 from fedfall.data.synthetic import make_synthetic_dataset
@@ -489,6 +491,33 @@ class TestExitCodes:
         )
         assert code == 1
         assert capsys.readouterr().err == "error: dataset has no training windows\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_test_window_is_validation_error(
+        self, tmp_path, capsys, monkeypatch, value
+    ):
+        split = make_synthetic_dataset(seed=0, stride=12)
+        i = len(split.test) // 2
+        w = split.test[i]
+        values = w.values.copy()
+        values[7, 4] = value
+        split.test[i] = dataclasses.replace(w, values=values)  # the cache writes this list
+        cache = tmp_path / "bad.cache"
+        save_dataset(cache, split)
+
+        def no_round(*args, **kwargs):
+            raise AssertionError("trained on a cache it should reject")
+
+        monkeypatch.setattr(fedfall.simulate, "run_round", no_round)
+        code = cli_main(
+            ["train", "--scenario", "epfl_swa", "--data", str(cache),
+             "--out", str(tmp_path / "x")] + FAST
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {cache}: test window {i} from {w.origin} holds a non-finite value\n"
+        )
         assert not (tmp_path / "x").exists()
 
     def test_cache_without_test_windows_is_validation_error(self, tmp_path, capsys):

@@ -65,6 +65,15 @@ class TestParse:
         assert len(result.records) == 2
         assert result.malformed_count == 4
 
+    @pytest.mark.parametrize("coord", ["x", "y", "z"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_coordinate_is_malformed(self, tmp_path, coord, value):
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join([row(ts=1), row(ts=2, **{coord: value}), row(ts=3)]) + "\n")
+        result = parse_ldpa_csv(path)
+        assert [r.timestamp for r in result.records] == [1, 3]
+        assert result.malformed_count == 1
+
     def test_header_not_counted(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("sequence,tag,timestamp,date,x,y,z,activity\n" + row() + "\n")

@@ -1,7 +1,9 @@
 """Sliding windows, oversampling, splitting, and the dataset cache."""
 
+import dataclasses
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,6 +62,45 @@ class TestWindowSegments:
         assert ws[1].values.shape == (5, 9)
         assert ws[1].values[0, 0] == 5.0
         assert ws[1].origin == ("C", "C02", 5)
+
+    @given(
+        st.lists(st.sampled_from([0, 0, 0, 1, 2, -1]), max_size=60),
+        st.integers(1, 12),
+        st.integers(1, 5),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_labels_match_the_per_window_rule(self, steps, window, stride):
+        labels = np.array(steps, dtype=np.int64)
+        ws = window_segments(np.zeros((len(steps), 2)), labels, window=window, stride=stride)
+        expected = [
+            int(labels[s : s + window].any()) for s in range(0, len(steps) - window + 1, stride)
+        ]
+        assert [w.label for w in ws] == expected
+
+    def test_windows_are_read_only_views_of_one_copy(self):
+        values, labels = series(30, fall_at={12})
+        ws = window_segments(values, labels, window=10, stride=5, sequence_name="A01")
+        held = ws[0].values.base
+        assert held is not None and not held.flags.writeable
+        assert all(w.values.base is held for w in ws)
+        assert not np.shares_memory(held, values)
+        values[5, 0] = -1.0  # the caller's array stays writable and apart
+        assert ws[1].values[0, 0] == 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            ws[1].values[0, 0] = 0.0
+
+    def test_synthetic_corpus_memory_per_window(self):
+        from fedfall.data import make_synthetic_dataset
+
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            split = make_synthetic_dataset(seed=0)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # a copied 20 x 9 float64 window alone is 1,440 bytes of values
+        assert held / (len(split.train) + len(split.test)) < 600
 
     @given(st.integers(1, 200), st.integers(1, 30), st.integers(1, 10))
     @settings(max_examples=80, deadline=None)
@@ -315,6 +356,29 @@ class TestCache:
         data = path.read_bytes()
         path.write_bytes(data[:-40])
         with pytest.raises(ValueError):
+            load_dataset(path)
+
+    def test_loaded_windows_are_read_only(self, tmp_path):
+        save_dataset(tmp_path / "data.bin", self.make_split())
+        loaded = load_dataset(tmp_path / "data.bin")
+        for w in loaded.train + loaded.test:
+            assert not w.values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            loaded.test[0].values[0, 0] = 0.0
+
+    @pytest.mark.parametrize("group", ["train", "test"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_window_rejected_naming_origin(self, tmp_path, group, value):
+        split = self.make_split()
+        windows = getattr(split, group)
+        w = windows[3]
+        values = w.values.copy()
+        values[1, 2] = value
+        windows[3] = dataclasses.replace(w, values=values)
+        path = tmp_path / "data.bin"
+        save_dataset(path, split)
+        message = f"{path}: {group} window 3 from {w.origin} holds a non-finite value"
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_dataset(path)
 
     @pytest.mark.parametrize("kind", sorted(CACHE_CORRUPTIONS))

@@ -3,17 +3,18 @@
 import dataclasses
 import json
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from fedfall import simulate
+from fedfall import federation, simulate
 from fedfall.config import ExperimentConfig
 from fedfall.data.cache import load_dataset, save_dataset
 from fedfall.data.synthetic import make_synthetic_dataset
 from fedfall.data.windows import SequenceWindow
-from fedfall.errors import ConfigError, ShapeMismatchError
-from fedfall.nn import model_forward, params_to_vector
+from fedfall.errors import AggregationInfeasibleError, ConfigError, ShapeMismatchError
+from fedfall.nn import init_params, model_forward, params_to_vector
 from fedfall.simulate import (
     SCENARIOS,
     SimulationResult,
@@ -450,6 +451,105 @@ class TestShortWindow:
         config = fast_config(global_epochs=1, smote_target=0.3)
         with pytest.raises(ShapeMismatchError, match=re.escape(f"window {origin} has shape (19, ")):
             simulate_full(split, config, "pfl_swa")
+
+    def test_save_names_the_window(self, tmp_path):
+        split, origin = with_one_short_window(0)
+        message = f"window {origin} has shape (19, 9); expected (20, 9)"
+        with pytest.raises(ShapeMismatchError, match=re.escape(message)):
+            save_dataset(tmp_path / "data.bin", split)
+
+
+class TestTrimFeasibility:
+    """Under trimmed swa, a run whose clients cannot fill a trim fails
+    before round 0 trains anything."""
+
+    @staticmethod
+    def split(trainable: int):
+        """Three clients, of which only the first ``trainable`` hold the 2
+        training windows a client needs to train."""
+        split = make_separable_dataset(
+            seed=0, n_clients=3, train_per_client=24, test_per_client=12, window=6, features=3
+        )
+        for cid in split.clients[trainable:]:
+            split.train_by_client[cid] = split.train_by_client[cid][:1]
+        split.train = [w for cid in split.clients for w in split.train_by_client[cid]]
+        return split
+
+    @pytest.mark.parametrize("trainable", [1, 2])
+    @pytest.mark.parametrize("scenario", ["pfl_swa", "epfl_swa"])
+    def test_infeasible_trim_fails_before_round_0(self, scenario, trainable, monkeypatch):
+        calls = []
+        monkeypatch.setattr(simulate, "run_round", lambda *a, **k: calls.append(a))
+        with pytest.raises(AggregationInfeasibleError, match=f"end of {trainable} client updates"):
+            simulate_full(self.split(trainable), fast_config(global_epochs=2), scenario)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "scenario, trainable, overrides",
+        [
+            ("pfl_swa", 3, {}),
+            ("pfl_swa", 2, {"trim_enabled": False}),
+            ("fl_fedavg", 2, {}),
+            ("central", 1, {}),
+        ],
+    )
+    def test_feasible_or_untrimmed_runs_train(self, scenario, trainable, overrides):
+        config = fast_config(global_epochs=1, **overrides)
+        assert simulate_full(self.split(trainable), config, scenario).rounds_run == 1
+
+
+def window_group(n: int, window: int = 20):
+    """``n`` windows of the synthetic corpus, all of one client."""
+    split = make_synthetic_dataset(
+        seed=4, n_clients=1, sequences_per_client=2, sequence_length=n + window - 1, window=window,
+        stride=1,
+    )
+    return split.train[:n]
+
+
+class TestChunkedScoring:
+    """A group larger than one chunk goes through each model in near-equal
+    chunks; the probabilities are those of one forward."""
+
+    @pytest.mark.parametrize("ensemble", [False, True], ids=["global", "ensemble"])
+    def test_chunks_score_like_one_forward_at_hidden_128(self, ensemble, monkeypatch):
+        windows = window_group(450)
+        global_model = init_params(9, 128, 1).astype(np.float32)
+        client_model = init_params(9, 128, 2).astype(np.float32) if ensemble else None
+        batch = np.stack([w.values for w in windows]).astype(np.float32)
+        expected = model_forward(global_model, batch, mode="eval")[0].astype(np.float64)
+        if ensemble:
+            expected = (expected + model_forward(client_model, batch, mode="eval")[0]) / 2.0
+        sizes = []
+        real = federation.model_forward
+
+        def counted(params, batch, mode="train"):
+            sizes.append(len(batch))
+            return real(params, batch, mode=mode)
+
+        monkeypatch.setattr(federation, "model_forward", counted)
+        monkeypatch.setattr(simulate, "model_forward", counted)
+        (probs,) = simulate._score(([windows], client_model), global_model)
+        # 8 MiB over 20 x 512 float32 gates is 204 windows: 3 chunks of 150
+        assert sizes == [150] * 3 * (2 if ensemble else 1)
+        assert probs.dtype == np.float64
+        np.testing.assert_allclose(probs, expected, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("hidden", [1, 16, 128, 8192, 13000, 1 << 16])
+    def test_no_chunk_of_one_unless_the_group_is(self, hidden):
+        # _chunks reads the model's hidden size and dtype alone
+        model = SimpleNamespace(hidden_size=hidden, vec=np.zeros(0, dtype=np.float32))
+        cap = max(1, simulate.SCORING_GATE_BYTES // (20 * 4 * hidden * 4))
+        one = window_group(1)
+        for n in list(range(1, 40)) + [203, 204, 205, 409, 1000, 3001]:
+            sizes = [len(c) for c in simulate._chunks(one * n, model)]
+            assert sum(sizes) == n
+            assert max(sizes) - min(sizes) <= 1
+            assert min(sizes) >= 2 or n == 1
+            # as few chunks as fit the bound; below 3 windows a chunk holds 2 or 3
+            assert max(sizes) <= max(cap, 3)
+            if cap >= 3:
+                assert len(sizes) == -(-n // cap)
 
 
 class TestTestOnlyClient:
