@@ -9,14 +9,17 @@ the SWA settings, the alert threshold) from the run's ``ExperimentConfig``.
 
 Raw windows never leave a client: ``PrivateDataset`` raises when touched
 outside its owner's execution scope and counts every access, so tests can
-audit the boundary. Only ClientUpdate objects cross to the server.
+audit the boundary. Only ClientUpdate objects cross to the server. A
+client's state is a value: ``local_train`` returns the next one beside the
+update, so a round that raises leaves every client as it was.
 
 Per-client work runs in parallel where the platform can fork, through one
 client map, ``map_clients``: the calling process runs one share of the
 clients and forked children run the rest. There may be more shares than
 cores (``_worker_count``), so that no core idles while the last share
 finishes: 5 clients on 2 cores run in 3 shares. A round trains through
-it, each client against the same frozen global vector, and
+it, each client against the same frozen global vector, and a worker pipes
+back each client's update and next state without its windows;
 ``fedfall.simulate`` scores through it on the same shares: one job per
 client per round for its monitor and validation windows, and one for its
 test windows. A client's job reads only that client's state and the
@@ -104,9 +107,10 @@ class PrivateDataset:
         self._windows.append(window)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClientState:
-    """Everything one client owns across rounds."""
+    """Everything one client owns across rounds. Training returns the next
+    state; only the dataset grows in place, by confirmed alerts."""
 
     client_id: str
     dataset: PrivateDataset
@@ -137,30 +141,36 @@ class TransportConfig:
 
 
 def local_train(
-    client: ClientState, global_params: np.ndarray, config: ExperimentConfig
-) -> ClientUpdate | None:
-    """Run ``config.client_epochs`` epochs against the frozen global anchor.
+    state: ClientState, global_params: np.ndarray, config: ExperimentConfig
+) -> tuple[ClientUpdate | None, ClientState]:
+    """Run ``config.client_epochs`` epochs against the frozen global anchor;
+    returns the update and the client's next state, and leaves ``state`` as
+    it was.
 
     Minimizes BCE plus the proximal penalty (trainable coordinates only;
     batch statistics are data, not weights, and cannot be pulled toward the
-    anchor). Returns None for a client with fewer than 2 windows, which the
-    round skips (``_skipped``).
+    anchor). Returns ``(None, state)`` for a client with fewer than 2
+    windows, which the round skips (``_skipped``).
 
-    Forward and backward run on a float32 shadow of the weights; each step
-    upcasts the gradient, applies the proximal term mu*||w - w_global||^2
-    (computed in place) and Adam to the float64 master, and refreshes the
-    shadow from it.
+    Trains copies of the weights, Adam moments and generator, and reads
+    through a copy of the dataset that shares its windows but not its
+    ``access_log``. Forward and backward run on a float32 shadow of the
+    weights; each step upcasts the gradient, applies the proximal term
+    mu*||w - w_global||^2 (computed in place) and Adam to the float64
+    master, and refreshes the shadow from it.
     """
-    if _skipped(client):
-        return None
-    n = len(client.dataset)
-    with client_scope(client.client_id):
-        windows = client.dataset.windows()
+    if _skipped(state):
+        return None, state
+    n = len(state.dataset)
+    dataset = copy.copy(state.dataset)
+    dataset.access_log = dict(state.dataset.access_log)
+    rng = copy.deepcopy(state.rng)
+    with client_scope(state.client_id):
+        windows = dataset.windows()
         batch_all, labels_all = stack_windows(windows, dtype=COMPUTE_DTYPE)
 
-        # Train a copy, adopted only when every epoch completes. Adam moves
-        # its float64 flat vector in place; the float32 shadow follows it.
-        params = client.local_params.copy()
+        # Adam moves the float64 flat vector in place; the shadow follows it.
+        params = state.local_params.copy()
         vec = params.vec
         shadow = params.astype(COMPUTE_DTYPE)
         grads = np.empty_like(vec)
@@ -170,14 +180,15 @@ def local_train(
             raise ShapeMismatchError(
                 f"global vector {global_params.shape} vs client model {vec.shape}"
             )
-        if client.adam is None or client.adam.dim != manifest.dim:
-            client.adam = AdamState(dim=manifest.dim, lr=config.lr)
+        adam = copy.deepcopy(state.adam)
+        if adam is None or adam.dim != manifest.dim:
+            adam = AdamState(dim=manifest.dim, lr=config.lr)
         slices = manifest.trainable_slices
         diff = np.empty(max(hi - lo for lo, hi in slices))
 
         epoch_losses = []
         for _ in range(config.client_epochs):
-            order = client.rng.permutation(n)
+            order = rng.permutation(n)
             batch_losses = []
             for s in range(0, n, config.batch_size):
                 idx = order[s : s + config.batch_size]
@@ -196,19 +207,21 @@ def local_train(
                         penalty += config.mu * float(d @ d)
                         d *= 2.0 * config.mu
                         grads[lo:hi] += d
-                adam_step(client.adam, vec, grads)
+                adam_step(adam, vec, grads)
                 commit_batchnorm_stats(params, cache)
                 np.copyto(shadow.vec, vec)
                 batch_losses.append(data_loss + penalty)
             epoch_losses.append(float(np.mean(batch_losses)))
 
-        client.local_params = params
-    client.last_train_log = {"loss": epoch_losses[-1], "epoch_losses": epoch_losses}
-    return ClientUpdate(
-        client_id=client.client_id,
+    update = ClientUpdate(
+        client_id=state.client_id,
         params=params_to_vector(params),
         epochs_trained=config.client_epochs,
         sample_count=n,
+    )
+    train_log = {"loss": epoch_losses[-1], "epoch_losses": epoch_losses}
+    return update, replace(
+        state, dataset=dataset, local_params=params, adam=adam, rng=rng, last_train_log=train_log
     )
 
 
@@ -226,44 +239,14 @@ def _skipped(client: ClientState) -> bool:
     return True
 
 
-@dataclass
-class _Trained:
-    """Everything ``local_train`` changed in one client, held until the
-    whole round has trained."""
-
-    update: ClientUpdate
-    local_params: ModelParams
-    adam: AdamState
-    rng: np.random.Generator
-    last_train_log: dict
-    access_log: dict
-
-    def adopt(self, client: ClientState) -> ClientUpdate:
-        client.local_params = self.local_params
-        client.adam = self.adam
-        client.rng = self.rng
-        client.last_train_log = self.last_train_log
-        client.dataset.access_log = self.access_log
-        return self.update
-
-
 def _train_one(
     client: ClientState, global_params: np.ndarray, config: ExperimentConfig
-) -> _Trained:
-    """Run ``local_train`` on a working copy of ``client``, which is left
-    unchanged."""
-    work = replace(
-        client,
-        dataset=copy.copy(client.dataset),
-        adam=copy.deepcopy(client.adam),
-        rng=copy.deepcopy(client.rng),
-    )
-    work.dataset.access_log = dict(client.dataset.access_log)
-    update = local_train(work, global_params, config)
-    return _Trained(
-        update, work.local_params, work.adam, work.rng,
-        work.last_train_log, work.dataset.access_log,
-    )
+) -> tuple[ClientUpdate, ClientState, dict]:
+    """``local_train`` as the client map's step: the update, the next state
+    without its dataset, and that dataset's ``access_log``. No window
+    crosses a worker's pipe; ``run_round`` re-attaches the dataset."""
+    update, state = local_train(client, global_params, config)
+    return update, replace(state, dataset=None), state.dataset.access_log
 
 
 def _run_share(fn, jobs: list, args: tuple) -> list:
@@ -389,6 +372,7 @@ def map_clients(fn, jobs: list[tuple[str, object]], *args) -> list:
 class RoundResult:
     global_params: np.ndarray
     entries: list[dict]
+    clients: list[ClientState]  # the next states, in input order
 
 
 def run_round(
@@ -404,8 +388,10 @@ def run_round(
 
     Every client trains against the same incoming global vector; the new
     global depends only on this round's updates and the incoming global.
-    Clients train in parallel (``map_clients``), each on a working copy;
-    when one raises, the round raises before any client's state changes.
+    Clients train in parallel (``map_clients``), and the result carries
+    their next states; a skipped client's is its input. The input states
+    are never written to, so a round that raises leaves every client as it
+    was.
     ``update_transform`` intercepts each ClientUpdate before transport
     (used to inject adversarial corruption in experiments); ``transport``
     encrypts each update and has the server decrypt before aggregation.
@@ -424,13 +410,18 @@ def run_round(
     )
     updates: list[ClientUpdate] = []
     entries: list[dict] = []
+    next_clients: list[ClientState] = []
     for client, skip in zip(clients, skipped):
         if skip:
             entries.append(
                 {"round": round_index, "client": client.client_id, "skipped": True}
             )
+            next_clients.append(client)
             continue
-        update = next(trained).adopt(client)
+        update, state, access_log = next(trained)
+        dataset = copy.copy(client.dataset)
+        dataset.access_log = access_log
+        next_clients.append(replace(state, dataset=dataset))
         if update_transform is not None:
             update = update_transform(update)
         if transport is not None:
@@ -441,7 +432,7 @@ def run_round(
             {
                 "round": round_index,
                 "client": client.client_id,
-                "loss": client.last_train_log["loss"],
+                "loss": state.last_train_log["loss"],
                 "update_norm": float(np.linalg.norm(update.params - global_params)),
                 "epochs": update.epochs_trained,
                 "n_samples": update.sample_count,
@@ -455,7 +446,7 @@ def run_round(
         new_global = fedavg(updates)
     else:
         new_global = swa_aggregate(global_params, updates, config)
-    return RoundResult(global_params=new_global, entries=entries)
+    return RoundResult(global_params=new_global, entries=entries, clients=next_clients)
 
 
 def ensemble_predict(

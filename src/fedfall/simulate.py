@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import logging
 import random as _random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -221,7 +221,7 @@ def simulate_full(
     fingerprint = config.fingerprint()
     config = config.replace(**_SCENARIO_OVERRIDES.get(scenario, {}))
     client_ids = dataset.clients
-    if not dataset.train:
+    if not any(dataset.train_by_client.values()):
         raise ConfigError("dataset has no training windows")
     if not any(dataset.test_by_client.values()):
         raise ConfigError("dataset has no test windows")
@@ -231,7 +231,7 @@ def simulate_full(
             f"epfl_swa scores each client with its own model; test-only clients "
             f"{', '.join(test_only)} have none"
         )
-    input_size = dataset.train[0].values.shape[1]
+    input_size = next(w for cid in client_ids for w in dataset.train_by_client[cid]).values.shape[1]
 
     root = np.random.SeedSequence(config.seed)
     ss_init, ss_smote, ss_val, ss_feedback, ss_transport = root.spawn(5)
@@ -280,15 +280,12 @@ def simulate_full(
         ClientState(
             client_id=cid,
             dataset=PrivateDataset(cid, windows),
-            local_params=init.copy(),
+            local_params=init,  # a value: local_train trains a copy
             adam=None,
             rng=np.random.default_rng(client_seeds[i]),
         )
         for i, (cid, windows) in enumerate(members)
     ]
-    # The central trainer's model is the global model, so only federated
-    # scenarios keep per-client models for inference and the result.
-    local_clients = [] if central else clients
     strategy = "swa" if scenario in ("pfl_swa", "epfl_swa") else "fedavg"
     if strategy == "swa" and config.trim_enabled:
         # Training needs 2 windows, and feedback only adds windows, so a trim
@@ -322,9 +319,8 @@ def simulate_full(
 
     for r in range(config.global_epochs):
         if scenario == "fl_fedavg":
-            for c in clients:
-                c.local_params = vector_to_params(global_vec, input_size, config.hidden_size)
-                c.adam = None
+            restart = vector_to_params(global_vec, input_size, config.hidden_size)
+            clients = [replace(c, local_params=restart, adam=None) for c in clients]
         result = run_round(
             global_vec,
             clients,
@@ -334,6 +330,7 @@ def simulate_full(
             transport=transport,
         )
         global_vec = result.global_params
+        clients = result.clients
         round_log.extend(result.entries)
 
         global_model = vector_to_params(global_vec, input_size, config.hidden_size)
@@ -400,7 +397,8 @@ def simulate_full(
         best = int(np.argmax(history))
         if best == r:  # always so in round 0
             best_global = global_model
-            best_locals = {c.client_id: c.local_params.copy() for c in local_clients}
+            # the central trainer's model is the global model
+            best_locals = {} if central else {c.client_id: c.local_params for c in clients}
         if early_stop_check(history, config.early_stop_patience):
             round_log.append({"round": r, "event": "early_stop", "best_round": best})
             break

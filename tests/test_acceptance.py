@@ -105,7 +105,7 @@ def _trained_updates(seed: int, global_vec: np.ndarray, split, config: Experimen
             adam=None,
             rng=np.random.default_rng(child),
         )
-        updates.append(local_train(client, global_vec, config))
+        updates.append(local_train(client, global_vec, config)[0])
     return updates
 
 
@@ -172,7 +172,7 @@ def test_degeneracy_collapse_to_fedavg():
             adam=None,
             rng=np.random.default_rng(child),
         )
-        updates.append(local_train(client, global_vec, config))  # equal epoch counts
+        updates.append(local_train(client, global_vec, config)[0])  # equal epoch counts
     assert len({u.sample_count for u in updates}) == 1  # equal sample counts
     gap = np.max(np.abs(swa_aggregate(global_vec, updates, config) - fedavg(updates)))
     ok = gap <= 1e-12

@@ -1,7 +1,7 @@
 """Client/server round mechanics: privacy, local training, aggregation."""
 
 import logging
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -70,6 +70,19 @@ def make_client(cid="A", n_windows=8, seed=0, data_seed=0):
         local_params=init_params(F, H, seed),
         adam=None,
         rng=np.random.default_rng(seed),
+    )
+
+
+def client_state(client):
+    """Every part of a client's state that training reads or writes, as
+    plain values."""
+    return (
+        client.local_params.vec.tobytes(),
+        None if client.adam is None
+        else (client.adam.t, client.adam.m.tobytes(), client.adam.v.tobytes()),
+        client.rng.bit_generator.state,
+        dict(client.last_train_log),
+        dict(client.dataset.access_log),
     )
 
 
@@ -142,12 +155,22 @@ class TestLocalTrain:
     def test_returns_update_with_counts(self):
         client = make_client()
         cfg = small_config(client_epochs=3)
-        update = local_train(client, params_to_vector(client.local_params), cfg)
+        update, client = local_train(client, params_to_vector(client.local_params), cfg)
         assert update.client_id == "A"
         assert update.epochs_trained == 3
         assert update.sample_count == 8
         assert np.all(np.isfinite(update.params))
         assert len(client.last_train_log["epoch_losses"]) == 3
+
+    def test_input_state_is_left_as_it_was(self):
+        client = make_client()
+        before = client_state(client)
+        _, trained = local_train(client, params_to_vector(init_params(F, H, 9)), small_config())
+        assert client_state(client) == before
+        assert client.dataset.access_log == {} and trained.dataset.access_log == {"A": 1}
+        assert client_state(trained) != before
+        with pytest.raises(FrozenInstanceError):
+            client.adam = trained.adam
 
     def test_empty_dataset_skipped_with_warning(self, caplog):
         # one window cannot form a train-mode batch, so it is skipped like none
@@ -161,12 +184,13 @@ class TestLocalTrain:
                 rng=np.random.default_rng(0),
             )
             with caplog.at_level(logging.WARNING):
-                assert local_train(client, params_to_vector(client.local_params), small_config()) is None
+                update, state = local_train(client, params_to_vector(client.local_params), small_config())
+            assert update is None and state is client
             assert any(message in r.message for r in caplog.records)
 
     def test_dataset_only_read_in_owner_scope(self):
         client = make_client()
-        local_train(client, params_to_vector(client.local_params), small_config())
+        _, client = local_train(client, params_to_vector(client.local_params), small_config())
         assert set(client.dataset.access_log) == {"A"}
 
     @staticmethod
@@ -207,7 +231,7 @@ class TestLocalTrain:
         cfg = small_config(mu=0.0, client_epochs=2, batch_size=4, lr=0.01)
         client = make_client(seed=5, data_seed=7)
         global_vec = params_to_vector(init_params(F, H, 99))
-        update = local_train(client, global_vec, cfg)
+        update, client = local_train(client, global_vec, cfg)
 
         # independent plain-BCE loop with the same seeds and batching
         vec, losses = self.reference_training(5, 7, global_vec, mu=0.0)
@@ -219,7 +243,7 @@ class TestLocalTrain:
         cfg = small_config(mu=0.5, client_epochs=2, batch_size=4, lr=0.01)
         client = make_client(seed=5, data_seed=7)
         global_vec = params_to_vector(init_params(F, H, 99))
-        update = local_train(client, global_vec, cfg)
+        update, client = local_train(client, global_vec, cfg)
 
         vec, losses = self.reference_training(5, 7, global_vec, mu=0.5)
         np.testing.assert_array_equal(update.params, vec)
@@ -232,7 +256,7 @@ class TestLocalTrain:
         cfg = small_config(mu=1e6, client_epochs=2, batch_size=4, lr=1e-4)
         client = make_client(seed=3)
         global_vec = params_to_vector(client.local_params)  # start at the anchor
-        update = local_train(client, global_vec, cfg)
+        update, _ = local_train(client, global_vec, cfg)
         mask = manifest_for(F, H).trainable_mask()
         drift = np.max(np.abs(update.params[mask] - global_vec[mask]))
         assert drift < 1e-3
@@ -244,14 +268,14 @@ class TestLocalTrain:
 
     def test_deterministic_given_seeds(self):
         g = params_to_vector(init_params(F, H, 42))
-        u1 = local_train(make_client(seed=1, data_seed=2), g, small_config())
-        u2 = local_train(make_client(seed=1, data_seed=2), g, small_config())
+        u1, _ = local_train(make_client(seed=1, data_seed=2), g, small_config())
+        u2, _ = local_train(make_client(seed=1, data_seed=2), g, small_config())
         np.testing.assert_array_equal(u1.params, u2.params)
 
     def test_single_sample_tail_batch_skipped(self):
         client = make_client(n_windows=5)
         cfg = small_config(batch_size=4)
-        update = local_train(client, params_to_vector(client.local_params), cfg)
+        update, client = local_train(client, params_to_vector(client.local_params), cfg)
         assert update.sample_count == 5
         assert np.isfinite(client.last_train_log["loss"])
 
@@ -259,16 +283,19 @@ class TestLocalTrain:
         client = make_client()
         g = params_to_vector(client.local_params)
         cfg = small_config()
-        local_train(client, g, cfg)
-        state = client.adam
-        t_after_first = state.t
-        local_train(client, g, cfg)
-        assert client.adam is state
-        assert client.adam.t == 2 * t_after_first
+        _, first = local_train(client, g, cfg)
+        moments = (first.adam.t, first.adam.m.copy(), first.adam.v.copy())
+        _, second = local_train(first, g, cfg)
+        # the moments carry over through the returned state, and the input's
+        # Adam state is not moved
+        assert second.adam.t == 2 * first.adam.t
+        assert first.adam.t == moments[0]
+        np.testing.assert_array_equal(first.adam.m, moments[1])
+        np.testing.assert_array_equal(first.adam.v, moments[2])
 
     def test_update_params_do_not_alias_client_model(self):
         client = make_client()
-        update = local_train(client, params_to_vector(client.local_params), small_config())
+        update, client = local_train(client, params_to_vector(client.local_params), small_config())
         trained = client.local_params.vec.copy()
         update.params[:] *= 1000.0  # an update_transform may scale it in place
         np.testing.assert_array_equal(client.local_params.vec, trained)
@@ -283,7 +310,7 @@ class TestLocalTrain:
     def test_updates_client_local_params(self):
         client = make_client()
         before = params_to_vector(client.local_params)
-        update = local_train(client, before, small_config())
+        update, client = local_train(client, before, small_config())
         np.testing.assert_array_equal(params_to_vector(client.local_params), update.params)
         assert not np.array_equal(update.params, before)
 
@@ -343,7 +370,7 @@ class TestRunRound:
         clients = [make_client("A", n_windows=12), make_client("B", n_windows=0)]
         g = params_to_vector(init_params(F, H, 5))
         result = run_round(g, clients, small_config(), strategy="fedavg")
-        trained = params_to_vector(clients[0].local_params)
+        trained = params_to_vector(result.clients[0].local_params)
         assert result.global_params.tobytes() == trained.tobytes()
 
     def test_all_clients_empty_is_an_error(self):

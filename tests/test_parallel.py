@@ -12,6 +12,8 @@ import logging
 import multiprocessing
 import os
 import threading
+from dataclasses import replace
+from multiprocessing.reduction import ForkingPickler
 
 import pytest
 
@@ -21,12 +23,13 @@ from fedfall.cli import _write_run_outputs
 from fedfall.config import ExperimentConfig
 from fedfall.data.split import DatasetSplit
 from fedfall.data.synthetic import make_synthetic_dataset
+from fedfall.data.windows import SequenceWindow
 from fedfall.errors import NumericalFailureError
 from fedfall.federation import local_train, run_round
 from fedfall.nn import params_to_vector
 from fedfall.simulate import SCENARIOS, simulate_full
 
-from test_federation import make_client, small_config
+from test_federation import client_state, make_client, small_config
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -139,17 +142,6 @@ def five_clients():
     return [make_client(c, seed=i, data_seed=i) for i, c in enumerate("ABCDE")]
 
 
-def client_state(client):
-    return (
-        client.local_params.vec.tobytes(),
-        None if client.adam is None
-        else (client.adam.t, client.adam.m.tobytes(), client.adam.v.tobytes()),
-        client.rng.bit_generator.state,
-        dict(client.last_train_log),
-        dict(client.dataset.access_log),
-    )
-
-
 def set_cores(monkeypatch, cores):
     """Make ``_worker_count`` see ``cores`` usable cores."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
@@ -159,15 +151,14 @@ def test_each_share_trains_in_its_own_process(monkeypatch):
     real = federation.local_train
 
     def stamped(client, global_params, cfg):
-        update = real(client, global_params, cfg)
-        client.last_train_log["pid"] = os.getpid()
-        return update
+        update, state = real(client, global_params, cfg)
+        return update, replace(state, last_train_log={**state.last_train_log, "pid": os.getpid()})
 
     monkeypatch.setattr(federation, "local_train", stamped)
     set_cores(monkeypatch, 2)  # the real rule puts 5 clients on 2 cores in 3 processes
     clients = five_clients()
-    run_round(params_to_vector(clients[0].local_params), clients, small_config())
-    pids = [c.last_train_log["pid"] for c in clients]
+    result = run_round(params_to_vector(clients[0].local_params), clients, small_config())
+    pids = [c.last_train_log["pid"] for c in result.clients]
     # shares are client i mod 3; this process trains share 0
     assert pids[0] == pids[3] == os.getpid()
     assert pids[1] == pids[4] != pids[2]
@@ -177,15 +168,37 @@ def test_each_share_trains_in_its_own_process(monkeypatch):
 
 @pytest.mark.parametrize("count", [SERIAL, PARALLEL], ids=["serial", "parallel"])
 def test_round_leaves_clients_as_local_train_does(monkeypatch, count):
-    reference = five_clients()
-    g = params_to_vector(reference[0].local_params)
-    for client in reference:
-        local_train(client, g, small_config())
+    """Two rounds return the states of a serial chain of ``local_train``
+    calls, and leave the states they were given as they were."""
+    cfg = small_config()
+    chained = five_clients()
+    g = params_to_vector(chained[0].local_params)
     monkeypatch.setattr(federation, "_worker_count", count)
     clients = five_clients()
-    run_round(g, clients, small_config())
-    assert [client_state(c) for c in clients] == [client_state(c) for c in reference]
-    assert [c.dataset.access_log for c in clients] == [{c: 1} for c in "ABCDE"]
+    for round_index in range(2):
+        chained = [local_train(client, g, cfg)[1] for client in chained]
+        before = [client_state(c) for c in clients]
+        result = run_round(g, clients, cfg, round_index=round_index)
+        assert [client_state(c) for c in clients] == before
+        assert [client_state(c) for c in result.clients] == [client_state(c) for c in chained]
+        clients, g = result.clients, result.global_params
+    assert [c.dataset.access_log for c in clients] == [{c: 2} for c in "ABCDE"]
+
+
+def test_no_window_crosses_a_pipe(monkeypatch):
+    def refuse_windows(pickler, obj):
+        if isinstance(obj, (federation.PrivateDataset, SequenceWindow)):
+            raise TypeError(f"{type(obj).__name__} sent through a pipe")
+        return NotImplemented
+
+    monkeypatch.setattr(ForkingPickler, "reducer_override", refuse_windows, raising=False)
+    monkeypatch.setattr(federation, "_worker_count", PARALLEL)
+    clients = five_clients()
+    result = run_round(params_to_vector(clients[0].local_params), clients, small_config())
+    # clients 1, 2, 4 and 5 train in the two children; their datasets stay here
+    assert [c.dataset.access_log for c in result.clients] == [{c: 1} for c in "ABCDE"]
+    assert [len(c.dataset) for c in result.clients] == [8] * 5
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize(
@@ -202,10 +215,10 @@ def test_lowest_index_failure_raised_and_no_client_changed(monkeypatch, failing,
     real = federation.local_train
 
     def failing_train(client, global_params, cfg):
-        update = real(client, global_params, cfg)
+        trained = real(client, global_params, cfg)
         if client.client_id in failing:
             raise NumericalFailureError(f"client {client.client_id} diverged", layer=client.client_id)
-        return update
+        return trained
 
     monkeypatch.setattr(federation, "local_train", failing_train)
     monkeypatch.setattr(federation, "_worker_count", count)

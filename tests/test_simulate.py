@@ -420,14 +420,20 @@ class TestClientWithoutTrainWindows:
         assert a.metrics.to_dict() == b.metrics.to_dict()
         assert "B" in b.test_probabilities
 
-    def test_no_training_windows_at_all_is_a_config_error(self):
+    # the per-client lists are the one source: clearing them alone is enough
+    @pytest.mark.parametrize("clear_flat_list", [True, False], ids=["both", "per_client_only"])
+    def test_no_training_windows_at_all_is_a_config_error(self, clear_flat_list, monkeypatch):
         split = make_synthetic_dataset(
             seed=3, sequences_per_client=3, sequence_length=120, window=20, stride=4
         )
-        split.train = []
+        if clear_flat_list:
+            split.train = []
         split.train_by_client = {cid: [] for cid in split.train_by_client}
+        calls = []
+        monkeypatch.setattr(simulate, "run_round", lambda *a, **k: calls.append(a))
         with pytest.raises(ConfigError, match="dataset has no training windows"):
             simulate_full(split, fast_config(global_epochs=1), "central")
+        assert calls == []
 
     def test_no_test_windows_is_a_config_error_before_training(self, monkeypatch):
         split = make_synthetic_dataset(
