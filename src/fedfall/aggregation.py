@@ -19,7 +19,12 @@ The composed rule has two interpretations, chosen by the config's
 
 Trimmed means are computed by accumulating the retained values of each
 coordinate in ascending order, one addition at a time, so results are
-bit-for-bit reproducible against a scalar reference."""
+bit-for-bit reproducible against a scalar reference.
+
+A round holds the normalized updates once: ``swa_aggregate`` writes each
+into its row of one (n, dim) matrix, ``trimmed_mean`` sorts that matrix in
+place, and the kept rows are summed into one accumulator that is fused in
+place: the matrix and at most two more vectors."""
 
 from __future__ import annotations
 
@@ -77,31 +82,42 @@ def trim_count(n: int, beta: float) -> int:
     return m
 
 
-def _ordered_mean(rows: list[np.ndarray]) -> np.ndarray:
-    """Mean of rows accumulated one at a time, in the given order."""
+def _ordered_mean(rows: list[np.ndarray] | np.ndarray) -> np.ndarray:
+    """Mean of rows (vectors, or a matrix's rows) accumulated one at a time,
+    in the given order, into one accumulator."""
     acc = np.zeros_like(rows[0])
     for row in rows:
-        acc = acc + row
-    return acc / len(rows)
+        acc += row
+    acc /= len(rows)
+    return acc
 
 
-def trimmed_mean(vectors: list[np.ndarray], beta: float) -> np.ndarray:
+def trimmed_mean(vectors: list[np.ndarray] | np.ndarray, beta: float) -> np.ndarray:
     """Coordinate-wise trimmed mean across client vectors.
 
     For each coordinate the n values are sorted ascending, the m smallest
     and m largest dropped, and the rest averaged, with m =
-    ``trim_count(n, beta)``.
+    ``trim_count(n, beta)``. A list of vectors is validated and stacked
+    once, and that copy is sorted in place, so the caller's vectors stay as
+    they were. A float64 (n, dim) matrix, ``swa_aggregate``'s own, is taken
+    as validated and sorted in place without a copy: its rows come back
+    reordered.
     """
-    if not vectors:
+    n = len(vectors)
+    if n == 0:
         raise ValueError("no vectors to aggregate")
-    dim = np.asarray(vectors[0]).shape[0]
-    rows = [_validate_vector(v, f"vector {i}", dim=dim) for i, v in enumerate(vectors)]
-    n = len(rows)
     m = trim_count(n, beta)
+    if isinstance(vectors, np.ndarray):
+        matrix = vectors
+    else:
+        dim = np.asarray(vectors[0]).shape[0]
+        matrix = np.stack(
+            [_validate_vector(v, f"vector {i}", dim=dim) for i, v in enumerate(vectors)]
+        )
     # stable sort keeps the incoming (client) order among tied values
-    srt = np.sort(np.stack(rows), axis=0, kind="stable")
+    matrix.sort(axis=0, kind="stable")
     # ascending left-to-right accumulation per coordinate, one row at a time
-    return _ordered_mean([srt[i] for i in range(m, n - m)])
+    return _ordered_mean(matrix[m : n - m])
 
 
 def swa_aggregate(
@@ -119,25 +135,36 @@ def swa_aggregate(
     after normalization, so the error names the client both for a
     non-finite update and for a finite one whose normalized delta
     overflows; ``ExperimentConfig`` has already validated the mode and
-    ``alpha``.
+    ``alpha``. An infeasible trim raises before anything is allocated.
+
+    The scaled updates are written, in client order, into the rows of one
+    matrix that the trim sorts in place; the global vector and every
+    update's params are left as they were.
     """
     if not updates:
         raise ValueError("no updates to aggregate")
     g = _validate_vector(global_params, "global_params")
+    if config.trim_enabled:
+        trim_count(len(updates), config.beta)
     delta = config.swa_mode == "delta"
-    normalized = []
-    for u in sorted(updates, key=lambda u: u.client_id):
+    normalized = np.empty((len(updates), g.shape[0]))
+    for row, u in zip(normalized, sorted(updates, key=lambda u: u.client_id)):
         w = _validate_vector(u.params, f"update {u.client_id!r}", dim=g.shape[0], finite=False)
-        row = (w - g if delta else w) / u.epochs_trained
-        normalized.append(_validate_vector(row, f"normalized update {u.client_id!r}"))
+        if delta:
+            np.subtract(w, g, out=row)
+            row /= u.epochs_trained
+        else:
+            np.divide(w, u.epochs_trained, out=row)
+        _validate_vector(row, f"normalized update {u.client_id!r}")
     # finite rows can still sum past the float range
-    mid = _validate_vector(
+    fused = _validate_vector(
         trimmed_mean(normalized, config.beta) if config.trim_enabled else _ordered_mean(normalized),
         "aggregated",
     )
-    if delta:
-        return g + config.alpha * mid
-    return (1.0 - config.alpha) * g + config.alpha * mid
+    # alpha * a + w_g equals w_g + alpha * a bit for bit: addition commutes
+    fused *= config.alpha
+    fused += g if delta else (1.0 - config.alpha) * g
+    return fused
 
 
 def fedavg(updates: list[ClientUpdate]) -> np.ndarray:

@@ -98,6 +98,13 @@ class PrivateDataset:
                 f"{action} of client {self.owner!r} windows from scope {scope!r}"
             )
 
+    def __copy__(self) -> PrivateDataset:
+        """A copy with its own windows list and ``access_log``, so appending
+        to one never grows the other."""
+        twin = PrivateDataset(self.owner, self._windows)
+        twin.access_log = dict(self.access_log)
+        return twin
+
     def windows(self) -> list[SequenceWindow]:
         self._check("read")
         return list(self._windows)
@@ -153,17 +160,17 @@ def local_train(
     windows, which the round skips (``_skipped``).
 
     Trains copies of the weights, Adam moments and generator, and reads
-    through a copy of the dataset that shares its windows but not its
-    ``access_log``. Forward and backward run on a float32 shadow of the
-    weights; each step upcasts the gradient, applies the proximal term
-    mu*||w - w_global||^2 (computed in place) and Adam to the float64
+    through a copy of the dataset with its own windows list and
+    ``access_log``, so a window later appended to the next state's dataset
+    never grows ``state``'s. Forward and backward run on a float32 shadow
+    of the weights; each step upcasts the gradient, applies the proximal
+    term mu*||w - w_global||^2 (computed in place) and Adam to the float64
     master, and refreshes the shadow from it.
     """
     if _skipped(state):
         return None, state
     n = len(state.dataset)
     dataset = copy.copy(state.dataset)
-    dataset.access_log = dict(state.dataset.access_log)
     rng = copy.deepcopy(state.rng)
     with client_scope(state.client_id):
         windows = dataset.windows()

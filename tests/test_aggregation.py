@@ -1,5 +1,7 @@
 """Aggregation rules against scalar oracles and pinned examples."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -159,6 +161,15 @@ class TestTrimmedMean:
     def test_infeasible_propagates(self):
         with pytest.raises(AggregationInfeasibleError):
             trimmed_mean([np.zeros(2), np.zeros(2)], beta=0.1)
+
+    def test_list_of_vectors_left_as_it_was(self):
+        # the sort runs on a stacked copy, never on the caller's vectors
+        rows = list(np.random.default_rng(4).normal(size=(5, 9)))
+        before = [r.copy() for r in rows]
+        ids = [id(r) for r in rows]
+        trimmed_mean(rows, beta=0.2)
+        assert [id(r) for r in rows] == ids
+        assert all(np.array_equal(r, b) for r, b in zip(rows, before))
 
     def test_nonfinite_rejected(self):
         rows = [np.array([1.0]), np.array([np.inf]), np.array([0.0])]
@@ -324,6 +335,35 @@ class TestSwaAggregate:
                 mode,
             )
             assert out.tolist() == expected  # exact, not approximate
+
+    @pytest.mark.parametrize("trim", [True, False])
+    @pytest.mark.parametrize("mode", ["delta", "literal"])
+    def test_inputs_left_as_they_were(self, mode, trim):
+        rng = np.random.default_rng(12)
+        g = rng.normal(size=9)
+        updates = [up(f"c{i}", g + rng.normal(size=9), epochs=2) for i in (3, 0, 4, 1, 2)]
+        before = g.copy(), [u.params.copy() for u in updates]
+        swa_aggregate(g, updates, ExperimentConfig(swa_mode=mode, trim_enabled=trim))
+        assert np.array_equal(g, before[0])
+        assert all(np.array_equal(u.params, p) for u, p in zip(updates, before[1]))
+
+    @pytest.mark.parametrize("trim", [True, False])
+    @pytest.mark.parametrize("mode", ["delta", "literal"])
+    def test_peak_memory_is_one_client_matrix(self, mode, trim):
+        # the normalized updates live in one (n, dim) matrix that the trim
+        # sorts in place, beside the accumulator and at most one more vector
+        n, dim = 5, 200_000
+        rng = np.random.default_rng(13)
+        g = rng.normal(size=dim)
+        updates = [up(f"c{i}", g + rng.normal(size=dim), epochs=3) for i in range(n)]
+        cfg = ExperimentConfig(swa_mode=mode, trim_enabled=trim)
+        tracemalloc.start()
+        try:
+            swa_aggregate(g, updates, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (n + 2) * dim * 8 + 64 * 1024
 
     def test_mode_flows_through(self):
         g = np.ones(2)

@@ -169,6 +169,9 @@ class TestLocalTrain:
         assert client_state(client) == before
         assert client.dataset.access_log == {} and trained.dataset.access_log == {"A": 1}
         assert client_state(trained) != before
+        with client_scope("A"):
+            trained.dataset.append(make_windows(1, seed=9)[0])
+        assert (len(client.dataset), len(trained.dataset)) == (8, 9)
         with pytest.raises(FrozenInstanceError):
             client.adam = trained.adam
 

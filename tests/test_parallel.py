@@ -29,7 +29,7 @@ from fedfall.federation import local_train, run_round
 from fedfall.nn import params_to_vector
 from fedfall.simulate import SCENARIOS, simulate_full
 
-from test_federation import client_state, make_client, small_config
+from test_federation import client_state, make_client, make_windows, small_config
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -183,6 +183,18 @@ def test_round_leaves_clients_as_local_train_does(monkeypatch, count):
         assert [client_state(c) for c in result.clients] == [client_state(c) for c in chained]
         clients, g = result.clients, result.global_params
     assert [c.dataset.access_log for c in clients] == [{c: 2} for c in "ABCDE"]
+
+
+@pytest.mark.parametrize("count", [SERIAL, PARALLEL], ids=["serial", "parallel"])
+def test_appending_to_next_state_leaves_input_dataset(monkeypatch, count):
+    """A confirmed alert appended to a round's next state does not grow the
+    state the round was given."""
+    monkeypatch.setattr(federation, "_worker_count", count)
+    clients = five_clients()
+    result = run_round(params_to_vector(clients[0].local_params), clients, small_config())
+    with federation.client_scope("A"):
+        result.clients[0].dataset.append(make_windows(1, seed=9)[0])
+    assert (len(clients[0].dataset), len(result.clients[0].dataset)) == (8, 9)
 
 
 def test_no_window_crosses_a_pipe(monkeypatch):
