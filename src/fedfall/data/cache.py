@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from fedfall.data.split import DatasetSplit
-from fedfall.data.windows import SequenceWindow, check_window_shapes
+from fedfall.data.windows import SequenceWindow
 
 MAGIC = b"EPFLDS1"
 
@@ -23,40 +23,32 @@ MAGIC = b"EPFLDS1"
 def _window_block(windows: list[SequenceWindow]) -> bytes:
     if not windows:
         return b""
-    try:
-        block = np.stack([w.values for w in windows])
-    except ValueError:
-        check_window_shapes(windows)
-        raise
-    return block.astype("<f8").tobytes()
+    return np.stack([w.values for w in windows]).astype("<f8").tobytes()
 
 
 def save_dataset(path, split: DatasetSplit) -> None:
     """Write the cache to ``path`` and its summary to ``path.summary.txt``."""
     path = Path(path)
-    for name, group in (("train", split.train), ("test", split.test)):
-        if group:
-            t, f = group[0].values.shape
-            break
-    else:
+    if split.window_shape is None:
         raise ValueError("empty dataset")
+    train, test = split.train, split.test
     header = {
-        "window": t,
-        "features": f,
-        "n_train": len(split.train),
-        "n_test": len(split.test),
-        "train_labels": [w.label for w in split.train],
-        "test_labels": [w.label for w in split.test],
-        "train_origins": [list(w.origin) for w in split.train],
-        "test_origins": [list(w.origin) for w in split.test],
+        "window": split.window_shape[0],
+        "features": split.window_shape[1],
+        "n_train": len(train),
+        "n_test": len(test),
+        "train_labels": [w.label for w in train],
+        "test_labels": [w.label for w in test],
+        "train_origins": [list(w.origin) for w in train],
+        "test_origins": [list(w.origin) for w in test],
     }
     blob = json.dumps(header).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(len(blob).to_bytes(4, "little"))
         fh.write(blob)
-        fh.write(_window_block(split.train))
-        fh.write(_window_block(split.test))
+        fh.write(_window_block(train))
+        fh.write(_window_block(test))
     Path(str(path) + ".summary.txt").write_text(summary_text(split), encoding="utf-8")
 
 
@@ -98,8 +90,8 @@ def load_dataset(path) -> DatasetSplit:
     ``path`` on any other file, including a header that lacks a key, whose
     sizes are not integers in range, whose labels and origins are not lists
     as long as its window counts, or that holds a label other than 0/1 or an
-    origin that is not [str, str, int], and on a window that holds a NaN or
-    an infinity, naming its origin.
+    origin that is not [str, str, int], and on windows that ``DatasetSplit``
+    refuses, such as one that holds a NaN or an infinity, with its message.
 
     Each group's windows are read-only views of one block."""
     with open(path, "rb") as fh:
@@ -138,29 +130,23 @@ def load_dataset(path) -> DatasetSplit:
             values = np.frombuffer(raw, dtype="<f8").astype(np.float64, copy=False)
             values = values.reshape(n, t, f)
             values.flags.writeable = False
-            bad = np.flatnonzero(~np.isfinite(values).all(axis=(1, 2)))
-            if bad.size:
-                i = int(bad[0])
-                raise ValueError(
-                    f"{path}: {name} window {i} from {meta[i][1]} holds a non-finite value"
-                )
-            groups[name] = [
-                SequenceWindow(values=values[i], label=label, origin=origin)
-                for i, (label, origin) in enumerate(meta)
-            ]
+            by_client = groups[name] = {}
+            for i, (label, origin) in enumerate(meta):
+                window = SequenceWindow(values=values[i], label=label, origin=origin)
+                by_client.setdefault(origin[0], []).append(window)
         if fh.read(1):
             raise ValueError(f"{path}: bytes after the test block")
 
+    train, test = groups["train"], groups["test"]
     # as in split_train_test, every individual gets both lists, even an empty one
-    split = DatasetSplit(train=groups["train"], test=groups["test"])
-    for group, own, other in (
-        (split.train, split.train_by_client, split.test_by_client),
-        (split.test, split.test_by_client, split.train_by_client),
-    ):
-        for w in group:
-            own.setdefault(w.individual, []).append(w)
-            other.setdefault(w.individual, [])
-    return split
+    clients = train.keys() | test.keys()
+    try:
+        return DatasetSplit(
+            {cid: train.get(cid, ()) for cid in clients},
+            {cid: test.get(cid, ()) for cid in clients},
+        )
+    except ValueError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def summary_text(split: DatasetSplit) -> str:
@@ -171,8 +157,7 @@ def summary_text(split: DatasetSplit) -> str:
     ):
         pos = sum(w.label for w in group)
         lines.append(f"{name}: {len(group)} windows, {pos} fall ({_pct(pos, len(group))})")
-        for cid in sorted(by_client):
-            ws = by_client[cid]
+        for cid, ws in by_client.items():
             cpos = sum(w.label for w in ws)
             lines.append(f"  {cid}: {len(ws)} windows, {cpos} fall ({_pct(cpos, len(ws))})")
     return "\n".join(lines) + "\n"

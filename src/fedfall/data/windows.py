@@ -36,12 +36,8 @@ class SequenceWindow:
     def __post_init__(self):
         if self.values.ndim != 2:
             raise ValueError(f"window values must be T x F, got shape {self.values.shape}")
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label}")
-
-    @property
-    def individual(self) -> str:
-        return self.origin[0]
+        if type(self.label) is not int or self.label not in (0, 1):
+            raise ValueError(f"label must be the int 0 or 1, got {self.label!r}")
 
 
 def window_segments(

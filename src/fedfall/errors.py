@@ -37,7 +37,7 @@ class AggregationInfeasibleError(FedfallError, ValueError):
 
 
 class ConfigError(FedfallError, ValueError):
-    """Invalid or unknown configuration."""
+    """Invalid or unknown configuration, or input data that no run can use."""
 
 
 class MissingSensorError(FedfallError, ValueError):

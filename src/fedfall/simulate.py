@@ -215,7 +215,10 @@ def _make_monitor_window(
 def simulate_full(
     dataset: DatasetSplit, config: ExperimentConfig, scenario: str
 ) -> SimulationResult:
-    """Run one scenario end to end and return metrics plus diagnostics."""
+    """Run one scenario end to end and return metrics plus diagnostics.
+
+    A client whose training tuple is empty trains nothing, and its test
+    windows are still scored (under ``epfl_swa``, with its untrained model)."""
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}; expected one of {SCENARIOS}")
     fingerprint = config.fingerprint()
@@ -225,13 +228,7 @@ def simulate_full(
         raise ConfigError("dataset has no training windows")
     if not any(dataset.test_by_client.values()):
         raise ConfigError("dataset has no test windows")
-    test_only = sorted(set(dataset.test_by_client) - set(client_ids))
-    if scenario == "epfl_swa" and test_only:
-        raise ConfigError(
-            f"epfl_swa scores each client with its own model; test-only clients "
-            f"{', '.join(test_only)} have none"
-        )
-    input_size = next(w for cid in client_ids for w in dataset.train_by_client[cid]).values.shape[1]
+    input_size = dataset.window_shape[1]
 
     root = np.random.SeedSequence(config.seed)
     ss_init, ss_smote, ss_val, ss_feedback, ss_transport = root.spawn(5)

@@ -23,24 +23,20 @@ def make_separable_dataset(
     offset on the remaining features.
     """
     root = np.random.SeedSequence(seed)
-    split = DatasetSplit(train=[], test=[])
+    train: dict[str, list[SequenceWindow]] = {}
+    test: dict[str, list[SequenceWindow]] = {}
     for ci, cseed in enumerate(root.spawn(n_clients)):
         cid = CLIENT_IDS[ci % len(CLIENT_IDS)] + ("" if ci < len(CLIENT_IDS) else str(ci))
         rng = np.random.default_rng(cseed)
         offset = np.zeros(features)
         offset[1:] = rng.normal(0.0, 0.5, size=features - 1)
-        split.train_by_client[cid] = []
-        split.test_by_client[cid] = []
-        for group, count, seq in (
-            (split.train_by_client[cid], train_per_client, "tr"),
-            (split.test_by_client[cid], test_per_client, "te"),
-        ):
+        for group, count, seq in ((train, train_per_client, "tr"), (test, test_per_client, "te")):
+            windows = group[cid] = []
             for i in range(count):
                 label = i % 2
                 vals = rng.normal(0.0, 0.5, size=(window, features)) + offset
                 vals[:, 0] += margin if label else -margin
-                w = SequenceWindow(values=vals, label=label, origin=(cid, f"{cid}-{seq}", i))
-                group.append(w)
-        split.train.extend(split.train_by_client[cid])
-        split.test.extend(split.test_by_client[cid])
-    return split
+                windows.append(
+                    SequenceWindow(values=vals, label=label, origin=(cid, f"{cid}-{seq}", i))
+                )
+    return DatasetSplit(train, test)

@@ -22,11 +22,12 @@ import fedfall.secure_transport
 import fedfall.simulate
 from fedfall.cli import _sweep_values, cli_main
 from fedfall.data.cache import save_dataset
+from fedfall.data.split import DatasetSplit
 from fedfall.data.synthetic import make_synthetic_dataset
 from fedfall.errors import AggregationInfeasibleError, ConfigError
 from fedfall.secure_transport import keygen
 from fedfall.simulate import SCENARIOS
-from test_data_windows import CACHE_CORRUPTIONS
+from test_data_windows import CACHE_CORRUPTIONS, with_value
 from test_simulate import with_one_short_window
 
 FAST = [
@@ -470,8 +471,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("label", [0, 1])
     def test_short_window_is_validation_error(self, tmp_path, capsys, monkeypatch, label):
-        split, origin = with_one_short_window(label)
-        monkeypatch.setattr(fedfall.cli, "make_synthetic_dataset", lambda **kw: split)
+        split, train, origin = with_one_short_window(label)
+        monkeypatch.setattr(
+            fedfall.cli, "make_synthetic_dataset", lambda **kw: DatasetSplit(train, split.test_by_client)
+        )
         code = cli_main(
             ["train", "--scenario", "pfl_swa", "--synthetic", "--out", str(tmp_path / "x")]
             + FAST + ["--set", "smote_target=0.3"]
@@ -481,8 +484,7 @@ class TestExitCodes:
 
     def test_cache_without_training_windows_is_validation_error(self, tmp_path, capsys):
         split = make_synthetic_dataset(seed=0, stride=12)
-        split.train = []
-        split.train_by_client = {cid: [] for cid in split.train_by_client}
+        split = dataclasses.replace(split, train_by_client={cid: () for cid in split.clients})
         cache = tmp_path / "test_only.cache"
         save_dataset(cache, split)
         code = cli_main(
@@ -500,11 +502,9 @@ class TestExitCodes:
         split = make_synthetic_dataset(seed=0, stride=12)
         i = len(split.test) // 2
         w = split.test[i]
-        values = w.values.copy()
-        values[7, 4] = value
-        split.test[i] = dataclasses.replace(w, values=values)  # the cache writes this list
         cache = tmp_path / "bad.cache"
         save_dataset(cache, split)
+        cache.write_bytes(with_value(cache.read_bytes(), "test", i, 7, 4, value))
 
         def no_round(*args, **kwargs):
             raise AssertionError("trained on a cache it should reject")
@@ -516,14 +516,14 @@ class TestExitCodes:
         )
         assert code == 1
         assert capsys.readouterr().err == (
-            f"error: {cache}: test window {i} from {w.origin} holds a non-finite value\n"
+            f"error: {cache}: test window {w.origin} of client {w.origin[0]!r} "
+            "holds a non-finite value\n"
         )
         assert not (tmp_path / "x").exists()
 
     def test_cache_without_test_windows_is_validation_error(self, tmp_path, capsys):
         split = make_synthetic_dataset(seed=0, stride=12)
-        split.test = []
-        split.test_by_client = {cid: [] for cid in split.test_by_client}
+        split = dataclasses.replace(split, test_by_client={cid: () for cid in split.clients})
         cache = tmp_path / "train_only.cache"
         save_dataset(cache, split)
         code = cli_main(
@@ -538,8 +538,7 @@ class TestExitCodes:
 class TestLogLevel:
     def train_without_b(self, tmp_path, monkeypatch, level):
         split = make_synthetic_dataset(seed=0, stride=12)
-        split.train = [w for w in split.train if w.individual != "B"]
-        split.train_by_client["B"] = []
+        split = dataclasses.replace(split, train_by_client={**split.train_by_client, "B": ()})
         monkeypatch.setattr(fedfall.cli, "make_synthetic_dataset", lambda **kw: split)
         level_flag = [] if level is None else ["--log-level", level]
         code, _ = run_train(tmp_path, level_flag, out_name=f"run-{level}")

@@ -21,7 +21,7 @@ from fedfall.data import (
     summary_text,
     window_segments,
 )
-from fedfall.errors import ShapeMismatchError
+from fedfall.errors import ConfigError, FedfallError, ShapeMismatchError
 
 
 def series(n, fall_at=()):
@@ -118,6 +118,14 @@ class TestWindowSegments:
             window_segments(values.ravel(), labels, window=5, stride=1)
         with pytest.raises(ValueError, match="9 labels for 10 time steps"):
             window_segments(values, labels[:-1], window=5, stride=1)
+
+    # a label the cache can write back as it reads it: the int 0 or 1
+    @pytest.mark.parametrize(
+        "label", [1.0, 0.0, True, False, np.int64(1), np.float64(0.0), 2, -1, "1"], ids=repr
+    )
+    def test_label_must_be_the_int_0_or_1(self, label):
+        with pytest.raises(ValueError, match="label must be the int 0 or 1"):
+            make_window(label=label)
 
     def test_stack(self):
         ws = window_segments(*series(30, fall_at={3}), window=10, stride=10)
@@ -251,8 +259,67 @@ class TestSplit:
     def test_client_partition_consistent(self):
         split = split_train_test(self.make_sequences())
         for cid, ws in split.train_by_client.items():
-            assert all(w.individual == cid for w in ws)
+            assert all(w.origin[0] == cid for w in ws)
         assert sum(len(v) for v in split.train_by_client.values()) == len(split.train)
+
+
+class TestRecord:
+    """``DatasetSplit`` checks its windows once, when it is built."""
+
+    @staticmethod
+    def parts():
+        train = {c: [make_window(ind=c, seq=f"{c}01", start=i, seed=i) for i in range(3)] for c in "BA"}
+        test = {c: [make_window(ind=c, seq=f"{c}02", seed=9)] for c in "AB"}
+        return train, test
+
+    def test_sorted_tuples_joined_in_client_order(self):
+        train, test = self.parts()
+        split = DatasetSplit(train, test)
+        assert list(split.train_by_client) == split.clients == ["A", "B"]
+        assert all(type(ws) is tuple for ws in split.train_by_client.values())
+        assert split.train == train["A"] + train["B"]
+        assert split.test == test["A"] + test["B"]
+        assert split.window_shape == (4, 3)
+        assert DatasetSplit({}, {}).window_shape is None
+
+    def test_replace_checks_the_new_record(self):
+        split = DatasetSplit(*self.parts())
+        stray = make_window(ind="A", seq="A01", start=7)
+        with pytest.raises(ConfigError, match=re.escape(f"train window {stray.origin} is filed under client 'B'")):
+            dataclasses.replace(split, train_by_client={**split.train_by_client, "B": (stray,)})
+
+    def test_a_client_without_a_training_entry_is_refused(self):
+        train, test = self.parts()
+        del train["B"]
+        message = "client 'B' is in test_by_client but not in train_by_client"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            DatasetSplit(train, test)
+
+    def test_windows_filed_under_another_client_are_refused(self, tmp_path):
+        # the cache files each window under its origin's client, so such a
+        # split would load back renamed, with every client's seed stream shifted
+        train, test = self.parts()
+        renamed = [{("alice" if c == "A" else c): ws for c, ws in d.items()} for d in (train, test)]
+        message = f"train window {train['A'][0].origin} is filed under client 'alice'"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            DatasetSplit(*renamed)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_value_in_a_window_is_refused(self, value):
+        values, labels = series(25)
+        values[12, 3] = value
+        ws = window_segments(values, labels, window=10, stride=10, sequence_name="A01")
+        test = window_segments(*series(10), window=10, stride=10, sequence_name="A02")
+        message = "train window ('A', 'A01', 10) of client 'A' holds a non-finite value"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            DatasetSplit({"A": ws}, {"A": test})
+
+    def test_a_non_finite_value_outside_every_window_is_accepted(self):
+        values, labels = series(25)
+        values[24, 0] = np.nan  # windows at 0 and 10 end at step 19
+        ws = window_segments(values, labels, window=10, stride=10, sequence_name="A01")
+        test = window_segments(*series(10), window=10, stride=10, sequence_name="A02")
+        assert DatasetSplit({"A": ws}, {"A": test}).train == ws
 
 
 def _with_header(data: bytes, make) -> bytes:
@@ -261,6 +328,17 @@ def _with_header(data: bytes, make) -> bytes:
     end = start + int.from_bytes(data[start - 4 : start], "little")
     blob = json.dumps(make(json.loads(data[start:end]))).encode("utf-8")
     return data[: start - 4] + len(blob).to_bytes(4, "little") + blob + data[end:]
+
+
+def with_value(data: bytes, group: str, i: int, row: int, col: int, value: float) -> bytes:
+    """Cache bytes with one float64 of ``group`` window ``i`` replaced by ``value``."""
+    start = len(b"EPFLDS1") + 4
+    end = start + int.from_bytes(data[start - 4 : start], "little")
+    header = json.loads(data[start:end])
+    t, f = header["window"], header["features"]
+    before = header["n_train"] if group == "test" else 0
+    at = end + 8 * (((before + i) * t + row) * f + col)
+    return data[:at] + np.float64(value).astype("<f8").tobytes() + data[at + 8 :]
 
 
 # Malformed variants of a valid cache's bytes, each of which load_dataset
@@ -321,12 +399,11 @@ class TestCache:
 
     def test_round_trip_keeps_a_client_without_train_windows(self, tmp_path):
         split = self.make_split()
-        split.train = [w for w in split.train if w.individual != "A"]
-        split.train_by_client["A"] = []
+        split = dataclasses.replace(split, train_by_client={**split.train_by_client, "A": ()})
         save_dataset(tmp_path / "data.bin", split)
         loaded = load_dataset(tmp_path / "data.bin")
         assert loaded.clients == split.clients == ["A", "B"]
-        assert loaded.train_by_client["A"] == []
+        assert loaded.train_by_client["A"] == ()
         assert len(loaded.test_by_client["A"]) == len(split.test_by_client["A"])
 
     def test_magic_bytes(self, tmp_path):
@@ -370,15 +447,12 @@ class TestCache:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_window_rejected_naming_origin(self, tmp_path, group, value):
         split = self.make_split()
-        windows = getattr(split, group)
-        w = windows[3]
-        values = w.values.copy()
-        values[1, 2] = value
-        windows[3] = dataclasses.replace(w, values=values)
+        w = getattr(split, group)[3]
         path = tmp_path / "data.bin"
         save_dataset(path, split)
-        message = f"{path}: {group} window 3 from {w.origin} holds a non-finite value"
-        with pytest.raises(ValueError, match=re.escape(message)):
+        path.write_bytes(with_value(path.read_bytes(), group, 3, 1, 2, value))
+        message = f"{path}: {group} window {w.origin} of client {w.origin[0]!r} holds a non-finite"
+        with pytest.raises(FedfallError, match=re.escape(message)):
             load_dataset(path)
 
     @pytest.mark.parametrize("kind", sorted(CACHE_CORRUPTIONS))

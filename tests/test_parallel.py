@@ -21,7 +21,6 @@ import fedfall.federation as federation
 import fedfall.simulate as simulate
 from fedfall.cli import _write_run_outputs
 from fedfall.config import ExperimentConfig
-from fedfall.data.split import DatasetSplit
 from fedfall.data.synthetic import make_synthetic_dataset
 from fedfall.data.windows import SequenceWindow
 from fedfall.errors import NumericalFailureError
@@ -68,13 +67,7 @@ def config(**kw):
 
 def without_training_windows(dataset, cid):
     """``dataset`` with client ``cid``'s training windows removed."""
-    train_by_client = {**dataset.train_by_client, cid: []}
-    return DatasetSplit(
-        train=[w for c in dataset.clients for w in train_by_client[c]],
-        test=dataset.test,
-        train_by_client=train_by_client,
-        test_by_client=dataset.test_by_client,
-    )
+    return replace(dataset, train_by_client={**dataset.train_by_client, cid: ()})
 
 
 FEEDBACK = dict(feedback_enabled=True, monitor_windows_per_round=6)

@@ -11,6 +11,7 @@ import pytest
 from fedfall import federation, simulate
 from fedfall.config import ExperimentConfig
 from fedfall.data.cache import load_dataset, save_dataset
+from fedfall.data.split import DatasetSplit
 from fedfall.data.synthetic import make_synthetic_dataset
 from fedfall.data.windows import SequenceWindow
 from fedfall.errors import AggregationInfeasibleError, ConfigError, ShapeMismatchError
@@ -54,16 +55,16 @@ def assert_scored_by_global_model(result, dataset):
 
 
 def with_one_short_window(label: int):
-    """The synthetic corpus with client A's first training window of
-    ``label`` one time step short; returns the split and that window's origin."""
+    """The synthetic corpus's windows, with client A's first training window
+    of ``label`` one time step short: the split, the training windows by
+    client that hold the short one, and its origin."""
     split = make_synthetic_dataset(
         seed=3, sequences_per_client=3, sequence_length=120, window=20, stride=4
     )
-    windows = split.train_by_client["A"]
+    windows = list(split.train_by_client["A"])
     i = next(i for i, w in enumerate(windows) if w.label == label)
     windows[i] = dataclasses.replace(windows[i], values=windows[i].values[:-1])
-    split.train = [w for cid in split.clients for w in split.train_by_client[cid]]
-    return split, windows[i].origin
+    return split, {**split.train_by_client, "A": windows}, windows[i].origin
 
 
 @pytest.fixture(scope="module")
@@ -408,8 +409,7 @@ class TestClientWithoutTrainWindows:
         split = make_synthetic_dataset(
             seed=3, sequences_per_client=3, sequence_length=120, window=20, stride=4
         )
-        split.train = [w for w in split.train if w.individual != "B"]
-        split.train_by_client["B"] = []
+        split = dataclasses.replace(split, train_by_client={**split.train_by_client, "B": ()})
         save_dataset(tmp_path / "data.bin", split)
         loaded = load_dataset(tmp_path / "data.bin")
         assert loaded.clients == split.clients == ["A", "B", "C", "D", "E"]
@@ -420,15 +420,11 @@ class TestClientWithoutTrainWindows:
         assert a.metrics.to_dict() == b.metrics.to_dict()
         assert "B" in b.test_probabilities
 
-    # the per-client lists are the one source: clearing them alone is enough
-    @pytest.mark.parametrize("clear_flat_list", [True, False], ids=["both", "per_client_only"])
-    def test_no_training_windows_at_all_is_a_config_error(self, clear_flat_list, monkeypatch):
+    def test_no_training_windows_at_all_is_a_config_error(self, monkeypatch):
         split = make_synthetic_dataset(
             seed=3, sequences_per_client=3, sequence_length=120, window=20, stride=4
         )
-        if clear_flat_list:
-            split.train = []
-        split.train_by_client = {cid: [] for cid in split.train_by_client}
+        split = dataclasses.replace(split, train_by_client={cid: () for cid in split.clients})
         calls = []
         monkeypatch.setattr(simulate, "run_round", lambda *a, **k: calls.append(a))
         with pytest.raises(ConfigError, match="dataset has no training windows"):
@@ -439,8 +435,7 @@ class TestClientWithoutTrainWindows:
         split = make_synthetic_dataset(
             seed=3, sequences_per_client=3, sequence_length=120, window=20, stride=4
         )
-        split.test = []
-        split.test_by_client = {cid: [] for cid in split.test_by_client}
+        split = dataclasses.replace(split, test_by_client={cid: () for cid in split.clients})
 
         def no_round(*args, **kwargs):
             raise AssertionError("trained a dataset it cannot score")
@@ -451,18 +446,19 @@ class TestClientWithoutTrainWindows:
 
 
 class TestShortWindow:
+    """A window of another shape is refused when the split is built."""
+
     @pytest.mark.parametrize("label", [0, 1])
     def test_error_names_the_window(self, label):
-        split, origin = with_one_short_window(label)
-        config = fast_config(global_epochs=1, smote_target=0.3)
+        split, train, origin = with_one_short_window(label)
         with pytest.raises(ShapeMismatchError, match=re.escape(f"window {origin} has shape (19, ")):
-            simulate_full(split, config, "pfl_swa")
+            DatasetSplit(train, split.test_by_client)
 
-    def test_save_names_the_window(self, tmp_path):
-        split, origin = with_one_short_window(0)
+    def test_replace_names_the_window(self):
+        split, train, origin = with_one_short_window(0)
         message = f"window {origin} has shape (19, 9); expected (20, 9)"
         with pytest.raises(ShapeMismatchError, match=re.escape(message)):
-            save_dataset(tmp_path / "data.bin", split)
+            dataclasses.replace(split, train_by_client=train)
 
 
 class TestTrimFeasibility:
@@ -476,10 +472,11 @@ class TestTrimFeasibility:
         split = make_separable_dataset(
             seed=0, n_clients=3, train_per_client=24, test_per_client=12, window=6, features=3
         )
-        for cid in split.clients[trainable:]:
-            split.train_by_client[cid] = split.train_by_client[cid][:1]
-        split.train = [w for cid in split.clients for w in split.train_by_client[cid]]
-        return split
+        train = {
+            cid: windows if i < trainable else windows[:1]
+            for i, (cid, windows) in enumerate(split.train_by_client.items())
+        }
+        return dataclasses.replace(split, train_by_client=train)
 
     @pytest.mark.parametrize("trainable", [1, 2])
     @pytest.mark.parametrize("scenario", ["pfl_swa", "epfl_swa"])
@@ -559,31 +556,49 @@ class TestChunkedScoring:
 
 
 class TestTestOnlyClient:
-    """A client with test windows but no training entry: the global model
-    scores it, except under epfl_swa, which needs its own model."""
+    """A client with test windows needs a training entry, if only an empty
+    one; with it, every scenario scores the client."""
 
     @staticmethod
-    def split():
+    def parts():
+        """A three-client split, and its test windows with client Z's added."""
         split = make_separable_dataset(
             seed=0, n_clients=3, train_per_client=24, test_per_client=12, window=6, features=3
         )
         z = make_separable_dataset(
             seed=1, n_clients=1, test_per_client=6, window=6, features=3
         ).test_by_client["A"]
-        split.test_by_client["Z"] = [dataclasses.replace(w, origin=("Z",) + w.origin[1:]) for w in z]
-        split.test.extend(split.test_by_client["Z"])
-        return split
+        z = [dataclasses.replace(w, origin=("Z",) + w.origin[1:]) for w in z]
+        return split, {**split.test_by_client, "Z": z}
+
+    def test_refused_at_construction_naming_it(self):
+        split, test = self.parts()
+        message = "client 'Z' is in test_by_client but not in train_by_client"
+        with pytest.raises(ConfigError, match=re.escape(message)) as caught:
+            DatasetSplit(split.train_by_client, test)
+        assert str(test["Z"][0].origin) in str(caught.value)
+
+    def split(self):
+        """The parts as one record, Z with an empty training tuple."""
+        split, test = self.parts()
+        return DatasetSplit({**split.train_by_client, "Z": ()}, test)
 
     @pytest.mark.parametrize("scenario", ["central", "fl_fedavg", "pfl_swa"])
     def test_scored_by_the_global_model(self, scenario):
         split = self.split()
         result = simulate_full(split, fast_config(global_epochs=2), scenario)
-        assert "Z" not in split.clients and "Z" in result.test_probabilities
+        assert "Z" in split.clients and "Z" in result.test_probabilities
         assert_scored_by_global_model(result, split)
 
-    def test_epfl_rejects_it_before_round_0(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(simulate, "run_round", lambda *a, **k: calls.append(a))
-        with pytest.raises(ConfigError, match="test-only clients Z"):
-            simulate_full(self.split(), fast_config(global_epochs=3), "epfl_swa")
-        assert calls == []
+    def test_epfl_scores_it_with_its_own_untrained_model(self):
+        split = self.split()
+        result = simulate_full(split, fast_config(global_epochs=2), "epfl_swa")
+        rows = [e for e in result.round_log if e.get("client") == "Z"]
+        assert [e.get("skipped") for e in rows] == [True, True]
+        batch = np.stack([w.values for w in split.test_by_client["Z"]]).astype(np.float32)
+        expected = federation.ensemble_predict(
+            result.global_params.astype(np.float32),
+            result.client_params["Z"].astype(np.float32),
+            batch,
+        )
+        np.testing.assert_array_equal(result.test_probabilities["Z"], expected)
