@@ -199,7 +199,7 @@ def cmd_prepare_data(args) -> int:
         )
         if stats.skipped_sequences:
             print(f"skipped sequences missing sensors: {', '.join(stats.skipped_sequences)}")
-        print(f"windows: {stats.n_train_windows} train / {stats.n_test_windows} test")
+        print(f"windows: {len(split.train)} train / {len(split.test)} test")
     print(f"cache written to {out}")
     return 0
 

@@ -21,8 +21,6 @@ class PrepareStats:
     n_records: int
     malformed_rows: int
     skipped_sequences: list[str]
-    n_train_windows: int
-    n_test_windows: int
 
 
 def prepare_dataset(
@@ -59,8 +57,6 @@ def prepare_dataset(
         n_records=len(parsed.records),
         malformed_rows=parsed.malformed_count,
         skipped_sequences=skipped,
-        n_train_windows=len(split.train),
-        n_test_windows=len(split.test),
     )
     if cache_path is not None:
         save_dataset(cache_path, split)

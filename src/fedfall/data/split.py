@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -15,9 +17,9 @@ from fedfall.errors import ConfigError
 class DatasetSplit:
     """Each client's training and test windows, checked once when built.
 
-    Both mappings are stored in sorted client order, each client's windows
-    as a tuple. The constructor raises ``ConfigError`` naming the client and
-    the window's ``origin`` unless:
+    Both mappings are stored read-only (``MappingProxyType``) in sorted
+    client order, each client's windows as a tuple. The constructor raises
+    ``ConfigError`` naming the client and the window's ``origin`` unless:
 
     * both mappings name the same clients (a client with no windows of one
       kind holds an empty tuple there);
@@ -26,17 +28,19 @@ class DatasetSplit:
     * every value is finite.
 
     ``train`` and ``test`` join the windows in sorted client order, the
-    order the cache writes. ``dataclasses.replace`` checks the new record.
+    order the cache writes. ``dataclasses.replace``, ``pickle`` and
+    ``copy.deepcopy`` rebuild through the constructor, so they check too.
     """
 
-    train_by_client: dict[str, tuple[SequenceWindow, ...]]
-    test_by_client: dict[str, tuple[SequenceWindow, ...]]
+    train_by_client: Mapping[str, tuple[SequenceWindow, ...]]
+    test_by_client: Mapping[str, tuple[SequenceWindow, ...]]
     window_shape: tuple[int, int] | None = field(init=False)
 
     def __post_init__(self):
         for name in ("train_by_client", "test_by_client"):
             given = getattr(self, name)
-            object.__setattr__(self, name, {cid: tuple(given[cid]) for cid in sorted(given)})
+            by_client = {cid: tuple(given[cid]) for cid in sorted(given)}
+            object.__setattr__(self, name, MappingProxyType(by_client))
         train, test = self.train_by_client, self.test_by_client
         for cid in sorted(train.keys() ^ test.keys()):
             has, lacks = ("test", "train") if cid in test else ("train", "test")
@@ -70,6 +74,10 @@ class DatasetSplit:
                         raise ConfigError(
                             f"{kind} window {w.origin} of client {cid!r} holds a non-finite value"
                         )
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle; plain dicts do
+        return DatasetSplit, (dict(self.train_by_client), dict(self.test_by_client))
 
     @property
     def clients(self) -> list[str]:

@@ -7,7 +7,7 @@ parameter sweeps keep running through useless corners of the grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -56,17 +56,7 @@ class MetricsReport:
     seed: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "degenerate": list(self.degenerate),
-            "per_client": dict(self.per_client),
-            "scenario": self.scenario,
-            "config_fingerprint": self.config_fingerprint,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "degenerate": list(self.degenerate)}
 
 
 def compute_metrics(counts: ConfusionCounts) -> MetricsReport:

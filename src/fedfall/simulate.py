@@ -15,15 +15,17 @@ Each scenario trains under the caller's ``ExperimentConfig`` with its own
 overrides (``central``: ``mu=0``, one epoch per round; ``fl_fedavg``:
 ``mu=0``); the report keeps the caller's fingerprint.
 
-All four run through one round loop, and every round is one
-``run_round`` call: FedAvg for ``central`` and ``fl_fedavg``, SWA for the
-other two. ``central`` is a one-client FedAvg round over a single trainer
-holding every client's train windows (sorted by client); FedAvg returns a
-lone update exactly, so the trainer's model becomes the global model, and
-its update travels without transport. Everything after the step is
-shared: feedback, validation, the loss curve, best-round tracking, early
-stopping and test scoring, and every report comes from
-``metrics.report_from_probabilities``.
+All four run through one round loop. ``RunState`` holds what changes
+from round to round, each fact once; ``_round`` advances it by one round
+in four phases: train (one ``run_round`` call: FedAvg for ``central`` and
+``fl_fedavg``, SWA for the other two), score, alerts (the feedback loop)
+and validate (the round's score, the best round, early stopping). The
+score history and the loss curve are read back from ``round_log``.
+``central`` is a one-client FedAvg round over a single trainer holding
+every client's train windows (sorted by client); FedAvg returns a lone
+update exactly, so the trainer's model becomes the global model, and its
+update travels without transport. Every report, validation and test, comes
+from ``metrics.report_from_probabilities``.
 
 Each round scores every client in one job on the client map that training
 uses (``federation.map_clients``): its monitor windows, one batch-1
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 import logging
 import random as _random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -71,8 +73,6 @@ from fedfall.nn import (
     ModelParams,
     init_params,
     model_forward,
-    params_to_vector,
-    vector_to_params,
 )
 from fedfall.secure_transport import FixedPointCodec, keygen
 
@@ -110,6 +110,22 @@ class SimulationResult:
     client_params: dict
     test_probabilities: dict
     test_labels: dict
+
+
+@dataclass
+class RunState:
+    """What one round hands the next, each fact once; every input fixed for
+    the run is an argument of ``_round``. ``best`` is the best round's
+    global model and client models, set in round 0."""
+
+    global_model: ModelParams
+    clients: list[ClientState]
+    monitor_rngs: dict[str, np.random.Generator] = field(default_factory=dict)
+    oracle_rng: np.random.Generator | None = None
+    transport: TransportConfig | None = None  # with its random.Random
+    round_log: list = field(default_factory=list)
+    feedback_events: list[FeedbackEvent] = field(default_factory=list)
+    best: tuple[ModelParams, dict[str, ModelParams]] | None = None
 
 
 def stratified_validation_split(
@@ -212,6 +228,91 @@ def _make_monitor_window(
     )
 
 
+def _round(
+    state: RunState, r: int, config: ExperimentConfig, scenario: str, val_by_client, real_by_client
+) -> bool:
+    """Advance ``state`` by round ``r``; True when the run stops early.
+
+    Phases, in order: 1. train (``run_round``: local training, transport,
+    aggregation); 2. score (one pass: each client's monitor windows, a group
+    of one each, then its validation windows as one group); 3. alerts (in
+    client order; none fires before every forward has run, so a failing
+    forward changes no client); 4. validate (the round's score, the best
+    round, early stopping). ``val_by_client`` and ``real_by_client`` hold
+    each client's validation and real (not oversampled) training windows."""
+    clients = state.clients
+    if scenario == "fl_fedavg":  # a value: local_train trains a copy
+        clients = [replace(c, local_params=state.global_model, adam=None) for c in clients]
+    result = run_round(
+        state.global_model.vec,
+        clients,
+        config,
+        strategy="swa" if scenario in ("pfl_swa", "epfl_swa") else "fedavg",
+        round_index=r,
+        transport=state.transport,
+    )
+    state.global_model = ModelParams(
+        result.global_params, state.global_model.input_size, config.hidden_size
+    )
+    state.clients = result.clients
+    state.round_log.extend(result.entries)
+    groups = {cid: [windows] for cid, windows in val_by_client.items()}
+    monitored: list = []  # (client, its monitor windows)
+    for c in state.clients:
+        real = real_by_client[c.client_id] if c.client_id in state.monitor_rngs else None
+        if not real:
+            continue
+        rng = state.monitor_rngs[c.client_id]
+        windows = [
+            _make_monitor_window(real[int(rng.integers(0, len(real)))], c.client_id, r, rng)
+            for _ in range(config.monitor_windows_per_round)
+        ]
+        monitored.append((c, windows))
+        groups[c.client_id] = [[w] for w in windows] + groups[c.client_id]
+    models = {c.client_id: c.local_params for c in state.clients}  # alerts change no model
+    probs = _probabilities(groups, state.global_model, models if scenario == "epfl_swa" else None)
+    for c, windows in monitored:
+        alerts = 0
+        for window, prob in zip(windows, probs[c.client_id]):
+            event = alert_and_feedback(c, window, float(prob[0]), state.oracle_rng, config, r)
+            if event is not None:
+                state.feedback_events.append(event)
+                alerts += 1
+        state.round_log.append(
+            {
+                "round": r,
+                "client": c.client_id,
+                "event": "feedback",
+                "alerts": alerts,
+                "dataset_size": len(c.dataset),
+            }
+        )
+    val_metrics = report_from_probabilities(
+        {cid: client_probs[-1] for cid, client_probs in probs.items()},
+        {cid: _labels_of(windows) for cid, windows in val_by_client.items()},
+        config.classification_threshold,
+    )
+    state.round_log.append(
+        {
+            "round": r,
+            "event": "validation",
+            "inference": "ensemble" if scenario == "epfl_swa" else "global",
+            "val_recall": val_metrics.recall,
+            "val_f1": val_metrics.f1,
+            "score": val_metrics.recall + val_metrics.f1,
+        }
+    )
+    scores = [e["score"] for e in state.round_log if e.get("event") == "validation"]
+    # argmax keeps the earliest of tied scores: only a strict improvement moves it
+    best = int(np.argmax(scores))
+    if best == r:  # always so in round 0; the central trainer's model is the global model
+        state.best = (state.global_model, {} if scenario == "central" else models)
+    if early_stop_check(scores, config.early_stop_patience):
+        state.round_log.append({"round": r, "event": "early_stop", "best_round": best})
+        return True
+    return False
+
+
 def simulate_full(
     dataset: DatasetSplit, config: ExperimentConfig, scenario: str
 ) -> SimulationResult:
@@ -228,11 +329,11 @@ def simulate_full(
         raise ConfigError("dataset has no training windows")
     if not any(dataset.test_by_client.values()):
         raise ConfigError("dataset has no test windows")
-    input_size = dataset.window_shape[1]
 
     root = np.random.SeedSequence(config.seed)
     ss_init, ss_smote, ss_val, ss_feedback, ss_transport = root.spawn(5)
     client_seeds = root.spawn(len(client_ids))
+    init = init_params(dataset.window_shape[1], config.hidden_size, np.random.default_rng(ss_init))
 
     # Per-client data path: hold out validation first so oversampling
     # never leaks synthetic neighbors into the early-stopping score, and
@@ -240,11 +341,11 @@ def simulate_full(
     # no alert feeds a near-copy of a validation window into training.
     smote_streams = ss_smote.spawn(len(client_ids))
     val_streams = ss_val.spawn(len(client_ids))
-    train_by_client: dict[str, list[SequenceWindow]] = {}
     val_by_client: dict[str, list[SequenceWindow]] = {}
     real_by_client: dict[str, list[SequenceWindow]] = {}
-    for i, cid in enumerate(client_ids):
-        raw = dataset.train_by_client[cid]
+    clients: list[ClientState] = []
+    pooled: list[SequenceWindow] = []  # every trainer's windows, by client
+    for i, (cid, raw) in enumerate(dataset.train_by_client.items()):
         tr, va = stratified_validation_split(
             raw, VALIDATION_FRACTION, np.random.default_rng(val_streams[i])
         )
@@ -256,167 +357,79 @@ def simulate_full(
                 k=config.smote_k,
                 rng=np.random.default_rng(smote_streams[i]),
             )
-        train_by_client[cid] = tr
         val_by_client[cid] = va
-    if sum(len(v) for v in val_by_client.values()) == 0:
+        pooled += tr
+        clients.append(
+            ClientState(
+                client_id=cid,
+                dataset=PrivateDataset(cid, tr),
+                local_params=init,  # a value: local_train trains a copy
+                adam=None,
+                rng=np.random.default_rng(client_seeds[i]),
+            )
+        )
+    if not any(val_by_client.values()):
         raise ConfigError(
             "validation split came out empty; provide more training windows per client"
         )
+    if scenario == "central":  # one trainer on every client's windows, seeded as the first
+        trainer = replace(clients[0], client_id="central", dataset=PrivateDataset("central", pooled))
+        clients = [trainer]
 
-    init = init_params(input_size, config.hidden_size, np.random.default_rng(ss_init))
-    threshold = config.classification_threshold
-    central = scenario == "central"
-    ensemble = scenario == "epfl_swa"
-
-    if central:
-        pooled = [w for cid in sorted(train_by_client) for w in train_by_client[cid]]
-        members = [("central", pooled)]
-    else:
-        members = [(cid, train_by_client[cid]) for cid in client_ids]
-    clients = [
-        ClientState(
-            client_id=cid,
-            dataset=PrivateDataset(cid, windows),
-            local_params=init,  # a value: local_train trains a copy
-            adam=None,
-            rng=np.random.default_rng(client_seeds[i]),
-        )
-        for i, (cid, windows) in enumerate(members)
-    ]
-    strategy = "swa" if scenario in ("pfl_swa", "epfl_swa") else "fedavg"
-    if strategy == "swa" and config.trim_enabled:
+    if scenario in ("pfl_swa", "epfl_swa") and config.trim_enabled:
         # Training needs 2 windows, and feedback only adds windows, so a trim
         # that is feasible over these clients stays feasible all run.
-        trainable = sum(len(windows) >= 2 for _, windows in members)
+        trainable = sum(len(c.dataset) >= 2 for c in clients)
         if trainable:
             trim_count(trainable, config.beta)
 
-    transport = None
-    if config.encrypt_transport and not central:
+    state = RunState(global_model=init, clients=clients)
+    if config.encrypt_transport and scenario != "central":
         key = keygen(config.he_key_bits, seed=config.seed)
         codec = FixedPointCodec(scale_bits=config.fixed_point_bits, clip_range=config.clip_range)
-        transport = TransportConfig(key=key, codec=codec, rng=_random.Random(int(ss_transport.generate_state(1)[0])))
-
-    feedback_on = ensemble and config.feedback_enabled
-    oracle_rng = None
-    monitor_rngs: dict[str, np.random.Generator] = {}
-    if feedback_on:
+        state.transport = TransportConfig(key=key, codec=codec, rng=_random.Random(int(ss_transport.generate_state(1)[0])))
+    if scenario == "epfl_swa" and config.feedback_enabled:
         fb_streams = ss_feedback.spawn(len(client_ids) + 1)
-        oracle_rng = np.random.default_rng(fb_streams[-1])
-        monitor_rngs = {
+        state.oracle_rng = np.random.default_rng(fb_streams[-1])
+        state.monitor_rngs = {
             cid: np.random.default_rng(fb_streams[i]) for i, cid in enumerate(client_ids)
         }
 
-    val_labels = {cid: _labels_of(windows) for cid, windows in val_by_client.items()}
-    global_vec = params_to_vector(init)
-    round_log: list = []
-    loss_curve: list = []
-    feedback_events: list[FeedbackEvent] = []
-    history: list[float] = []  # one validation score per round run
-
     for r in range(config.global_epochs):
-        if scenario == "fl_fedavg":
-            restart = vector_to_params(global_vec, input_size, config.hidden_size)
-            clients = [replace(c, local_params=restart, adam=None) for c in clients]
-        result = run_round(
-            global_vec,
-            clients,
-            config,
-            strategy=strategy,
-            round_index=r,
-            transport=transport,
-        )
-        global_vec = result.global_params
-        clients = result.clients
-        round_log.extend(result.entries)
-
-        global_model = vector_to_params(global_vec, input_size, config.hidden_size)
-        client_models = {c.client_id: c.local_params for c in clients} if ensemble else None
-
-        # One scoring pass per round: each client's monitor windows, a group
-        # of one each, then its validation windows as one group. The draws
-        # and alerts stay here in client order, and no alert fires before
-        # every forward has run, so a failing forward changes no client.
-        groups = {cid: [windows] for cid, windows in val_by_client.items()}
-        monitored: list = []  # (client, its monitor windows)
-        for c in clients if feedback_on else ():
-            real = real_by_client[c.client_id]
-            if not real:
-                continue
-            rng = monitor_rngs[c.client_id]
-            windows = [
-                _make_monitor_window(real[int(rng.integers(0, len(real)))], c.client_id, r, rng)
-                for _ in range(config.monitor_windows_per_round)
-            ]
-            monitored.append((c, windows))
-            groups[c.client_id] = [[w] for w in windows] + groups[c.client_id]
-        probs = _probabilities(groups, global_model, client_models)
-        val_probs = {cid: client_probs[-1] for cid, client_probs in probs.items()}
-        for c, windows in monitored:
-            alerts = 0
-            for window, prob in zip(windows, probs[c.client_id]):
-                event = alert_and_feedback(c, window, float(prob[0]), oracle_rng, config, r)
-                if event is not None:
-                    feedback_events.append(event)
-                    alerts += 1
-            round_log.append(
-                {
-                    "round": r,
-                    "client": c.client_id,
-                    "event": "feedback",
-                    "alerts": alerts,
-                    "dataset_size": len(c.dataset),
-                }
-            )
-        val_metrics = report_from_probabilities(val_probs, val_labels, threshold)
-        score = val_metrics.recall + val_metrics.f1
-        history.append(score)
-        mean_loss = float(np.mean([e["loss"] for e in result.entries if "loss" in e]))
-        round_log.append(
-            {
-                "round": r,
-                "event": "validation",
-                "inference": "ensemble" if ensemble else "global",
-                "val_recall": val_metrics.recall,
-                "val_f1": val_metrics.f1,
-                "score": score,
-            }
-        )
-        loss_curve.append(
-            {
-                "round": r,
-                "train_loss": mean_loss,
-                "val_recall": val_metrics.recall,
-                "val_f1": val_metrics.f1,
-            }
-        )
-        # argmax keeps the earliest of tied scores: only a strict improvement moves it
-        best = int(np.argmax(history))
-        if best == r:  # always so in round 0
-            best_global = global_model
-            # the central trainer's model is the global model
-            best_locals = {} if central else {c.client_id: c.local_params for c in clients}
-        if early_stop_check(history, config.early_stop_patience):
-            round_log.append({"round": r, "event": "early_stop", "best_round": best})
+        if _round(state, r, config, scenario, val_by_client, real_by_client):
             break
 
+    best_global, best_locals = state.best
     scored = _probabilities(
         {cid: [windows] for cid, windows in dataset.test_by_client.items()},
         best_global,
-        best_locals if ensemble else None,
+        best_locals if scenario == "epfl_swa" else None,
     )
     test_probs = {cid: probs for cid, (probs,) in scored.items()}
     test_labels = {cid: _labels_of(dataset.test_by_client[cid]) for cid in test_probs}
     metrics = report_from_probabilities(
-        test_probs, test_labels, threshold, scenario, fingerprint, config.seed
+        test_probs, test_labels, config.classification_threshold, scenario, fingerprint, config.seed
     )
+    validations = [e for e in state.round_log if e.get("event") == "validation"]
+    losses: dict[int, list[float]] = {}
+    for e in state.round_log:
+        if "loss" in e:
+            losses.setdefault(e["round"], []).append(e["loss"])
     return SimulationResult(
         metrics=metrics,
-        round_log=round_log,
-        loss_curve=loss_curve,
-        feedback_events=feedback_events,
-        rounds_run=len(history),
-        best_round=best,
+        round_log=state.round_log,
+        loss_curve=[
+            {
+                "round": v["round"],
+                "train_loss": float(np.mean(losses[v["round"]])),
+                "val_recall": v["val_recall"],
+                "val_f1": v["val_f1"],
+            }
+            for v in validations
+        ],
+        feedback_events=state.feedback_events,
+        rounds_run=len(validations),
+        best_round=int(np.argmax([v["score"] for v in validations])),
         global_params=best_global,
         client_params=best_locals,
         test_probabilities=test_probs,

@@ -328,8 +328,8 @@ def test_paper_scale_reproduction_runbook():
     from fedfall.data.pipeline import prepare_dataset
     from fedfall.simulate import run_simulation
 
-    split, stats = prepare_dataset(os.environ[LDPA_ENV], window=20, stride=1, seed=0)
-    print(f"prepared {stats.n_train_windows} train / {stats.n_test_windows} test windows")
+    split, _ = prepare_dataset(os.environ[LDPA_ENV], window=20, stride=1, seed=0)
+    print(f"prepared {len(split.train)} train / {len(split.test)} test windows")
     config = ExperimentConfig()  # reference defaults
     reports = {}
     for scenario in ("fl_fedavg", "pfl_swa", "epfl_swa"):

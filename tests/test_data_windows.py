@@ -1,9 +1,12 @@
 """Sliding windows, oversampling, splitting, and the dataset cache."""
 
+import copy
 import dataclasses
 import json
+import pickle
 import re
 import tracemalloc
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -287,6 +290,36 @@ class TestRecord:
         stray = make_window(ind="A", seq="A01", start=7)
         with pytest.raises(ConfigError, match=re.escape(f"train window {stray.origin} is filed under client 'B'")):
             dataclasses.replace(split, train_by_client={**split.train_by_client, "B": (stray,)})
+
+    @pytest.mark.parametrize("name", ["train_by_client", "test_by_client"])
+    def test_mappings_refuse_writes(self, name):
+        split = DatasetSplit(*self.parts())
+        by_client = getattr(split, name)
+        nan_window = make_window(ind="A", seq="A01")
+        nan_window.values[0, 0] = np.nan
+        with pytest.raises(TypeError):
+            by_client["A"] = (nan_window,)
+        with pytest.raises(TypeError):
+            by_client["Z"] = ()
+        with pytest.raises(TypeError):
+            del by_client["B"]
+        assert split.clients == ["A", "B"]
+        assert all(np.isfinite(w.values).all() for w in split.train + split.test)
+
+    @pytest.mark.parametrize("how", ["pickle", "deepcopy"])
+    def test_copies_keep_the_windows_and_check_again(self, how, monkeypatch):
+        split = DatasetSplit(*self.parts())
+        built = []
+        real = DatasetSplit.__post_init__
+        monkeypatch.setattr(DatasetSplit, "__post_init__", lambda s: built.append(s) or real(s))
+        copied = pickle.loads(pickle.dumps(split)) if how == "pickle" else copy.deepcopy(split)
+        assert len(built) == 1 and built[0] is copied
+        assert type(copied.train_by_client) is MappingProxyType
+        assert copied.clients == split.clients and copied.window_shape == split.window_shape
+        for kind in ("train", "test"):
+            pairs = list(zip(getattr(copied, kind), getattr(split, kind), strict=True))
+            assert all(a.origin == b.origin and a.label == b.label for a, b in pairs)
+            assert all(np.array_equal(a.values, b.values) for a, b in pairs)
 
     def test_a_client_without_a_training_entry_is_refused(self):
         train, test = self.parts()

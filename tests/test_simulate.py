@@ -54,6 +54,25 @@ def assert_scored_by_global_model(result, dataset):
         np.testing.assert_array_equal(result.test_probabilities[cid], probs.astype(np.float64))
 
 
+def assert_agrees_with_round_log(result):
+    """The loss curve, rounds run, best round and feedback events say what
+    ``round_log`` says."""
+    log = result.round_log
+    validations = [e for e in log if e.get("event") == "validation"]
+    assert result.rounds_run == len(validations)
+    assert [row["round"] for row in result.loss_curve] == [v["round"] for v in validations]
+    for row, v in zip(result.loss_curve, validations, strict=True):
+        assert (row["val_recall"], row["val_f1"]) == (v["val_recall"], v["val_f1"])
+        losses = [e["loss"] for e in log if e["round"] == v["round"] and "loss" in e]
+        assert row["train_loss"] == float(np.mean(losses))
+    scores = [v["score"] for v in validations]
+    assert result.best_round == scores.index(max(scores))
+    for stop in (e for e in log if e.get("event") == "early_stop"):
+        assert stop["best_round"] == result.best_round
+    feedback = [e for e in log if e.get("event") == "feedback"]
+    assert len(result.feedback_events) == sum(e["alerts"] for e in feedback)
+
+
 def with_one_short_window(label: int):
     """The synthetic corpus's windows, with client A's first training window
     of ``label`` one time step short: the split, the training windows by
@@ -98,6 +117,7 @@ class TestScenarioContract:
             assert probs.shape == (12,)
             assert np.all((probs >= 0.0) & (probs <= 1.0))
             assert result.test_labels[cid].shape == (12,)
+        assert_agrees_with_round_log(result)
 
     @pytest.mark.parametrize("scenario", ["central", "fl_fedavg", "pfl_swa", "epfl_swa"])
     def test_determinism(self, dataset, scenario):
@@ -217,6 +237,7 @@ class TestBestRoundSnapshots:
         assert len(stops) == 1 and result.rounds_run == len(scores) < cfg.global_epochs
         assert result.best_round == scores.index(max(scores))
         assert stops[0]["best_round"] == result.best_round
+        assert_agrees_with_round_log(result)
 
     def test_tied_best_score_keeps_earliest_round(self, dataset, monkeypatch):
         import fedfall.simulate as sim
@@ -248,6 +269,7 @@ class TestBestRoundSnapshots:
         ]
         assert not np.array_equal(seen[2], seen[1]), "the tied round must train"
         np.testing.assert_array_equal(params_to_vector(result.global_params), seen[1])
+        assert_agrees_with_round_log(result)
 
 
 class TestFeedbackLoop:
@@ -276,6 +298,7 @@ class TestFeedbackLoop:
                 r["alerts"] for r in rows if r["client"] == cid and r["round"] <= e["round"]
             )
             sizes[cid] = e["dataset_size"]
+        assert_agrees_with_round_log(result)
 
     def test_feedback_off_keeps_dataset_size_constant(self, dataset):
         cfg = fast_config(feedback_enabled=False, global_epochs=2)
