@@ -82,9 +82,9 @@ def trim_count(n: int, beta: float) -> int:
     return m
 
 
-def _ordered_mean(rows: list[np.ndarray] | np.ndarray) -> np.ndarray:
-    """Mean of rows (vectors, or a matrix's rows) accumulated one at a time,
-    in the given order, into one accumulator."""
+def _ordered_mean(rows: np.ndarray) -> np.ndarray:
+    """Mean of a matrix's rows accumulated one at a time, in the given
+    order, into one accumulator."""
     acc = np.zeros_like(rows[0])
     for row in rows:
         acc += row
@@ -92,28 +92,18 @@ def _ordered_mean(rows: list[np.ndarray] | np.ndarray) -> np.ndarray:
     return acc
 
 
-def trimmed_mean(vectors: list[np.ndarray] | np.ndarray, beta: float) -> np.ndarray:
-    """Coordinate-wise trimmed mean across client vectors.
+def trimmed_mean(matrix: np.ndarray, beta: float) -> np.ndarray:
+    """Coordinate-wise trimmed mean across the rows of a float64 (n, dim)
+    matrix, one row per client.
 
     For each coordinate the n values are sorted ascending, the m smallest
     and m largest dropped, and the rest averaged, with m =
-    ``trim_count(n, beta)``. A list of vectors is validated and stacked
-    once, and that copy is sorted in place, so the caller's vectors stay as
-    they were. A float64 (n, dim) matrix, ``swa_aggregate``'s own, is taken
-    as validated and sorted in place without a copy: its rows come back
-    reordered.
+    ``trim_count(n, beta)``. The caller validates the matrix, as
+    ``swa_aggregate`` does; it is sorted in place without a copy, so its
+    rows come back reordered.
     """
-    n = len(vectors)
-    if n == 0:
-        raise ValueError("no vectors to aggregate")
+    n = len(matrix)
     m = trim_count(n, beta)
-    if isinstance(vectors, np.ndarray):
-        matrix = vectors
-    else:
-        dim = np.asarray(vectors[0]).shape[0]
-        matrix = np.stack(
-            [_validate_vector(v, f"vector {i}", dim=dim) for i, v in enumerate(vectors)]
-        )
     # stable sort keeps the incoming (client) order among tied values
     matrix.sort(axis=0, kind="stable")
     # ascending left-to-right accumulation per coordinate, one row at a time

@@ -26,7 +26,8 @@ class SequenceWindow:
     """One training/evaluation unit: a T x F slice of a sequence.
 
     ``origin`` is (individual id, sequence name, start index); synthetic
-    windows use a start index of -1.
+    windows use a start index of -1. Two windows are equal when their
+    origins, labels and values agree; windows are not hashable.
     """
 
     values: np.ndarray
@@ -38,6 +39,16 @@ class SequenceWindow:
             raise ValueError(f"window values must be T x F, got shape {self.values.shape}")
         if type(self.label) is not int or self.label not in (0, 1):
             raise ValueError(f"label must be the int 0 or 1, got {self.label!r}")
+
+    def __eq__(self, other):
+        # the generated __eq__ compares the arrays inside a tuple and raises
+        if not isinstance(other, SequenceWindow):
+            return NotImplemented
+        return (
+            self.origin == other.origin
+            and self.label == other.label
+            and bool(np.array_equal(self.values, other.values))
+        )
 
 
 def window_segments(

@@ -401,7 +401,9 @@ def run_round(
     was.
     ``update_transform`` intercepts each ClientUpdate before transport
     (used to inject adversarial corruption in experiments); ``transport``
-    encrypts each update and has the server decrypt before aggregation.
+    encrypts each update and has the server decrypt before aggregation. An
+    update that cannot be encrypted, a non-finite one say, raises naming
+    its client before its ciphertext is made.
     """
     if strategy not in ("fedavg", "swa"):
         raise ConfigError(f"strategy must be 'fedavg' or 'swa', got {strategy!r}")
@@ -432,7 +434,10 @@ def run_round(
         if update_transform is not None:
             update = update_transform(update)
         if transport is not None:
-            enc = encrypt_vector(update.params, transport.key, transport.codec, transport.rng)
+            try:
+                enc = encrypt_vector(update.params, transport.key, transport.codec, transport.rng)
+            except ValueError as exc:
+                raise type(exc)(f"update {update.client_id!r}: {exc}") from None
             received = decrypt_vector(enc, transport.key, transport.codec)
             update = replace(update, params=received)
         entries.append(

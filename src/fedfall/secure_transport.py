@@ -398,13 +398,17 @@ def encrypt_vector(
 ) -> EncryptedVector:
     """Quantize a flat parameter vector, pack it into slots and encrypt it.
 
-    Out-of-range coordinates are clipped; the count is carried on the
-    result and logged. Raises ValueError when one slot of ``codec`` does
-    not fit below the key's modulus.
+    The codec encodes only finite values: NaN or an infinity raises
+    ValueError before anything is encrypted. Finite out-of-range
+    coordinates are clipped; the count is carried on the result and
+    logged. Raises ValueError when one slot of ``codec`` does not fit below
+    the key's modulus.
     """
     params = np.asarray(params, dtype=np.float64)
     if params.ndim != 1:
         raise ShapeMismatchError(f"expected a flat vector, got shape {params.shape}")
+    if not np.all(np.isfinite(params)):
+        raise ValueError("vector contains non-finite values, which the codec cannot encode")
     layout = slot_layout(codec, key.n.bit_length())
     slots = []
     clipped = 0

@@ -23,7 +23,7 @@ from fedfall.aggregation import (
 from fedfall.config import ExperimentConfig
 from fedfall.data.synthetic import make_synthetic_dataset
 from fedfall.federation import ClientState, PrivateDataset, local_train
-from fedfall.metrics import compute_metrics, counts_from_predictions
+from fedfall.metrics import report_from_probabilities
 from fedfall.nn import (
     bce_loss,
     gradient_check,
@@ -77,7 +77,7 @@ def test_aggregation_oracle_equivalence():
         m = trim_count(n, beta)
         if n - 2 * m < 1:
             continue
-        ours = trimmed_mean([rows[i] for i in range(n)], beta)
+        ours = trimmed_mean(rows.copy(), beta)  # swa_aggregate's float64 matrix
         oracle = np.asarray(scalar_trimmed_mean([list(r) for r in rows], m))
         assert np.array_equal(ours, oracle), f"trial {trial}: mismatch"
         checked += 1
@@ -85,7 +85,7 @@ def test_aggregation_oracle_equivalence():
     rng_med = np.random.default_rng(8)
     for _ in range(50):
         rows = rng_med.normal(size=(3, 17))
-        ours = trimmed_mean([rows[0], rows[1], rows[2]], 0.1)
+        ours = trimmed_mean(rows.copy(), 0.1)
         assert np.array_equal(ours, np.median(rows, axis=0))
 
     _report(
@@ -199,22 +199,37 @@ def test_he_demonstration_matches_plaintext():
 def test_metrics_exactness_against_recount():
     rng = np.random.default_rng(123)
     for _ in range(10_000):
-        n = int(rng.integers(1, 40))
-        predicted = rng.integers(0, 2, size=n)
-        labels = rng.integers(0, 2, size=n)
-        counts = counts_from_predictions(predicted, labels)
+        probs, labels = {}, {}
+        for cid in rng.permutation(list("ABCDE"))[: int(rng.integers(1, 6))].tolist():
+            n = int(rng.integers(0, 30))
+            probs[cid] = rng.uniform(size=n)
+            labels[cid] = rng.integers(0, 2, size=n)
+        if rng.uniform() < 1 / 3:
+            probs = {cid: np.round(p, 1) for cid, p in probs.items()}  # ties on the threshold
+        threshold = [0.3, 0.5, float(rng.uniform(0.01, 0.99))][int(rng.integers(0, 3))]
         tp = fp = tn = fn = 0
-        for p, y in zip(predicted.tolist(), labels.tolist()):
-            if p == 1 and y == 1:
-                tp += 1
-            elif p == 1 and y == 0:
-                fp += 1
-            elif p == 0 and y == 0:
-                tn += 1
-            else:
-                fn += 1
-        assert (counts.tp, counts.fp, counts.tn, counts.fn) == (tp, fp, tn, fn)
-        report = compute_metrics(counts)
+        per_client = {}
+        for cid in sorted(probs):
+            c_tp = c_fn = 0
+            for p, y in zip(probs[cid].tolist(), labels[cid].tolist()):
+                fall = p > threshold
+                if fall and y == 1:
+                    c_tp += 1
+                elif fall and y == 0:
+                    fp += 1
+                elif not fall and y == 0:
+                    tn += 1
+                else:
+                    c_fn += 1
+            per_client[cid] = c_tp / (c_tp + c_fn) if c_tp + c_fn else None
+            tp += c_tp
+            fn += c_fn
+        n = tp + fp + tn + fn
+        if n == 0:
+            with pytest.raises(ValueError, match="no evaluated windows"):
+                report_from_probabilities(probs, labels, threshold)
+            continue
+        report = report_from_probabilities(probs, labels, threshold)
         accuracy = (tp + tn) / n
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0
@@ -223,11 +238,24 @@ def test_metrics_exactness_against_recount():
             if precision + recall
             else 0.0
         )
+        degenerate = tuple(
+            name
+            for name, zero in (
+                ("precision", tp + fp == 0), ("recall", tp + fn == 0), ("f1", not precision + recall)
+            )
+            if zero
+        )
         assert report.accuracy == accuracy
         assert report.precision == precision
         assert report.recall == recall
         assert report.f1 == f1
-    _report("metrics-exactness", True, "10000 random sets, exact")
+        assert report.degenerate == degenerate
+        assert report.per_client == per_client
+        assert list(report.per_client) == sorted(probs)
+    _report(
+        "metrics-exactness", True,
+        "10000 random multi-client sets through report_from_probabilities, exact",
+    )
 
 
 def _recall_spread(per_client: dict) -> float:

@@ -94,31 +94,33 @@ class TestTrimCount:
 
 
 class TestTrimmedMean:
+    """``trimmed_mean`` takes swa_aggregate's float64 (n, dim) matrix; each
+    test passes a stacked copy, since the matrix is sorted in place."""
+
     def test_one_to_ten(self):
-        vecs = [np.array([float(v)]) for v in range(1, 11)]
-        out = trimmed_mean(vecs, beta=0.1)
+        out = trimmed_mean(np.arange(1.0, 11.0).reshape(10, 1), beta=0.1)
         assert out[0] == 5.5
 
     def test_identical_updates_returned_exactly(self):
         v = np.array([0.1, -2.7, 3.14159, 1e-9])
-        out = trimmed_mean([v.copy() for _ in range(7)], beta=0.1)
+        out = trimmed_mean(np.stack([v] * 7), beta=0.1)
         np.testing.assert_array_equal(out, v)
 
     def test_n3_is_median(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            vecs = [rng.normal(size=6) for _ in range(3)]
-            out = trimmed_mean(vecs, beta=0.1)
-            np.testing.assert_array_equal(out, np.median(np.stack(vecs), axis=0))
+            rows = rng.normal(size=(3, 6))
+            out = trimmed_mean(rows.copy(), beta=0.1)
+            np.testing.assert_array_equal(out, np.median(rows, axis=0))
 
     def test_max_trim_is_median_odd_n(self):
         rng = np.random.default_rng(1)
-        vecs = [rng.normal(size=4) for _ in range(5)]
-        out = trimmed_mean(vecs, beta=0.49)  # m = floor(2.45) = 2, one survivor
-        np.testing.assert_array_equal(out, np.median(np.stack(vecs), axis=0))
-        vecs7 = [rng.normal(size=4) for _ in range(7)]
-        out7 = trimmed_mean(vecs7, beta=0.45)  # m = floor(3.15) = 3, one survivor
-        np.testing.assert_array_equal(out7, np.median(np.stack(vecs7), axis=0))
+        rows = rng.normal(size=(5, 4))
+        out = trimmed_mean(rows.copy(), beta=0.49)  # m = floor(2.45) = 2, one survivor
+        np.testing.assert_array_equal(out, np.median(rows, axis=0))
+        rows7 = rng.normal(size=(7, 4))
+        out7 = trimmed_mean(rows7.copy(), beta=0.45)  # m = floor(3.15) = 3, one survivor
+        np.testing.assert_array_equal(out7, np.median(rows7, axis=0))
 
     def test_bit_for_bit_against_scalar_oracle(self):
         rng = np.random.default_rng(2)
@@ -126,25 +128,25 @@ class TestTrimmedMean:
             n = int(rng.integers(3, 21))
             d = int(rng.integers(1, 51))
             rows = rng.normal(size=(n, d)) * rng.uniform(0.01, 100)
-            out = trimmed_mean(list(rows), beta=0.1)
+            out = trimmed_mean(rows.copy(), beta=0.1)
             expected = scalar_trimmed_mean(rows.tolist(), trim_count(n, 0.1))
             assert out.tolist() == expected  # exact, not approximate
 
     def test_corruption_of_m_values_per_coordinate_ignored(self):
         rng = np.random.default_rng(3)
         rows = rng.normal(size=(10, 8))
-        base = trimmed_mean(list(rows), beta=0.1)
+        base = trimmed_mean(rows.copy(), beta=0.1)
         corrupt = rows.copy()
         # push one already-extreme value per coordinate far out
         for j in range(8):
             corrupt[np.argmax(corrupt[:, j]), j] = 1e12
-        out = trimmed_mean(list(corrupt), beta=0.1)
+        out = trimmed_mean(corrupt, beta=0.1)
         np.testing.assert_array_equal(out, base)
 
     def test_bounded_by_retained_range(self):
         rng = np.random.default_rng(4)
         rows = rng.normal(size=(9, 5))
-        out = trimmed_mean(list(rows), beta=0.1)
+        out = trimmed_mean(rows.copy(), beta=0.1)
         srt = np.sort(rows, axis=0)
         assert np.all(out >= srt[1]) and np.all(out <= srt[-2])
 
@@ -152,29 +154,20 @@ class TestTrimmedMean:
     @settings(max_examples=50, deadline=None)
     def test_permutation_invariance(self, seed, n, d):
         rng = np.random.default_rng(seed)
-        rows = [rng.normal(size=d) for _ in range(n)]
-        out1 = trimmed_mean(rows, beta=0.1)
-        perm = [rows[i] for i in rng.permutation(n)]
-        out2 = trimmed_mean(perm, beta=0.1)
+        rows = rng.normal(size=(n, d))
+        out1 = trimmed_mean(rows.copy(), beta=0.1)
+        out2 = trimmed_mean(rows[rng.permutation(n)], beta=0.1)
         np.testing.assert_array_equal(out1, out2)
 
     def test_infeasible_propagates(self):
         with pytest.raises(AggregationInfeasibleError):
-            trimmed_mean([np.zeros(2), np.zeros(2)], beta=0.1)
+            trimmed_mean(np.zeros((2, 2)), beta=0.1)
 
-    def test_list_of_vectors_left_as_it_was(self):
-        # the sort runs on a stacked copy, never on the caller's vectors
-        rows = list(np.random.default_rng(4).normal(size=(5, 9)))
-        before = [r.copy() for r in rows]
-        ids = [id(r) for r in rows]
-        trimmed_mean(rows, beta=0.2)
-        assert [id(r) for r in rows] == ids
-        assert all(np.array_equal(r, b) for r, b in zip(rows, before))
-
-    def test_nonfinite_rejected(self):
-        rows = [np.array([1.0]), np.array([np.inf]), np.array([0.0])]
-        with pytest.raises(ValueError):
-            trimmed_mean(rows, beta=0.1)
+    def test_matrix_sorted_in_place(self):
+        rows = np.random.default_rng(5).normal(size=(5, 9))
+        matrix = rows.copy()
+        trimmed_mean(matrix, beta=0.2)
+        np.testing.assert_array_equal(matrix, np.sort(rows, axis=0))
 
 
 class TestEmaFuse:

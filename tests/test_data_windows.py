@@ -321,6 +321,27 @@ class TestRecord:
             assert all(a.origin == b.origin and a.label == b.label for a, b in pairs)
             assert all(np.array_equal(a.values, b.values) for a, b in pairs)
 
+    @pytest.mark.parametrize("how", ["pickle", "deepcopy"])
+    def test_copies_compare_equal(self, how):
+        from fedfall.data import make_synthetic_dataset
+
+        split = make_synthetic_dataset(seed=0, stride=12)
+        copied = pickle.loads(pickle.dumps(split)) if how == "pickle" else copy.deepcopy(split)
+        assert split == copied
+        assert split.train[0] == copied.train[0]
+
+    def test_windows_differing_in_one_value_compare_unequal(self):
+        window = make_window()
+        values = window.values.copy()
+        values[1, 2] += 1e-12
+        changed = SequenceWindow(values=values, label=window.label, origin=window.origin)
+        assert window != changed
+        assert window == SequenceWindow(window.values.copy(), window.label, window.origin)
+        assert window != make_window(start=1) and window != make_window(label=1)
+        assert window.__eq__(window.values) is NotImplemented and window != "A"
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(window)
+
     def test_a_client_without_a_training_entry_is_refused(self):
         train, test = self.parts()
         del train["B"]

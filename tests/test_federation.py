@@ -25,7 +25,7 @@ from fedfall.federation import (
     local_train,
     run_round,
 )
-from fedfall.metrics import classify
+from fedfall.metrics import report_from_probabilities
 from fedfall.data.windows import SequenceWindow
 from fedfall.nn import (
     AdamState,
@@ -478,6 +478,28 @@ class TestRunRound:
         assert secured.global_params.tobytes() == quantised.global_params.tobytes()
 
 
+    @pytest.mark.parametrize("strategy", ["fedavg", "swa"])
+    def test_encrypted_nonfinite_update_names_the_client(self, strategy):
+        def poison(update):
+            if update.client_id == "A":
+                params = update.params.copy()
+                params[3] = np.inf
+                return replace(update, params=params)
+            return update
+
+        transport = TransportConfig(
+            key=keygen(256, seed=11),
+            codec=FixedPointCodec(scale_bits=20, clip_range=100.0),
+            rng=_random.Random(3),
+        )
+        g = params_to_vector(init_params(F, H, 0))
+        with pytest.raises(ValueError, match="^update 'A': .*non-finite"):
+            run_round(
+                g, [make_client(c, seed=i, data_seed=i) for i, c in enumerate("ABC")],
+                small_config(), strategy=strategy, update_transform=poison, transport=transport,
+            )
+
+
 class TestEnsembleAndClassify:
     def test_ensemble_is_exact_mean_of_model_outputs(self):
         a = init_params(F, H, 1)
@@ -503,19 +525,28 @@ class TestEnsembleAndClassify:
         ens = ensemble_predict(a, b, batch)
         assert np.all(ens >= np.minimum(pa, pb)) and np.all(ens <= np.maximum(pa, pb))
 
+    @staticmethod
+    def falls(probs, threshold):
+        """The windows classified as falls: each probability is one client's
+        lone positive window, so its recall is 1.0 for a fall, else 0.0."""
+        probs = {f"{i:03d}": np.asarray([p]) for i, p in enumerate(probs)}
+        labels = {cid: np.ones(1) for cid in probs}
+        per = report_from_probabilities(probs, labels, threshold).per_client
+        return [int(per[cid]) for cid in sorted(probs)]
+
     def test_classification_is_strict_inequality(self):
-        assert classify(0.31, 0.3) == 1
-        assert classify(0.3, 0.3) == 0
-        assert classify(np.asarray([0.29, 0.3, 0.31]), 0.3).tolist() == [0, 0, 1]
+        assert self.falls([0.31], 0.3) == [1]
+        assert self.falls([0.3], 0.3) == [0]
+        assert self.falls([0.29, 0.3, 0.31], 0.3) == [0, 0, 1]
 
     def test_threshold_grid_supported(self):
         for threshold in (0.3, 0.35, 0.4, 0.45, 0.5):
-            assert classify(0.51, threshold) == 1
+            assert self.falls([0.51], threshold) == [1]
 
     def test_threshold_validation(self):
         for bad in (0.0, 1.0, -0.2, 1.7):
-            with pytest.raises(ValueError):
-                classify(0.5, bad)
+            with pytest.raises(ValueError, match="threshold must be in"):
+                self.falls([0.5], bad)
 
 
 class TestAlertAndFeedback:

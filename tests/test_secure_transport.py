@@ -445,6 +445,16 @@ class TestVectorOps:
         enc = encrypt_vector(vec, KEY, CODEC, rng)
         assert enc.clipped_count == 2
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_rejected_before_encryption(self, bad, monkeypatch):
+        # the codec encodes only finite values; an infinity is not clipped
+        def no_encryption(*args):
+            raise AssertionError("a ciphertext was made")
+
+        monkeypatch.setattr(fedfall.secure_transport, "encrypt", no_encryption)
+        with pytest.raises(ValueError, match="non-finite"):
+            encrypt_vector(np.array([0.0, 1.0, 2.0, bad]), KEY, CODEC, random.Random(18))
+
     def test_wrong_key_rejected(self):
         rng = random.Random(16)
         other = keygen(TEST_KEY_BITS, seed=4321)
