@@ -7,7 +7,7 @@ Modules:
   federation       privacy boundary, local training, communication rounds
   simulate         scenario orchestration, validation, early stopping
   secure_transport additively homomorphic update encryption
-  metrics          confusion counts and derived scores
+  metrics          probabilities -> report, one counting pass per client
   config           experiment configuration and fingerprints
   cli              command line entry points
 """

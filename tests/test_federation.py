@@ -477,7 +477,6 @@ class TestRunRound:
         )
         assert secured.global_params.tobytes() == quantised.global_params.tobytes()
 
-
     @pytest.mark.parametrize("strategy", ["fedavg", "swa"])
     def test_encrypted_nonfinite_update_names_the_client(self, strategy):
         def poison(update):
