@@ -36,7 +36,7 @@ from fedfall.data.synthetic import make_synthetic_dataset
 from fedfall.errors import ConfigError, FedfallError
 from fedfall.metrics import report_from_probabilities
 from fedfall.nn import gradient_check, init_params
-from fedfall.secure_transport import FixedPointCodec, keygen, secure_mean_demo
+from fedfall.secure_transport import keygen, secure_mean_demo
 from fedfall.simulate import SCENARIOS, SimulationResult, simulate_full
 
 
@@ -114,7 +114,20 @@ def _load_split(args, config: ExperimentConfig):
     data = args.data or config.cache_path
     if not data:
         raise ConfigError("no dataset: pass --data CACHE or --synthetic")
-    return load_dataset(data)
+    split = load_dataset(data)
+    if split.window_shape and split.window_shape[0] != config.window:
+        raise ConfigError(
+            f"{data}: windows of {split.window_shape[0]} steps, but config window is "
+            f"{config.window}; pass --set window={split.window_shape[0]}"
+        )
+    return split
+
+
+def _check_out_dir(path: Path) -> None:
+    """Refuse, before any work, an output directory that ``mkdir`` could not make."""
+    existing = next(p for p in (path, *path.parents) if p.exists() or p.is_symlink())
+    if not existing.is_dir():
+        raise ConfigError(f"output directory {path}: {existing} exists and is not a directory")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -160,9 +173,9 @@ def _write_run_outputs(
     (out_dir / "config.cfg").write_text(config_to_text(config), encoding="utf-8")
 
 
-def _run(split, config: ExperimentConfig, scenario: str, out_dir: Path) -> None:
-    """Run one scenario, write its artifacts into ``out_dir`` and print its metrics."""
-    result = simulate_full(split, config, scenario)
+def _run(args, config: ExperimentConfig, out_dir: Path) -> None:
+    """Load the data ``config`` describes, run it, write the artifacts and print the metrics."""
+    result = simulate_full(_load_split(args, config), config, args.scenario)
     _write_run_outputs(result, config, out_dir)
     metrics = result.metrics
     print(
@@ -207,7 +220,8 @@ def cmd_prepare_data(args) -> int:
 def cmd_train(args) -> int:
     config = _resolve_config(args)
     out_dir = Path(args.out or config.output_dir)
-    _run(_load_split(args, config), config, args.scenario, out_dir)
+    _check_out_dir(out_dir)
+    _run(args, config, out_dir)
     print(f"artifacts in {out_dir}")
     return 0
 
@@ -302,36 +316,39 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"unknown config key {name!r}")
     if FIELD_TYPES[name] not in ("int", "float"):
         raise ConfigError(f"{name} is not numeric; only int/float fields sweep")
-    runs = []  # every grid value is checked before the first run writes
-    for value in values:
-        typed = int(value) if FIELD_TYPES[name] == "int" else value
-        if FIELD_TYPES[name] == "int" and typed != value:
-            raise ConfigError(f"{name} is integer-valued; grid produced {value}")
-        runs.append((f"{name}={typed:g}", config.replace(**{name: typed})))
-    split = _load_split(args, config)
+    if name in ("window", "stride") and not args.synthetic:
+        raise ConfigError(f"a cache fixes window and stride; a {name} grid needs --synthetic")
     base_out = Path(args.out or config.output_dir)
-    for run_name, run_config in runs:
-        _run(split, run_config, args.scenario, base_out / run_name)
+    is_int = FIELD_TYPES[name] == "int"
+    runs = {}  # every grid value is checked before the first run writes
+    for value in values:
+        typed = int(value) if is_int else value
+        if typed != value:
+            raise ConfigError(f"{name} is integer-valued; grid produced {value}")
+        # integers in full; floats to the 12 digits the grid rounds to
+        run_name = f"{name}={typed}" if is_int else f"{name}={value:.12g}"
+        if run_name in runs:
+            raise ConfigError(f"grid values {run_name} and {value!r} share one run directory")
+        _check_out_dir(base_out / run_name)
+        runs[run_name] = config.replace(**{name: typed})
+    for run_name, run_config in runs.items():
+        _run(args, run_config, base_out / run_name)
     print(f"{len(runs)} runs in {base_out}")
     return 0
 
 
 def cmd_secure_demo(args) -> int:
     config = _resolve_config(args)
-    bits = args.key_bits if args.key_bits is not None else config.he_key_bits
     rng = np.random.default_rng(config.seed)
     updates = [rng.uniform(-1.0, 1.0, size=args.dim) for _ in range(args.clients)]
     started = time.perf_counter()
-    key = keygen(bits, seed=config.seed)
-    codec = FixedPointCodec(
-        scale_bits=config.fixed_point_bits, clip_range=config.clip_range
-    )
-    secure = secure_mean_demo(updates, key, codec, _random.Random(config.seed))
+    key = keygen(config.he_key_bits, seed=config.seed)
+    secure = secure_mean_demo(updates, key, config.codec, _random.Random(config.seed))
     elapsed = time.perf_counter() - started
     plain = np.mean(np.stack(updates), axis=0)
     err = float(np.max(np.abs(secure - plain)))
     print(
-        f"clients={args.clients} dim={args.dim} key_bits={bits} "
+        f"clients={args.clients} dim={args.dim} key_bits={config.he_key_bits} "
         f"max_abs_error={err:.3e} seconds={elapsed:.2f}"
     )
     if err > 1e-5:
@@ -398,7 +415,6 @@ def build_parser() -> _Parser:
     _add_config_options(p)
     p.add_argument("--clients", type=_count, default=5)
     p.add_argument("--dim", type=_count, default=1000)
-    p.add_argument("--key-bits", type=int, help="override config he_key_bits")
     p.set_defaults(func=cmd_secure_demo)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the network gradients")

@@ -97,11 +97,15 @@ class ExperimentConfig:
              f"monitor_windows_per_round must be >= 0, got {self.monitor_windows_per_round}")
         need(self.he_key_bits >= 128, f"he_key_bits must be >= 128, got {self.he_key_bits}")
         try:
-            codec = FixedPointCodec(scale_bits=self.fixed_point_bits, clip_range=self.clip_range)
-            slot_layout(codec, min_modulus_bits(self.he_key_bits))
+            slot_layout(self.codec, min_modulus_bits(self.he_key_bits))
         except ValueError as exc:
             raise ConfigError(f"he_key_bits/fixed_point_bits/clip_range: {exc}") from None
         need(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
+
+    @property
+    def codec(self) -> FixedPointCodec:
+        """The fixed-point codec of encrypted transport."""
+        return FixedPointCodec(scale_bits=self.fixed_point_bits, clip_range=self.clip_range)
 
     def replace(self, **changes) -> "ExperimentConfig":
         unknown = set(changes) - {f.name for f in dataclasses.fields(self)}

@@ -203,7 +203,7 @@ def local_train(
                     continue  # train-mode batch statistics need >= 2 windows
                 probs, cache = model_forward(shadow, batch_all[idx], mode="train")
                 data_loss, dprobs = bce_loss(probs, labels_all[idx])
-                np.copyto(grads, model_backward(cache, dprobs, shadow).vec)
+                np.copyto(grads, model_backward(cache, dprobs).vec)
                 penalty = 0.0
                 if config.mu != 0.0:
                     # mu*||d||^2 and its gradient 2*mu*d (d = w - w_global), in

@@ -67,7 +67,7 @@ def gradient_check(
 
     probs, cache = model_forward(params, batch, mode="train")
     _, dprobs = bce_loss(probs, labels)
-    analytic = model_backward(cache, dprobs, params).vec
+    analytic = model_backward(cache, dprobs).vec
 
     trainable = np.flatnonzero(manifest.trainable_mask())
     if n_coords >= len(trainable):

@@ -79,9 +79,8 @@ class _LstmTrace:
 class ForwardCache:
     """Every intermediate needed to replay the forward pass in backward.
 
-    Holds a reference to the exact ``ModelParams`` object used, so a stale or
-    mismatched cache is rejected instead of silently producing wrong
-    gradients.
+    Holds a reference to the exact ``ModelParams`` object used, so backward
+    differentiates the weights the forward ran with.
     """
 
     params: ModelParams
@@ -266,17 +265,15 @@ def _lstm_backward(
     return da
 
 
-def model_backward(cache: ForwardCache, loss_grads: np.ndarray, params: ModelParams) -> ModelParams:
-    """Exact gradients of the loss w.r.t. every parameter.
+def model_backward(cache: ForwardCache, loss_grads: np.ndarray) -> ModelParams:
+    """Exact gradients of the loss w.r.t. every parameter of ``cache.params``.
 
     ``loss_grads`` is dL/dprobability per window, as returned by the loss.
-    The cache must come from a train-mode forward over the same ``params``
-    object; anything else is rejected. The result is laid out like
-    ``params``, in its dtype: its ``vec`` is the flat gradient, and the
-    running-statistic slots are zero.
+    The cache must come from a train-mode forward. The result is laid out
+    like ``cache.params``, in its dtype: its ``vec`` is the flat gradient,
+    and the running-statistic slots are zero.
     """
-    if cache.params is not params:
-        raise ShapeMismatchError("cache was produced for a different ModelParams object")
+    params = cache.params
     if cache.mode != "train":
         raise ShapeMismatchError("backward requires a train-mode cache")
     loss_grads = np.asarray(loss_grads, dtype=params.vec.dtype)

@@ -74,7 +74,7 @@ from fedfall.nn import (
     init_params,
     model_forward,
 )
-from fedfall.secure_transport import FixedPointCodec, keygen
+from fedfall.secure_transport import keygen
 
 logger = logging.getLogger(__name__)
 
@@ -386,8 +386,7 @@ def simulate_full(
     state = RunState(global_model=init, clients=clients)
     if config.encrypt_transport and scenario != "central":
         key = keygen(config.he_key_bits, seed=config.seed)
-        codec = FixedPointCodec(scale_bits=config.fixed_point_bits, clip_range=config.clip_range)
-        state.transport = TransportConfig(key=key, codec=codec, rng=_random.Random(int(ss_transport.generate_state(1)[0])))
+        state.transport = TransportConfig(key=key, codec=config.codec, rng=_random.Random(int(ss_transport.generate_state(1)[0])))
     if scenario == "epfl_swa" and config.feedback_enabled:
         fb_streams = ss_feedback.spawn(len(client_ids) + 1)
         state.oracle_rng = np.random.default_rng(fb_streams[-1])

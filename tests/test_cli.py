@@ -1,5 +1,6 @@
 """Command line surface: artifacts, exit codes, reproducible evaluation."""
 
+import argparse
 import ast
 import csv
 import dataclasses
@@ -7,6 +8,7 @@ import importlib
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -20,7 +22,7 @@ import fedfall.cli
 import fedfall.errors
 import fedfall.secure_transport
 import fedfall.simulate
-from fedfall.cli import _sweep_values, cli_main
+from fedfall.cli import _sweep_values, build_parser, cli_main
 from fedfall.data.cache import save_dataset
 from fedfall.data.split import DatasetSplit
 from fedfall.data.synthetic import make_synthetic_dataset
@@ -29,6 +31,8 @@ from fedfall.secure_transport import keygen
 from fedfall.simulate import SCENARIOS
 from test_data_windows import CACHE_CORRUPTIONS, with_value
 from test_simulate import with_one_short_window
+
+ARTIFACTS = ("metrics.json", "round_log.jsonl", "loss_curve.csv", "predictions.json", "config.cfg")
 
 FAST = [
     "--set", "hidden_size=4",
@@ -96,6 +100,10 @@ def write_ldpa_csv(path, extra_rows=()):
     return path
 
 
+def _no_round(*args, **kwargs):
+    raise AssertionError("trained on input it should reject")
+
+
 def run_train(tmp_path, extra=(), out_name="run", scenario="fl_fedavg"):
     out = tmp_path / out_name
     code = cli_main(
@@ -109,10 +117,7 @@ class TestTrain:
     def test_writes_all_artifacts(self, tmp_path, capsys):
         code, out = run_train(tmp_path)
         assert code == 0
-        for name in (
-            "metrics.json", "round_log.jsonl", "loss_curve.csv",
-            "predictions.json", "config.cfg",
-        ):
+        for name in ARTIFACTS:
             assert (out / name).exists(), name
         payload = json.loads((out / "metrics.json").read_text())
         assert payload["metrics"]["scenario"] == "fl_fedavg"
@@ -256,6 +261,23 @@ class TestPrepareData:
         assert code == 0
         assert (out / "metrics.json").exists()
 
+    def test_cache_of_another_window_is_validation_error(self, tmp_path, capsys, monkeypatch):
+        cache = tmp_path / "synthetic.npz"
+        assert cli_main(["prepare-data", "--synthetic", "--out", str(cache), "--set", "stride=12"]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(fedfall.simulate, "run_round", _no_round)
+        out = tmp_path / "run"
+        code = cli_main(
+            ["train", "--scenario", "fl_fedavg", "--data", str(cache), "--out", str(out)]
+            + FAST + ["--set", "window=10"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {cache}: windows of 20 steps, but config window is 10; "
+            "pass --set window=20\n"
+        )
+        assert not out.exists()
+
     def test_csv_ingestion(self, tmp_path, capsys):
         csv_path = write_ldpa_csv(tmp_path / "raw.csv")
         # the CSV comes from --csv or, failing that, the config's data_path
@@ -350,6 +372,68 @@ class TestSweep:
         assert swept == len(calls) - swept >= 2
 
     @pytest.mark.parametrize(
+        "param", ["seed=0:1:1", "stride=12:24:12", "lr=0.001:0.002:0.001"],
+        ids=lambda param: param.partition("=")[0],
+    )
+    def test_run_directories_reproduce_under_train(self, tmp_path, capsys, param):
+        out = tmp_path / "sweep"
+        assert cli_main(
+            ["sweep", "--scenario", "fl_fedavg", "--synthetic", "--param", param,
+             "--out", str(out)] + FAST + ["--set", "global_epochs=1"]
+        ) == 0
+        runs = sorted(out.iterdir())
+        assert len(runs) == 2
+        for run in runs:
+            replay = tmp_path / "replay" / run.name
+            assert cli_main(
+                ["train", "--scenario", "fl_fedavg", "--synthetic",
+                 "--config", str(run / "config.cfg"), "--out", str(replay)]
+            ) == 0
+            for name in ARTIFACTS:
+                assert (run / name).read_bytes() == (replay / name).read_bytes(), (run.name, name)
+
+    @pytest.mark.parametrize("name", ["window", "stride"])
+    def test_cache_grid_over_the_data_is_validation_error(self, tmp_path, capsys, name):
+        cache = tmp_path / "synthetic.npz"
+        assert cli_main(["prepare-data", "--synthetic", "--out", str(cache), "--set", "stride=12"]) == 0
+        out = tmp_path / "sweep"
+        code = cli_main(
+            ["sweep", "--scenario", "central", "--data", str(cache),
+             "--param", f"{name}=12:24:12", "--out", str(out)] + FAST
+        )
+        assert code == 1
+        assert f"a {name} grid needs --synthetic" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "param, names",
+        [
+            # 1e+06 twice under %g
+            ("hidden_size=1000000:1000001:1", ["hidden_size=1000000", "hidden_size=1000001"]),
+            # lr=0.001 three times under %g
+            ("lr=0.001:0.0010000021:0.000000001", ["lr=0.001", "lr=0.001000001", "lr=0.001000002"]),
+        ],
+        ids=["int", "float"],
+    )
+    def test_run_names_tell_grid_values_apart(self, tmp_path, monkeypatch, param, names):
+        ran = []
+        monkeypatch.setattr(fedfall.cli, "_run", lambda args, config, out_dir: ran.append(out_dir))
+        out = tmp_path / "sweep"
+        assert cli_main(["sweep", "--scenario", "central", "--synthetic", "--param", param,
+                         "--out", str(out)]) == 0
+        assert ran == [out / name for name in names]
+
+    def test_colliding_run_names_are_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        code = cli_main(
+            ["sweep", "--scenario", "central", "--synthetic",
+             "--param", "mu=10:10.000000000002:0.000000000001", "--out", str(out)] + FAST
+        )
+        assert code == 1
+        assert "share one run directory" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "spec",
         [
             "classification_threshold=0.5:0.3:0.05",  # start past stop
@@ -381,7 +465,7 @@ class TestSweep:
 class TestSecureDemoAndGradcheck:
     def test_secure_demo_small_key(self, capsys):
         code = cli_main(["secure-demo", "--clients", "3", "--dim", "50",
-                         "--key-bits", "256"])
+                         "--set", "he_key_bits=256"])
         assert code == 0
         printed = capsys.readouterr().out
         assert "max_abs_error" in printed
@@ -440,9 +524,41 @@ class TestExitCodes:
         assert cli_main(argv) == 1
         assert f"argument {argv[1]}: must be an integer >= 1" in capsys.readouterr().err
 
-    def test_zero_key_bits_is_validation_error(self, capsys):
-        assert cli_main(["secure-demo", "--dim", "1", "--key-bits", "0"]) == 1
-        assert "error: key size must be at least 128 bits" in capsys.readouterr().err
+    def test_zero_key_bits_is_validation_error(self, capsys, monkeypatch):
+        def no_key(*args, **kwargs):
+            raise AssertionError("made a key for a config it should reject")
+
+        monkeypatch.setattr(fedfall.cli, "keygen", no_key)
+        assert cli_main(["secure-demo", "--dim", "1", "--set", "he_key_bits=0"]) == 1
+        assert capsys.readouterr().err == "error: he_key_bits must be >= 128, got 0\n"
+
+    @pytest.mark.parametrize(
+        "command, out, taken",
+        [
+            ("train", "file", "file"),
+            ("train", "file/run", "file"),
+            ("sweep", "file", "file"),
+            ("sweep", "dir", "dir/lr=0.002"),  # the second run's directory
+        ],
+        ids=["train", "train-parent", "sweep", "sweep-run"],
+    )
+    def test_unusable_output_path_is_validation_error(
+        self, tmp_path, capsys, monkeypatch, command, out, taken
+    ):
+        (tmp_path / "file").write_text("")
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "dir" / "lr=0.002").write_text("")
+        monkeypatch.setattr(fedfall.simulate, "run_round", _no_round)
+        grid = ["--param", "lr=0.001:0.002:0.001"] if command == "sweep" else []
+        code = cli_main(
+            [command, "--scenario", "central", "--synthetic", "--out", str(tmp_path / out)]
+            + grid + FAST
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: output directory ")
+        assert err.endswith(f": {tmp_path / taken} exists and is not a directory\n")
+        assert sorted(p.name for p in (tmp_path / "dir").iterdir()) == ["lr=0.002"]
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "tiny"])
     def test_bad_tolerance_is_usage_error(self, capsys, tol):
@@ -505,11 +621,7 @@ class TestExitCodes:
         cache = tmp_path / "bad.cache"
         save_dataset(cache, split)
         cache.write_bytes(with_value(cache.read_bytes(), "test", i, 7, 4, value))
-
-        def no_round(*args, **kwargs):
-            raise AssertionError("trained on a cache it should reject")
-
-        monkeypatch.setattr(fedfall.simulate, "run_round", no_round)
+        monkeypatch.setattr(fedfall.simulate, "run_round", _no_round)
         code = cli_main(
             ["train", "--scenario", "epfl_swa", "--data", str(cache),
              "--out", str(tmp_path / "x")] + FAST
@@ -596,6 +708,26 @@ def test_exit_code_follows_the_error_class(monkeypatch, capsys, cls):
         assert code == 1 and err == f"error: {exc}\n"
     else:
         assert code == 2 and err == f"runtime failure: {exc}\n"
+
+
+def test_readme_command_line_names_every_option():
+    """README's "Command line" section names every option of every
+    subcommand but --help, and no option that none of them has."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    written = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    subcommands = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices.values()
+    options = {
+        option
+        for p in subcommands
+        for action in p._actions
+        for option in action.option_strings
+        if option.startswith("--")
+    } - {"--help"}
+    assert sorted(options - written) == [], "options the README leaves out"
+    assert sorted(written - options) == [], "options the README names that do not exist"
 
 
 def test_cli_loads_every_module():

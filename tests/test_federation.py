@@ -216,7 +216,7 @@ class TestLocalTrain:
                 shadow = params.astype(np.float32)
                 probs, cache = model_forward(shadow, batch_all[idx], mode="train")
                 loss, dprobs = bce_loss(probs, labels_all[idx])
-                grads = model_backward(cache, dprobs, shadow).vec.astype(np.float64)
+                grads = model_backward(cache, dprobs).vec.astype(np.float64)
                 penalty = 0.0
                 if mu != 0.0:
                     for lo, hi in manifest_for(F, H).trainable_slices:

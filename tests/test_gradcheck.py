@@ -87,8 +87,8 @@ class TestGradientCheck:
 
         real_backward = gc.model_backward
 
-        def corrupted(cache, dprobs, p):
-            grads = real_backward(cache, dprobs, p)
+        def corrupted(cache, dprobs):
+            grads = real_backward(cache, dprobs)
             grads.fc1_w *= 2.0
             return grads
 
